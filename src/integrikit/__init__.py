@@ -9,10 +9,8 @@ linear algebra), ``flow`` (vector-field flows), ``charpde``
 and the ``integrikit`` command-line front end in ``cli``.
 """
 
-from ._backend import backend_name
 from .expr import Expr, diff, evaluate, parse, render
 
 __version__ = "0.1.0"
 
-__all__ = ["Expr", "parse", "render", "diff", "evaluate", "backend_name",
-           "__version__"]
+__all__ = ["Expr", "parse", "render", "diff", "evaluate", "__version__"]

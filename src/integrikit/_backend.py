@@ -1,461 +1,136 @@
-"""Batch-evaluation kernels for compiled expression programs.
+"""One evaluator for compiled expression tapes.
 
-Two implementations of the same stack machine over complex128:
+A tape (:class:`integrikit.expr.Tape`) is plain data.  Registers start
+as the variables followed by the constants; each op appends one result
+and then drops the slots no later op reads.  :func:`_run` is the only
+interpreter: it runs a tape on complex scalars with :data:`SCALAR_OPS`
+(the RK4 driver) and on complex128 arrays with :data:`ARRAY_OPS` (batch
+evaluation, :data:`BLOCK` points at a time so that live temporaries stay
+small).
 
-* a numba ``@njit`` kernel (default when numba imports cleanly), and
-* a pure-numpy fallback (vectorized over points; plain Python scalars
-  for the sequential RK4 driver).
-
-The active backend is chosen once at import time from the environment
-variable ``INTEGRIKIT_BACKEND``: ``numba``, ``numpy`` or ``auto``
-(default).  Domain failures never raise inside kernels; they surface as
-NaN and are converted to precise errors by the callers.
-
-Run ``benchmarks/bench_backends.py`` to compare the two paths.
+Domain failures never raise: division by 0, ln 0 and 0 raised to a
+negative or complex power give NaN, as do cmath overflow and domain
+errors.  Callers turn NaN into precise errors.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
+import operator
 
 import numpy as np
 
-# Opcodes.  CALL opcodes are OP_CALL + index into expr.FUNCTIONS.
-OP_CONST, OP_VAR, OP_NEG, OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_POW = range(8)
-OP_CALL = 10
-
-BINARY_OPS = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV, "^": OP_POW}
+#: Points per array pass of :func:`eval_points`.
+BLOCK = 8192
 
 _NAN = complex(float("nan"), float("nan"))
 
 
-def _requested_backend() -> str:
-    val = os.environ.get("INTEGRIKIT_BACKEND", "auto").strip().lower()
-    if val in ("", "auto"):
-        return "auto"
-    if val in ("numba", "numpy"):
-        return val
-    raise ValueError(f"INTEGRIKIT_BACKEND must be 'numba', 'numpy' or 'auto', got {val!r}")
+def _div(a, b):
+    return _NAN if b == 0 else a / b
 
 
-_choice = _requested_backend()
-_numba_ok = False
-if _choice in ("auto", "numba"):
-    try:
-        from numba import njit as _njit
-        _numba_ok = True
-    except ImportError:
-        if _choice == "numba":
-            raise
-
-BACKEND = "numba" if _numba_ok else "numpy"
-
-
-def backend_name() -> str:
-    """Name of the active backend ('numba' or 'numpy')."""
-    return BACKEND
-
-
-# --------------------------------------------------------------------------
-# Pure-Python scalar stack machine (used by the numpy RK4 driver)
-# --------------------------------------------------------------------------
-
-def _call_scalar(k: int, z: complex) -> complex:
-    try:
-        if k == 0:
-            return cmath.sin(z)
-        if k == 1:
-            return cmath.cos(z)
-        if k == 2:
-            return cmath.tan(z)
-        if k == 3:
-            return cmath.atan(z)
-        if k == 4:
-            return cmath.exp(z)
-        if k == 5:
-            if z == 0:
-                return _NAN
-            return cmath.log(z)
-        if k == 6:
-            return cmath.sqrt(z)
-        if k == 7:
-            return cmath.sinh(z)
-        if k == 8:
-            return cmath.cosh(z)
-        if k == 9:
-            return cmath.tanh(z)
-        if k == 10:
-            return complex(abs(z))
-        if k == 11:
-            return complex(z.real)
-        if k == 12:
-            return complex(z.imag)
-        return z.conjugate()
-    except (OverflowError, ValueError):
+def _pow(a, b):
+    if a == 0 and (b.real < 0 or b.imag != 0):
         return _NAN
+    return a ** b
 
 
-def _eval_scalar(code, consts, lo: int, hi: int, vals) -> complex:
-    stack = []
-    for i in range(lo, hi):
-        op = int(code[i, 0])
-        arg = int(code[i, 1])
-        if op == OP_CONST:
-            stack.append(consts[arg])
-        elif op == OP_VAR:
-            stack.append(vals[arg])
-        elif op == OP_NEG:
-            stack[-1] = -stack[-1]
-        elif op == OP_ADD:
-            b = stack.pop()
-            stack[-1] = stack[-1] + b
-        elif op == OP_SUB:
-            b = stack.pop()
-            stack[-1] = stack[-1] - b
-        elif op == OP_MUL:
-            b = stack.pop()
-            stack[-1] = stack[-1] * b
-        elif op == OP_DIV:
-            b = stack.pop()
-            stack[-1] = _NAN if b == 0 else stack[-1] / b
-        elif op == OP_POW:
-            b = stack.pop()
-            a = stack[-1]
-            if a == 0 and (b.real < 0 or b.imag != 0):
-                stack[-1] = _NAN
-            else:
-                try:
-                    stack[-1] = a ** b
-                except (OverflowError, ValueError, ZeroDivisionError):
-                    stack[-1] = _NAN
-        else:
-            stack[-1] = _call_scalar(op - OP_CALL, stack[-1])
-    return stack[0]
+def _ln(z):
+    return _NAN if z == 0 else cmath.log(z)
 
 
-# --------------------------------------------------------------------------
-# numpy fallback: vectorized over points
-# --------------------------------------------------------------------------
+SCALAR_OPS = {
+    "neg": operator.neg, "+": operator.add, "-": operator.sub,
+    "*": operator.mul, "/": _div, "^": _pow,
+    "sin": cmath.sin, "cos": cmath.cos, "tan": cmath.tan, "atan": cmath.atan,
+    "exp": cmath.exp, "ln": _ln, "sqrt": cmath.sqrt,
+    "sinh": cmath.sinh, "cosh": cmath.cosh, "tanh": cmath.tanh,
+    "abs": lambda z: complex(abs(z)),
+    "re": lambda z: complex(z.real),
+    "im": lambda z: complex(z.imag),
+    "conj": lambda z: z.conjugate(),
+}
 
-def _eval_points_numpy(code, consts, pts):
-    npts = pts.shape[0]
-    stack = []
+
+def _nan_where(out, bad):
+    return np.where(bad, _NAN, out) if np.any(bad) else out
+
+
+ARRAY_OPS = {
+    "neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
+    "/": lambda a, b: _nan_where(np.divide(a, b), b == 0),
+    # np.power, not `**`: ndarray.__pow__ takes fast paths for some exponents
+    "^": lambda a, b: _nan_where(np.power(a, b),
+                                 (a == 0) & ((b.real < 0) | (b.imag != 0))),
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "atan": np.arctan,
+    "exp": np.exp, "ln": lambda z: _nan_where(np.log(z), z == 0), "sqrt": np.sqrt,
+    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
+    "abs": lambda z: np.abs(z).astype(np.complex128),
+    "re": lambda z: z.real.astype(np.complex128),
+    "im": lambda z: z.imag.astype(np.complex128),
+    "conj": np.conj,
+}
+
+
+def _run(ops, table, regs: list) -> list:
+    """Execute a tape over `regs` (variables, then constants) in place."""
+    for op, a, b, dead in ops:
+        f = table[op]
+        try:
+            regs.append(f(regs[a]) if b < 0 else f(regs[a], regs[b]))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            regs.append(_NAN)
+        for d in dead:
+            regs[d] = None
+    return regs
+
+
+def eval_points(ops, consts, pts, out) -> np.ndarray:
+    """Slot `out` of the tape at every row of `pts`, as a new array."""
+    npts, nvars = pts.shape
+    result = np.empty(npts, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        for i in range(code.shape[0]):
-            op = int(code[i, 0])
-            arg = int(code[i, 1])
-            if op == OP_CONST:
-                stack.append(np.full(npts, consts[arg], dtype=np.complex128))
-            elif op == OP_VAR:
-                stack.append(pts[:, arg].copy())
-            elif op == OP_NEG:
-                stack[-1] = -stack[-1]
-            elif op == OP_ADD:
-                b = stack.pop()
-                stack[-1] = stack[-1] + b
-            elif op == OP_SUB:
-                b = stack.pop()
-                stack[-1] = stack[-1] - b
-            elif op == OP_MUL:
-                b = stack.pop()
-                stack[-1] = stack[-1] * b
-            elif op == OP_DIV:
-                b = stack.pop()
-                out = stack[-1] / b
-                out[b == 0] = _NAN
-                stack[-1] = out
-            elif op == OP_POW:
-                b = stack.pop()
-                a = stack[-1]
-                out = a ** b
-                bad = (a == 0) & ((b.real < 0) | (b.imag != 0))
-                out[bad] = _NAN
-                stack[-1] = out
-            else:
-                k = op - OP_CALL
-                z = stack[-1]
-                if k == 0:
-                    z = np.sin(z)
-                elif k == 1:
-                    z = np.cos(z)
-                elif k == 2:
-                    z = np.tan(z)
-                elif k == 3:
-                    z = np.arctan(z)
-                elif k == 4:
-                    z = np.exp(z)
-                elif k == 5:
-                    out = np.log(z)
-                    out[z == 0] = _NAN
-                    z = out
-                elif k == 6:
-                    z = np.sqrt(z)
-                elif k == 7:
-                    z = np.sinh(z)
-                elif k == 8:
-                    z = np.cosh(z)
-                elif k == 9:
-                    z = np.tanh(z)
-                elif k == 10:
-                    z = np.abs(z).astype(np.complex128)
-                elif k == 11:
-                    z = z.real.astype(np.complex128)
-                elif k == 12:
-                    z = z.imag.astype(np.complex128)
-                else:
-                    z = np.conj(z)
-                stack[-1] = z
-    return stack[0]
+        for lo in range(0, npts, BLOCK):
+            block = pts[lo:lo + BLOCK]
+            regs = _run(ops, ARRAY_OPS, [block[:, j] for j in range(nvars)] + list(consts))
+            result[lo:lo + BLOCK] = regs[out]
+    return result
 
 
-def _rk4_numpy(code, starts, ends, consts, x0, t0, h, hlast, t_end, nsteps, guard):
-    n = x0.shape[0]
+def rk4(ops, consts, outs, x0, guard, t0, h, hlast, t_end, nsteps):
+    """Classical RK4 of the system whose derivatives are the tape slots
+    `outs`, over variables (state..., time).  Takes `nsteps` steps of `h`
+    from `t0`, the last of length `hlast` ending at `t_end`.
+
+    Returns ``(ts, ys, status, reached)``: status 1 means the state at
+    step `reached` + 1 was non-finite or exceeded `guard`.
+    """
+    n = len(x0)
     ts = np.empty(nsteps + 1, dtype=np.float64)
     ys = np.empty((nsteps + 1, n), dtype=np.complex128)
     ts[0] = t0
     ys[0] = x0
-    vals = [0j] * (n + 1)
+    consts = list(consts)
+
+    def rhs(state, t):
+        regs = _run(ops, SCALAR_OPS, [*state, complex(t), *consts])
+        return [regs[o] for o in outs]
+
     y = [complex(v) for v in x0]
-    k1 = [0j] * n
-    k2 = [0j] * n
-    k3 = [0j] * n
-    k4 = [0j] * n
-    status = 0
-    reached = nsteps
     for s in range(nsteps):
         hs = h if s < nsteps - 1 else hlast
         t = t0 + s * h
-        for j in range(n):
-            vals[j] = y[j]
-        vals[n] = complex(t)
-        for j in range(n):
-            k1[j] = _eval_scalar(code, consts, starts[j], ends[j], vals)
-        for j in range(n):
-            vals[j] = y[j] + 0.5 * hs * k1[j]
-        vals[n] = complex(t + 0.5 * hs)
-        for j in range(n):
-            k2[j] = _eval_scalar(code, consts, starts[j], ends[j], vals)
-        for j in range(n):
-            vals[j] = y[j] + 0.5 * hs * k2[j]
-        vals[n] = complex(t + 0.5 * hs)
-        for j in range(n):
-            k3[j] = _eval_scalar(code, consts, starts[j], ends[j], vals)
-        for j in range(n):
-            vals[j] = y[j] + hs * k3[j]
-        vals[n] = complex(t + hs)
-        for j in range(n):
-            k4[j] = _eval_scalar(code, consts, starts[j], ends[j], vals)
-        ok = True
-        big = 0.0
-        for j in range(n):
-            y[j] = y[j] + (hs / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-            if not (math.isfinite(y[j].real) and math.isfinite(y[j].imag)):
-                ok = False
-            m = abs(y[j].real) + abs(y[j].imag)
-            if m > big:
-                big = m
-        if not ok or big > guard:
-            status = 1
-            reached = s
-            break
+        k1 = rhs(y, t)
+        k2 = rhs([y[j] + 0.5 * hs * k1[j] for j in range(n)], t + 0.5 * hs)
+        k3 = rhs([y[j] + 0.5 * hs * k2[j] for j in range(n)], t + 0.5 * hs)
+        k4 = rhs([y[j] + hs * k3[j] for j in range(n)], t + hs)
+        y = [y[j] + (hs / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+             for j in range(n)]
+        if not all(math.isfinite(v.real) and math.isfinite(v.imag)
+                   and abs(v.real) + abs(v.imag) <= guard for v in y):
+            return ts, ys, 1, s
         ts[s + 1] = t_end if s == nsteps - 1 else t0 + (s + 1) * h
-        for j in range(n):
-            ys[s + 1, j] = y[j]
-    return ts, ys, status, reached
-
-
-# --------------------------------------------------------------------------
-# numba kernels
-# --------------------------------------------------------------------------
-
-if _numba_ok:
-
-    @_njit(cache=True)
-    def _call_nb(k, z):  # pragma: no cover - exercised through kernels
-        if k == 0:
-            return cmath.sin(z)
-        if k == 1:
-            return cmath.cos(z)
-        if k == 2:
-            return cmath.tan(z)
-        if k == 3:
-            return cmath.atan(z)
-        if k == 4:
-            return cmath.exp(z)
-        if k == 5:
-            if z == 0:
-                return complex(np.nan, np.nan)
-            return cmath.log(z)
-        if k == 6:
-            return cmath.sqrt(z)
-        if k == 7:
-            return cmath.sinh(z)
-        if k == 8:
-            return cmath.cosh(z)
-        if k == 9:
-            return cmath.tanh(z)
-        if k == 10:
-            return complex(abs(z), 0.0)
-        if k == 11:
-            return complex(z.real, 0.0)
-        if k == 12:
-            return complex(z.imag, 0.0)
-        return complex(z.real, -z.imag)
-
-    @_njit(cache=True)
-    def _eval_nb(code, consts, lo, hi, vals, stack):  # pragma: no cover
-        sp = 0
-        for i in range(lo, hi):
-            op = code[i, 0]
-            arg = code[i, 1]
-            if op == OP_CONST:
-                stack[sp] = consts[arg]
-                sp += 1
-            elif op == OP_VAR:
-                stack[sp] = vals[arg]
-                sp += 1
-            elif op == OP_NEG:
-                stack[sp - 1] = -stack[sp - 1]
-            elif op == OP_ADD:
-                sp -= 1
-                stack[sp - 1] = stack[sp - 1] + stack[sp]
-            elif op == OP_SUB:
-                sp -= 1
-                stack[sp - 1] = stack[sp - 1] - stack[sp]
-            elif op == OP_MUL:
-                sp -= 1
-                stack[sp - 1] = stack[sp - 1] * stack[sp]
-            elif op == OP_DIV:
-                sp -= 1
-                if stack[sp] == 0:
-                    stack[sp - 1] = complex(np.nan, np.nan)
-                else:
-                    stack[sp - 1] = stack[sp - 1] / stack[sp]
-            elif op == OP_POW:
-                sp -= 1
-                a = stack[sp - 1]
-                b = stack[sp]
-                if a == 0 and (b.real < 0 or b.imag != 0):
-                    stack[sp - 1] = complex(np.nan, np.nan)
-                else:
-                    stack[sp - 1] = a ** b
-            else:
-                stack[sp - 1] = _call_nb(op - OP_CALL, stack[sp - 1])
-        return stack[0]
-
-    @_njit(cache=True)
-    def _eval_points_nb(code, consts, pts):  # pragma: no cover
-        npts = pts.shape[0]
-        nvars = pts.shape[1]
-        out = np.empty(npts, np.complex128)
-        vals = np.empty(nvars, np.complex128)
-        stack = np.empty(code.shape[0] + 1, np.complex128)
-        for p in range(npts):
-            for j in range(nvars):
-                vals[j] = pts[p, j]
-            out[p] = _eval_nb(code, consts, 0, code.shape[0], vals, stack)
-        return out
-
-    @_njit(cache=True)
-    def _rk4_nb(code, starts, ends, consts, x0, t0, h, hlast, t_end, nsteps, guard):  # pragma: no cover
-        n = x0.shape[0]
-        ts = np.empty(nsteps + 1, np.float64)
-        ys = np.empty((nsteps + 1, n), np.complex128)
-        ts[0] = t0
-        for j in range(n):
-            ys[0, j] = x0[j]
-        vals = np.empty(n + 1, np.complex128)
-        y = np.empty(n, np.complex128)
-        k1 = np.empty(n, np.complex128)
-        k2 = np.empty(n, np.complex128)
-        k3 = np.empty(n, np.complex128)
-        k4 = np.empty(n, np.complex128)
-        stack = np.empty(code.shape[0] + 1, np.complex128)
-        for j in range(n):
-            y[j] = x0[j]
-        status = 0
-        reached = nsteps
-        for s in range(nsteps):
-            hs = h if s < nsteps - 1 else hlast
-            t = t0 + s * h
-            for j in range(n):
-                vals[j] = y[j]
-            vals[n] = complex(t, 0.0)
-            for j in range(n):
-                k1[j] = _eval_nb(code, consts, starts[j], ends[j], vals, stack)
-            for j in range(n):
-                vals[j] = y[j] + 0.5 * hs * k1[j]
-            vals[n] = complex(t + 0.5 * hs, 0.0)
-            for j in range(n):
-                k2[j] = _eval_nb(code, consts, starts[j], ends[j], vals, stack)
-            for j in range(n):
-                vals[j] = y[j] + 0.5 * hs * k2[j]
-            vals[n] = complex(t + 0.5 * hs, 0.0)
-            for j in range(n):
-                k3[j] = _eval_nb(code, consts, starts[j], ends[j], vals, stack)
-            for j in range(n):
-                vals[j] = y[j] + hs * k3[j]
-            vals[n] = complex(t + hs, 0.0)
-            for j in range(n):
-                k4[j] = _eval_nb(code, consts, starts[j], ends[j], vals, stack)
-            ok = True
-            big = 0.0
-            for j in range(n):
-                y[j] = y[j] + (hs / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-                if not (math.isfinite(y[j].real) and math.isfinite(y[j].imag)):
-                    ok = False
-                m = abs(y[j].real) + abs(y[j].imag)
-                if m > big:
-                    big = m
-            if not ok or big > guard:
-                status = 1
-                reached = s
-                break
-            ts[s + 1] = t_end if s == nsteps - 1 else t0 + (s + 1) * h
-            for j in range(n):
-                ys[s + 1, j] = y[j]
-        return ts, ys, status, reached
-
-
-# --------------------------------------------------------------------------
-# Dispatch
-# --------------------------------------------------------------------------
-
-def eval_points_numpy(code, consts, pts):
-    """Pure-numpy program evaluation at `pts` rows (always available)."""
-    if pts.shape[0] == 0:
-        return np.empty(0, dtype=np.complex128)
-    return _eval_points_numpy(code, consts, pts)
-
-
-def eval_points_numba(code, consts, pts):
-    """Numba program evaluation; raises if numba is unavailable."""
-    if not _numba_ok:
-        raise RuntimeError("numba backend not available")
-    if pts.shape[0] == 0:
-        return np.empty(0, dtype=np.complex128)
-    return _eval_points_nb(code, consts, pts)
-
-
-def eval_points(code, consts, pts):
-    if BACKEND == "numba":
-        return eval_points_numba(code, consts, pts)
-    return eval_points_numpy(code, consts, pts)
-
-
-def rk4_numpy(code, starts, ends, consts, x0, t0, h, hlast, t_end, nsteps, guard):
-    return _rk4_numpy(code, starts, ends, consts, x0, t0, h, hlast, t_end, nsteps, guard)
-
-
-def rk4_numba(code, starts, ends, consts, x0, t0, h, hlast, t_end, nsteps, guard):
-    if not _numba_ok:
-        raise RuntimeError("numba backend not available")
-    return _rk4_nb(code, starts, ends, consts, x0, t0, h, hlast, t_end, nsteps, guard)
-
-
-def rk4(code, starts, ends, consts, x0, t0, h, hlast, t_end, nsteps, guard):
-    if BACKEND == "numba":
-        return rk4_numba(code, starts, ends, consts, x0, t0, h, hlast, t_end, nsteps, guard)
-    return rk4_numpy(code, starts, ends, consts, x0, t0, h, hlast, t_end, nsteps, guard)
+        ys[s + 1] = y
+    return ts, ys, 0, nsteps

@@ -2,8 +2,11 @@
 
 This module is the substrate for the whole toolkit: immutable expression
 trees with a text grammar, pointwise evaluation in complex double
-precision, exact symbolic differentiation, and compilation to flat stack
-programs for fast batch evaluation (see :mod:`integrikit._backend`).
+precision, exact symbolic differentiation, and compilation to
+value-numbered instruction tapes, which :mod:`integrikit._backend` runs
+on complex scalars (RK4) and on blocks of points (batch evaluation).
+Shared subtrees are computed once per tape; the tree walk
+:func:`evaluate` stays the reference and the source of error messages.
 
 Grammar (infix, tightest first)::
 
@@ -741,55 +744,97 @@ def substitute(e: Expr, mapping: Mapping[str, Union[Expr, Number]]) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# Compilation to stack programs + batch evaluation
+# Compilation to value-numbered tapes + batch evaluation
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Program:
-    """Flat postfix program: (opcode, arg) rows over a constant pool."""
-    code: np.ndarray       # (n_instr, 2) int64, read-only
-    consts: np.ndarray     # (n_const,) complex128, read-only
-    names: tuple           # variable order the program expects
+class Tape:
+    """Straight-line program over a fixed list of variables.
+
+    Slots are the variables, then `consts`, then one result per op in
+    order.  Each op is ``(op, a, b, dead)``: the op name (``neg``, a
+    binary operator or a catalog function), its argument slots (``b`` is
+    -1 for one-argument ops) and the result slots no later op reads.
+    `outs` holds the slot of each compiled expression.  The tape is data;
+    :mod:`integrikit._backend` runs it.
+    """
+    ops: tuple
+    consts: tuple          # complex128 scalars
+    outs: tuple
 
 
-def _emit(e: Expr, names: tuple, code: list, consts: list, const_index: dict):
-    if isinstance(e, Const):
-        key = e.value
-        k = const_index.get(key)
-        if k is None:
-            k = len(consts)
-            consts.append(key)
-            const_index[key] = k
-        code.append((_backend.OP_CONST, k))
-    elif isinstance(e, Var):
-        try:
-            j = names.index(e.name)
-        except ValueError:
-            raise UnboundVariableError(e.name) from None
-        code.append((_backend.OP_VAR, j))
-    elif isinstance(e, Unary):
-        _emit(e.child, names, code, consts, const_index)
-        code.append((_backend.OP_NEG, 0))
-    elif isinstance(e, Binary):
-        _emit(e.left, names, code, consts, const_index)
-        _emit(e.right, names, code, consts, const_index)
-        code.append((_backend.BINARY_OPS[e.op], 0))
-    else:
-        _emit(e.arg, names, code, consts, const_index)
-        code.append((_backend.OP_CALL + FUNCTIONS.index(e.fn), 0))
+def _lower(exprs, names: tuple) -> Tape:
+    """Value-number the DAG of `exprs` into a Tape.
+
+    Nodes are memoised by identity, and each op by (op, argument slots),
+    so equal subtrees share one slot without hashing whole subtrees.
+    """
+    nvars = len(names)
+    var_slot = {n: j for j, n in enumerate(names)}
+    consts: list = []
+    const_slot: dict = {}
+    rows: list = []
+    row_slot: dict = {}
+    by_id: dict = {}
+
+    # Provisional slots: variables as final, constant k as -1 - k and
+    # result i as nvars + i; renumbered once the constant count is known.
+    def lower(e) -> int:
+        s = by_id.get(id(e))
+        if s is not None:
+            return s
+        if isinstance(e, Binary):
+            key = (e.op, lower(e.left), lower(e.right))
+        elif isinstance(e, Call):
+            key = (e.fn, lower(e.arg), None)
+        elif isinstance(e, Unary):
+            key = ("neg", lower(e.child), None)
+        elif isinstance(e, Const):
+            key = None
+            s = const_slot.get(e.value)
+            if s is None:
+                s = const_slot[e.value] = -1 - len(consts)
+                consts.append(np.complex128(e.value))
+        else:
+            key = None
+            s = var_slot.get(e.name)
+            if s is None:
+                raise UnboundVariableError(e.name)
+        if key is not None:
+            s = row_slot.get(key)
+            if s is None:
+                s = row_slot[key] = nvars + len(rows)
+                rows.append(key)
+        by_id[id(e)] = s
+        return s
+
+    provisional = [lower(e) for e in exprs]
+    shift = len(consts)
+
+    def final(s):
+        if s is None:
+            return -1
+        if s < 0:
+            return nvars - 1 - s
+        return s + shift if s >= nvars else s
+
+    rows = [(op, final(a), final(b)) for op, a, b in rows]
+    outs = tuple(final(s) for s in provisional)
+    last_read = {}
+    for i, (_, a, b) in enumerate(rows):
+        last_read[a] = last_read[b] = i
+    dead = [[] for _ in rows]
+    for s, i in last_read.items():
+        if s >= nvars + shift and s not in outs:
+            dead[i].append(s)
+    ops = tuple((op, a, b, tuple(d)) for (op, a, b), d in zip(rows, dead))
+    return Tape(ops, tuple(consts), outs)
 
 
 @lru_cache(maxsize=1024)
-def compile_expr(e: Expr, names: tuple) -> Program:
-    """Compile an Expr to a Program evaluating over variables `names`."""
-    code: list = []
-    consts: list = []
-    _emit(e, tuple(names), code, consts, {})
-    code_arr = np.asarray(code, dtype=np.int64).reshape(len(code), 2)
-    const_arr = np.asarray(consts if consts else [0j], dtype=np.complex128)
-    code_arr.setflags(write=False)
-    const_arr.setflags(write=False)
-    return Program(code_arr, const_arr, tuple(names))
+def compile_expr(e: Expr, names: tuple) -> Tape:
+    """Compile an Expr to a Tape evaluating over variables `names`."""
+    return _lower((e,), tuple(names))
 
 
 def eval_many(e: Expr, names, points) -> np.ndarray:
@@ -804,8 +849,8 @@ def eval_many(e: Expr, names, points) -> np.ndarray:
         pts = pts.reshape(-1, 1)
     if pts.shape[1] != len(names):
         raise ValueError(f"points have {pts.shape[1]} columns, expected {len(names)}")
-    prog = compile_expr(e, names)
-    out = _backend.eval_points(prog.code, prog.consts, pts)
+    tape = compile_expr(e, names)
+    out = _backend.eval_points(tape.ops, tape.consts, pts, tape.outs[0])
     bad = ~np.isfinite(out)
     if bad.any():
         idx = int(np.argmax(bad))
@@ -824,39 +869,12 @@ def _fmt_point(v) -> str:
     return repr(v.real) if v.imag == 0 else repr(v)
 
 
-@dataclass(frozen=True)
-class SystemProgram:
-    """Several programs sharing one code array and constant pool.
-
-    Component j occupies code rows starts[j]:ends[j].  Variable slots are
-    the state names followed by one extra slot for time.
-    """
-    code: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
-    consts: np.ndarray
-    names: tuple
-
-
 @lru_cache(maxsize=256)
-def compile_system(exprs: tuple, names: tuple, time_name: str = None) -> SystemProgram:
-    """Compile component expressions over `names` plus a trailing time slot.
+def compile_system(exprs: tuple, names: tuple, time_name: str = None) -> Tape:
+    """Compile component expressions into one Tape over `names` plus a
+    trailing time slot, with one output slot per component.
 
     `time_name`, when given, is the variable name bound to the time slot;
     autonomous systems leave it None and may not reference time at all.
     """
-    slot_names = tuple(names) + (time_name if time_name else "__time__",)
-    code: list = []
-    consts: list = []
-    const_index: dict = {}
-    starts, ends = [], []
-    for e in exprs:
-        starts.append(len(code))
-        _emit(e, slot_names, code, consts, const_index)
-        ends.append(len(code))
-    code_arr = np.asarray(code, dtype=np.int64).reshape(len(code), 2)
-    const_arr = np.asarray(consts if consts else [0j], dtype=np.complex128)
-    code_arr.setflags(write=False)
-    const_arr.setflags(write=False)
-    return SystemProgram(code_arr, np.asarray(starts, dtype=np.int64),
-                         np.asarray(ends, dtype=np.int64), const_arr, tuple(names))
+    return _lower(exprs, tuple(names) + (time_name if time_name else "__time__",))

@@ -98,7 +98,7 @@ class AutonomousSystem:
 
 def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float,
              guard: float = 1e12):
-    prog = compile_system(sys.components, sys.names, sys.time_var)
+    tape = compile_system(sys.components, sys.names, sys.time_var)
     x0c = np.asarray(x0, dtype=np.complex128)
     if x0c.shape != (sys.n,):
         raise ValueError(f"x0 must have {sys.n} components")
@@ -106,8 +106,8 @@ def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float,
     nsteps = max(1, int(math.ceil(span / h - 1e-9)))
     hlast = span - (nsteps - 1) * h
     ts, ys, status, reached = _backend.rk4(
-        prog.code, prog.starts, prog.ends, prog.consts,
-        x0c, float(t0), float(h), float(hlast), float(t1), nsteps, float(guard))
+        tape.ops, tape.consts, tape.outs, x0c, float(guard),
+        float(t0), float(h), float(hlast), float(t1), nsteps)
     if status != 0:
         raise IntegrationError("state blew up or left the evaluation domain",
                                float(ts[reached]))
@@ -331,6 +331,14 @@ def _polish_root(coeffs: np.ndarray, z: complex, multiplicity: int) -> complex:
     return z
 
 
+def _is_fused_root(coeffs: np.ndarray, z: complex, m: int) -> bool:
+    """Whether m roots centred at z are numerically one m-fold root: the
+    root of p^(m-1) that Newton reaches from z is a root of p up to the
+    rounding bound of evaluating p there."""
+    w = _polish_root(coeffs, z, m)
+    return abs(_poly_eval(coeffs, w)) <= _poly_error_bound(coeffs, w)
+
+
 def cluster_roots(roots: np.ndarray, coeffs: np.ndarray,
                   tol: float = 1e-8) -> list:
     """Group near-identical roots into (value, multiplicity) clusters.
@@ -338,8 +346,10 @@ def cluster_roots(roots: np.ndarray, coeffs: np.ndarray,
     The merge radius mixes the absolute+relative tolerance with the
     noise-limited resolvable radius of the polynomial, so numerically
     fused multiple roots cluster even when rounding keeps them apart.
-    Cluster centers are polished by Newton on the derivative in which the
-    root is simple.
+    The resolvable radius blows up wherever p^(m) happens to vanish (the
+    middle of three equally spaced roots), so a merge beyond the plain
+    tolerance must also pass `_is_fused_root`.  Cluster centers are
+    polished by Newton on the derivative in which the root is simple.
     """
     order = np.lexsort((roots.imag, roots.real))
     clusters: list = []  # [sum, count]
@@ -349,10 +359,12 @@ def cluster_roots(roots: np.ndarray, coeffs: np.ndarray,
         best_d = None
         for c in clusters:
             mean = c[0] / c[1]
-            radius = max(tol * (1.0 + abs(mean)),
-                         _resolvable_radius(coeffs, mean, c[1] + 1))
+            near = tol * (1.0 + abs(mean))
             d = abs(z - mean)
-            if d <= radius and (best_d is None or d < best_d):
+            if best_d is not None and d >= best_d:
+                continue
+            if d <= near or (d <= _resolvable_radius(coeffs, mean, c[1] + 1)
+                             and _is_fused_root(coeffs, (c[0] + z) / (c[1] + 1), c[1] + 1)):
                 placed, best_d = c, d
         if placed is None:
             clusters.append([z, 1])

@@ -1,86 +1,144 @@
-"""The numba kernels and the pure-numpy fallback must agree."""
+"""The tape evaluator against the tree walk `evaluate`: values, domain
+failures, blocking and the RK4 driver built on it."""
 
 import numpy as np
 import pytest
 
 from integrikit import _backend
-from integrikit.expr import EvalDomainError, compile_expr, compile_system, eval_many, parse
+from integrikit.expr import (
+    Const, EvalDomainError, compile_expr, compile_system, diff, eval_many,
+    evaluate, node_count, parse,
+)
+from integrikit.odesys import AutonomousSystem, IntegrationError, integrate_rk4
 
-from conftest import child_env
-
-numba_available = _backend.BACKEND == "numba"
-needs_numba = pytest.mark.skipif(not numba_available, reason="numba backend unavailable")
+from conftest import bounded_smooth_exprs
 
 MESSY = "sin(x*y) + exp(x/2)/(1 + y^2) - tanh(x - y)^3 + atan(x)*cos(y)"
+NAMES = ("x", "y")
 
 
-@needs_numba
-def test_eval_points_backends_agree(rng):
-    prog = compile_expr(parse(MESSY), ("x", "y"))
-    pts = rng.uniform(-2, 2, size=(500, 2)).astype(np.complex128)
-    a = _backend.eval_points_numba(prog.code, prog.consts, pts)
-    b = _backend.eval_points_numpy(prog.code, prog.consts, pts)
-    assert np.max(np.abs(a - b)) <= 1e-12 * (1 + np.max(np.abs(a)))
+def scalar_eval(e, names, point):
+    """The scalar path: one run of the tape on complex scalars."""
+    tape = compile_expr(e, names)
+    regs = _backend._run(tape.ops, _backend.SCALAR_OPS,
+                         [complex(v) for v in point] + list(tape.consts))
+    return regs[tape.outs[0]]
 
 
-@needs_numba
 def test_eval_points_match_tree_walk(rng):
     e = parse(MESSY)
     pts = rng.uniform(-2, 2, size=(20, 2))
-    batch = eval_many(e, ("x", "y"), pts)
+    batch = eval_many(e, NAMES, pts)
     direct = np.array([e.eval({"x": p[0], "y": p[1]}) for p in pts])
     assert np.max(np.abs(batch - direct)) <= 1e-13 * (1 + np.max(np.abs(direct)))
 
 
-@needs_numba
-def test_rk4_backends_agree():
-    prog = compile_system((parse("y"), parse("-sin(x)")), ("x", "y"))
-    x0 = np.array([1.0, 0.2], dtype=np.complex128)
-    args = (prog.code, prog.starts, prog.ends, prog.consts, x0,
-            0.0, 1e-2, 1e-2, 2.0, 200, 1e12)
-    ts_a, ys_a, st_a, _ = _backend.rk4_numba(*args)
-    ts_b, ys_b, st_b, _ = _backend.rk4_numpy(*args)
-    assert st_a == st_b == 0
-    assert np.max(np.abs(np.asarray(ts_a) - np.asarray(ts_b))) == 0
-    assert np.max(np.abs(np.asarray(ys_a) - np.asarray(ys_b))) <= 1e-12
+def test_array_scalar_and_tree_walk_agree(rng):
+    pts = rng.uniform(-1.5, 1.5, size=(16, 2))
+    for e in bounded_smooth_exprs(7, 40, NAMES):
+        batch = eval_many(e, NAMES, pts)
+        for p, b in zip(pts, batch):
+            ref = evaluate(e, dict(zip(NAMES, p)))
+            s = scalar_eval(e, NAMES, p)
+            scale = 1e-13 * max(1.0, abs(ref))
+            assert abs(b - ref) <= scale, (str(e), p)
+            assert abs(s - ref) <= scale, (str(e), p)
 
 
-def test_division_guard_produces_domain_error(monkeypatch):
+@pytest.mark.parametrize("npts", [_backend.BLOCK - 1, _backend.BLOCK, _backend.BLOCK + 1])
+def test_blocked_evaluation_is_bit_identical(rng, npts):
+    e = parse(MESSY)
+    pts = rng.uniform(-2, 2, size=(_backend.BLOCK + 1, 2))
+    whole = eval_many(e, NAMES, pts)
+    part = eval_many(e, NAMES, pts[:npts])
+    assert part.shape == (npts,)
+    assert np.array_equal(part, whole[:npts])
+    tail = eval_many(e, NAMES, pts[npts - 1:])   # straddles the block boundary
+    assert np.array_equal(tail, whole[npts - 1:])
+
+
+@pytest.mark.parametrize("npts", [1, 5, _backend.BLOCK + 1])
+def test_constant_and_variable_outputs_are_fresh_arrays(rng, npts):
+    pts = np.ascontiguousarray(rng.uniform(-2, 2, size=(npts, 2)), dtype=np.complex128)
+    const = eval_many(parse("2 + 3*i"), NAMES, pts)
+    assert const.shape == (npts,) and np.all(const == 2 + 3j)
+    var = eval_many(parse("y"), NAMES, pts)
+    assert var.shape == (npts,) and np.array_equal(var, pts[:, 1])
+    assert not np.shares_memory(var, pts)
+    assert eval_many(Const(0.5), (), np.empty((npts, 0))).shape == (npts,)
+
+
+SINGULAR = [
+    ("1/x", 0.0, "division by zero"),
+    ("ln(x)", 0.0, "ln of zero"),
+    ("x^-1", 0.0, "zero raised"),
+    ("1/0", 0.0, "division by zero"),
+    ("exp(x)", 800.0, "function domain error"),
+]
+
+
+@pytest.mark.parametrize("text,bad,reason", SINGULAR)
+def test_singular_inputs_fail_like_the_tree_walk(text, bad, reason):
+    e = parse(text)
+    xs = np.array([1.0, 2.0, bad, 3.0, bad])
+    with pytest.raises(EvalDomainError) as walk:
+        evaluate(e, {"x": bad})
+    assert reason in walk.value.reason
+    first = 0 if text == "1/0" else 2
+    with pytest.raises(EvalDomainError) as batch:
+        eval_many(e, ("x",), xs)
+    assert batch.value.subtree == walk.value.subtree
+    assert batch.value.reason == f"{walk.value.reason} at (x={float(xs[first])!r})"
+    for x in xs:
+        fails = text == "1/0" or x == bad
+        assert np.isfinite(scalar_eval(e, ("x",), [x])) != fails
+
+
+def test_division_guard_produces_domain_error():
     pts = np.array([[1.0], [0.0]])
-    for backend in (["numpy", "numba"] if numba_available else ["numpy"]):
-        monkeypatch.setattr(_backend, "BACKEND", backend)
-        with pytest.raises(EvalDomainError, match="division by zero"):
-            eval_many(parse("1/x"), ("x",), pts)
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        eval_many(parse("1/x"), ("x",), pts)
 
 
-def test_pow_and_log_guards(monkeypatch):
-    monkeypatch.setattr(_backend, "BACKEND", "numpy")
+def test_pow_and_log_guards():
     with pytest.raises(EvalDomainError):
         eval_many(parse("x^-1"), ("x",), np.array([[0.0]]))
     with pytest.raises(EvalDomainError, match="ln"):
         eval_many(parse("ln(x)"), ("x",), np.array([[0.0]]))
 
 
-def test_backend_name_reports_something():
-    assert _backend.backend_name() in ("numba", "numpy")
+def test_kdv_residual_tape_is_smaller_than_its_tree(rng):
+    u = parse("-2/cosh(x - 4*t)^2")          # the soliton
+    ux = diff(u, "x")
+    residual = diff(u, "t") - Const(6.0) * u * ux + diff(diff(ux, "x"), "x")
+    tape = compile_expr(residual, ("x", "t"))
+    assert len(tape.ops) < node_count(residual)
+    # heavy slot reuse: every shared value must outlive its last reader
+    pts = rng.uniform(-1, 1, size=(8, 2))
+    batch = eval_many(residual, ("x", "t"), pts)
+    for p, b in zip(pts, batch):
+        ref = evaluate(residual, {"x": p[0], "t": p[1]})
+        assert abs(b - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert abs(scalar_eval(residual, ("x", "t"), p) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def test_env_flag_selects_fallback():
-    import subprocess
-    import sys
-    out = subprocess.run(
-        [sys.executable, "-c", "import integrikit; print(integrikit.backend_name())"],
-        env=child_env(INTEGRIKIT_BACKEND="numpy"),
-        capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
+def test_system_tape_has_one_output_per_component():
+    tape = compile_system((parse("y"), parse("-sin(x)"), parse("s")), ("x", "y"), "s")
+    assert tape.outs[0] == 1 and tape.outs[2] == 2   # slots: x, y, time
+    assert len(tape.outs) == 3 and len(tape.ops) == 2
 
 
-def test_env_flag_rejects_nonsense():
-    import subprocess
-    import sys
-    out = subprocess.run(
-        [sys.executable, "-c", "import integrikit"],
-        env=child_env(INTEGRIKIT_BACKEND="cuda"),
-        capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "INTEGRIKIT_BACKEND" in out.stderr
+# Golden values recorded with the stack-machine RK4: the tape must not move them.
+def test_rk4_pendulum_endpoint_is_unchanged():
+    pendulum = AutonomousSystem(("x", "y"), (parse("y"), parse("-sin(x)")))
+    traj = integrate_rk4(pendulum, [1.0, 0.2], (0.0, 2.0), 1e-2)
+    assert [repr(float(v)) for v in traj.endpoint] == [
+        "-0.08254060207082237", "-0.9760052788970709"]
+    assert len(traj.ts) == 201 and traj.ts[-1] == 2.0
+
+
+def test_rk4_blow_up_is_reported_at_the_same_time():
+    blow_up = AutonomousSystem(("x",), (parse("x^2"),))
+    with pytest.raises(IntegrationError) as ex:
+        integrate_rk4(blow_up, [1.0], (0.0, 2.0), 1e-2)
+    assert ex.value.t_last == 1.0

@@ -101,6 +101,15 @@ class TestThinAdapter:
         assert got == [p.value.real for p in pairs]
         assert sorted(got) == [-1.0, 5.0]
 
+    def test_eigen_keeps_equally_spaced_roots_apart(self, capsys):
+        code, rep = run_json(["eigen", "--A", "1,0,0;0,2,0;0,0,3"], capsys)
+        assert code == 0 and rep["status"] == "pass"
+        values = rep["values"]
+        got = [v["re"] for v in values["eigenvalues"]]
+        assert max(abs(g - w) for g, w in zip(got, [3, 2, 1])) <= 1e-12
+        assert values["multiplicities"] == [1, 1, 1]
+        assert [len(vecs) for vecs in values["eigenvectors"]] == [1, 1, 1]
+
     def test_potential_matches_library(self, capsys):
         from integrikit.realfield import VectorField, potential_reconstruct
         code, rep = run_json(["potential", "--P", "y", "--Q", "x",

@@ -160,6 +160,23 @@ class TestEigenSolve:
         assert pairs[0].multiplicity == 4 and pairs[0].eigenspace_dim == 4
         assert abs(pairs[0].value - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("diag", [(1, 2, 3), (0, 1, 2), (-3, -1, 1, 3, 5)])
+    def test_equally_spaced_roots_stay_apart(self, diag):
+        # p'' vanishes at the middle root, which once merged its neighbours
+        pairs = eigen_solve(np.diag(np.array(diag, dtype=float)))
+        assert [p.multiplicity for p in pairs] == [1] * len(diag)
+        assert [p.eigenspace_dim for p in pairs] == [1] * len(diag)
+        values = [p.value for p in pairs]
+        assert max(abs(v - d) for v, d in zip(values, sorted(diag, reverse=True))) <= 1e-10
+
+    def test_triple_root_and_jordan_block(self):
+        pairs = eigen_solve(2 * np.eye(3))
+        assert len(pairs) == 1 and pairs[0].multiplicity == 3
+        assert pairs[0].eigenspace_dim == 3 and abs(pairs[0].value - 2.0) <= 1e-12
+        pairs = eigen_solve([[2, 1, 0], [0, 2, 1], [0, 0, 2]])
+        assert len(pairs) == 1 and pairs[0].multiplicity == 3
+        assert pairs[0].eigenspace_dim == 1 and pairs[0].chain_depth == 3
+
     def test_complex_pair(self):
         pairs = eigen_solve([[0, 1], [-1, 0]])
         values = sorted((p.value for p in pairs), key=lambda v: v.imag)
