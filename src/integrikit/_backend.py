@@ -4,9 +4,10 @@ A tape (:class:`integrikit.expr.Tape`) is plain data.  Registers start
 as the variables followed by the constants; each op appends one result
 and then drops the slots no later op reads.  :func:`_run` is the only
 interpreter: it runs a tape on complex scalars with :data:`SCALAR_OPS`
-(the RK4 driver) and on complex128 arrays with :data:`ARRAY_OPS` (batch
-evaluation, :data:`BLOCK` points at a time so that live temporaries stay
-small).
+and on complex128 arrays with :data:`ARRAY_OPS`.  :func:`eval_points`
+runs it on :data:`BLOCK` points at a time, so that live temporaries
+stay small.  :func:`rk4` is the only RK4 loop: one state steps on
+scalars, a batch of states steps on arrays of its columns.
 
 Domain failures never raise: division by 0, ln 0 and 0 raised to a
 negative or complex power give NaN, as do cmath overflow and domain
@@ -104,33 +105,50 @@ def rk4(ops, consts, outs, x0, guard, t0, h, hlast, t_end, nsteps):
     `outs`, over variables (state..., time).  Takes `nsteps` steps of `h`
     from `t0`, the last of length `hlast` ending at `t_end`.
 
-    Returns ``(ts, ys, status, reached)``: status 1 means the state at
-    step `reached` + 1 was non-finite or exceeded `guard`.
+    `x0` is one state (n,) or a batch of states (batch, n); ``ys[k]``
+    has its shape.  Returns ``(ts, ys, status, reached)``: status 1 means
+    some row at step `reached` + 1 was non-finite or exceeded `guard`.
     """
-    n = len(x0)
+    x0 = np.asarray(x0, dtype=np.complex128)
     ts = np.empty(nsteps + 1, dtype=np.float64)
-    ys = np.empty((nsteps + 1, n), dtype=np.complex128)
+    ys = np.empty((nsteps + 1,) + x0.T.shape, dtype=np.complex128)
     ts[0] = t0
-    ys[0] = x0
+    ys[0] = x0.T
     consts = list(consts)
+    if x0.ndim == 1:
+        table, scalar, within = SCALAR_OPS, complex, _within_scalar
+        y = [complex(v) for v in x0]
+    else:
+        table, scalar, within = ARRAY_OPS, np.complex128, _within_rows
+        y = list(ys[0])
+    n = len(y)
 
     def rhs(state, t):
-        regs = _run(ops, SCALAR_OPS, [*state, complex(t), *consts])
+        regs = _run(ops, table, [*state, scalar(t), *consts])
         return [regs[o] for o in outs]
 
-    y = [complex(v) for v in x0]
-    for s in range(nsteps):
-        hs = h if s < nsteps - 1 else hlast
-        t = t0 + s * h
-        k1 = rhs(y, t)
-        k2 = rhs([y[j] + 0.5 * hs * k1[j] for j in range(n)], t + 0.5 * hs)
-        k3 = rhs([y[j] + 0.5 * hs * k2[j] for j in range(n)], t + 0.5 * hs)
-        k4 = rhs([y[j] + hs * k3[j] for j in range(n)], t + hs)
-        y = [y[j] + (hs / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-             for j in range(n)]
-        if not all(math.isfinite(v.real) and math.isfinite(v.imag)
-                   and abs(v.real) + abs(v.imag) <= guard for v in y):
-            return ts, ys, 1, s
-        ts[s + 1] = t_end if s == nsteps - 1 else t0 + (s + 1) * h
-        ys[s + 1] = y
-    return ts, ys, 0, nsteps
+    with np.errstate(all="ignore"):
+        for s in range(nsteps):
+            hs = h if s < nsteps - 1 else hlast
+            t = t0 + s * h
+            k1 = rhs(y, t)
+            k2 = rhs([y[j] + 0.5 * hs * k1[j] for j in range(n)], t + 0.5 * hs)
+            k3 = rhs([y[j] + 0.5 * hs * k2[j] for j in range(n)], t + 0.5 * hs)
+            k4 = rhs([y[j] + hs * k3[j] for j in range(n)], t + hs)
+            y = [y[j] + (hs / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+                 for j in range(n)]
+            if not within(y, guard):
+                return ts, np.moveaxis(ys, 1, -1), 1, s
+            ts[s + 1] = t_end if s == nsteps - 1 else t0 + (s + 1) * h
+            ys[s + 1] = y
+    return ts, np.moveaxis(ys, 1, -1), 0, nsteps
+
+
+def _within_scalar(y, guard) -> bool:
+    return all(math.isfinite(v.real) and math.isfinite(v.imag)
+               and abs(v.real) + abs(v.imag) <= guard for v in y)
+
+
+def _within_rows(y, guard) -> bool:
+    return all(np.all(np.isfinite(v) & (np.abs(v.real) + np.abs(v.imag) <= guard))
+               for v in y)

@@ -12,7 +12,10 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Const, Expr, as_expr, as_real, call, diff, evaluate
+from .expr import (Const, EvalDomainError, Expr, Var, as_expr, as_real, call,
+                   diff, eval_many, evaluate)
+from .odesys import (AutonomousSystem, SingularMatrixSampleError, _eval_matrix_grid,
+                     _run_rk4)
 from .realfield import CheckReport, Region, residual_sweep
 
 __all__ = [
@@ -181,19 +184,18 @@ class LaxDeviation:
     state_t_then_x: tuple
 
 
-def _rk4_pair(rhs, s0: float, s1: float, state, steps: int):
-    """Fixed-step RK4 for a 2-state real system with RHS rhs(s, (a, b))."""
-    h = (s1 - s0) / steps
-    a, b = state
-    for k in range(steps):
-        s = s0 + k * h
-        k1 = rhs(s, (a, b))
-        k2 = rhs(s + 0.5 * h, (a + 0.5 * h * k1[0], b + 0.5 * h * k1[1]))
-        k3 = rhs(s + 0.5 * h, (a + 0.5 * h * k2[0], b + 0.5 * h * k2[1]))
-        k4 = rhs(s + h, (a + h * k3[0], b + h * k3[1]))
-        a += (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        b += (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return a, b
+def _check_leg_field(fields, pts):
+    """u, u_x and u_xx must be finite and real (to 1e-12) at the points a leg
+    evaluates; on failure the tree walk finds the first bad point and field."""
+    try:
+        if all(np.all(np.abs(v.imag) <= 1e-12 * (1.0 + np.abs(v.real)))
+               for v in (eval_many(e, ("x", "t"), pts) for e, _ in fields)):
+            return
+    except EvalDomainError:
+        pass
+    for xv, tv in pts.real:
+        for e, name in fields:
+            as_real(evaluate(e, {"x": xv, "t": tv}), 1e-12, name)
 
 
 def lax_commuting_flow(u, lam: float, psi0: float, x0: float, t0: float,
@@ -201,44 +203,47 @@ def lax_commuting_flow(u, lam: float, psi0: float, x0: float, t0: float,
                        psi_x0: float = 0.0) -> LaxDeviation:
     """Rectangle commutation test of the KdV Lax pair.
 
-    The pair (psi, psi_x) is advanced along x by psi_xx = (u - lam) psi and
-    along t by psi_t = 2(u + 2 lam) psi_x - u_x psi, with psi_xx eliminated
-    through the spatial equation during the t-leg.  The two leg orders
-    around the rectangle (dx, dt) agree exactly when u solves KdV; their
-    mismatch is the reported deviation.
+    The pair (psi, phi = psi_x) is advanced along x by psi_xx = (u - lam) psi
+    and along t by psi_t = 2(u + 2 lam) phi - u_x psi, with psi_xx
+    eliminated through the spatial equation.  Each leg is a 2-state system
+    with the fixed coordinate substituted, run by the shared RK4 in `steps`
+    steps (backward for a negative delta).  The two leg orders around the
+    rectangle (dx, dt) agree exactly when u solves KdV; their mismatch is
+    the reported deviation.
     """
     u = as_expr(u)
     extra = u.variables() - {"x", "t"}
     if extra:
         raise ValueError(f"u references {sorted(extra)}")
-    ux_e = diff(u, "x")
-    uxx_e = diff(ux_e, "x")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    ux = diff(u, "x")
+    fields = ((u, "u"), (ux, "u_x"), (diff(ux, "x"), "u_xx"))
+    psi, phi, lam_c = Var("psi"), Var("phi"), Const(float(lam))
 
-    def u_vals(xv: float, tv: float):
-        b = {"x": xv, "t": tv}
-        return (as_real(evaluate(u, b), 1e-12, "u"),
-                as_real(evaluate(ux_e, b), 1e-12, "u_x"),
-                as_real(evaluate(uxx_e, b), 1e-12, "u_xx"))
-
-    def x_leg(tv: float, x_from: float, x_to: float, state):
-        def rhs(xv, st):
-            uv, _, _ = u_vals(xv, tv)
-            return (st[1], (uv - lam) * st[0])
-        return _rk4_pair(rhs, x_from, x_to, state, steps)
-
-    def t_leg(xv: float, t_from: float, t_to: float, state):
-        def rhs(tv, st):
-            uv, uxv, uxxv = u_vals(xv, tv)
-            psi, phi = st
-            dpsi = 2.0 * (uv + 2.0 * lam) * phi - uxv * psi
-            dphi = uxv * phi + (2.0 * (uv + 2.0 * lam) * (uv - lam) - uxxv) * psi
-            return (dpsi, dphi)
-        return _rk4_pair(rhs, t_from, t_to, state, steps)
+    def leg(along: str, fixed: float, s0: float, s1: float, state):
+        h = (s1 - s0) / steps
+        ss = s0 + h * np.arange(steps)     # the stage points RK4 visits
+        hs = np.append(np.full(steps - 1, h), (s1 - s0) - (steps - 1) * h)
+        stages = np.column_stack([ss, ss + 0.5 * hs, ss + hs]).ravel()
+        pts = np.column_stack([stages, np.full_like(stages, fixed)])
+        _check_leg_field(fields, pts if along == "x" else pts[:, ::-1])
+        if h == 0.0:
+            return state
+        if along == "x":
+            rhs = (phi, (u.subs({"t": fixed}) - lam_c) * psi)
+        else:
+            uv, uxv, uxxv = (e.subs({"x": fixed}) for e, _ in fields)
+            a = Const(2.0) * (uv + Const(2.0 * lam))
+            rhs = (a * phi - uxv * psi, uxv * phi + (a * (uv - lam_c) - uxxv) * psi)
+        sys = AutonomousSystem(("psi", "phi"), rhs, time_var=along)
+        _, ys = _run_rk4(sys, state, s0, s1, h)
+        return tuple(float(v) for v in ys[-1].real)
 
     dx, dt = float(delta[0]), float(delta[1])
     start = (float(psi0), float(psi_x0))
-    via_x = t_leg(x0 + dx, t0, t0 + dt, x_leg(t0, x0, x0 + dx, start))
-    via_t = x_leg(t0 + dt, x0, x0 + dx, t_leg(x0, t0, t0 + dt, start))
+    via_x = leg("t", x0 + dx, t0, t0 + dt, leg("x", t0, x0, x0 + dx, start))
+    via_t = leg("x", t0 + dt, x0, x0 + dx, leg("t", x0, t0, t0 + dt, start))
     deviation = max(abs(via_x[0] - via_t[0]), abs(via_x[1] - via_t[1]))
     return LaxDeviation(deviation, via_x, via_t)
 
@@ -253,8 +258,6 @@ def chiral_residual(entries, region: Region, tol: float = 1e-9, grid=21) -> Chec
     Entrywise derivatives are symbolic; the inversion is numeric, using
     d/dt(g^-1 g_x) = -g^-1 g_t g^-1 g_x + g^-1 g_xt (and symmetrically).
     """
-    from .odesys import SingularMatrixSampleError, _eval_matrix_grid
-
     entries = [[as_expr(e) for e in row] for row in entries]
     n = len(entries)
     if any(len(row) != n for row in entries):

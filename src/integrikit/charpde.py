@@ -100,19 +100,14 @@ def characteristic_trace(pde: QuasilinearPDE, start, t_span, h: float,
     return integrate_rk4(pde.characteristic_system, start, (t0, t1), h, guard)
 
 
-def _negated_system(pde: QuasilinearPDE) -> AutonomousSystem:
-    return AutonomousSystem(("x", "y", "z"),
-                            tuple(-c for c in (pde.P, pde.Q, pde.R)))
-
-
-def _endpoint(pde: QuasilinearPDE, ic: InitialCurve, s: float, t: float,
+def _endpoint(pde: QuasilinearPDE, starts: np.ndarray, t: float,
               h: float) -> np.ndarray:
-    start = ic.point(s)
+    """Endpoints at time t of the characteristics from the rows of starts."""
     if t == 0.0:
-        return start
-    sys = pde.characteristic_system if t > 0 else _negated_system(pde)
-    traj = integrate_rk4(sys, start, (0.0, abs(t)), h)
-    return traj.endpoint
+        return starts
+    sys = pde.characteristic_system if t > 0 else AutonomousSystem(
+        ("x", "y", "z"), tuple(-c for c in (pde.P, pde.Q, pde.R)))
+    return integrate_rk4(sys, starts, (0.0, abs(t)), h).endpoint
 
 
 @dataclass(frozen=True)
@@ -146,19 +141,19 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
     """Solve z at query points by inverting the characteristic map.
 
     For each query (x*, y*) a Newton iteration finds (s, t) with
-    x(s, t) = x*, y(s, t) = y*, re-tracing characteristics per evaluation;
-    the Jacobian combines a finite difference in s with the exact flow
-    velocity in t.  Initial guesses come from a coarse precomputed fan.
+    x(s, t) = x*, y(s, t) = y*.  Each iteration traces s and s +- ds as one
+    batch; the Jacobian combines that central difference in s with the
+    exact flow velocity in t.  Initial guesses come from a coarse fan over
+    (s, t), traced as one batch of all s per t column.
     """
     _transversality_check(pde, ic)
     n_s, n_t = fan_shape
     s_vals = np.linspace(ic.s_start, ic.s_end, n_s)
     t_vals = np.linspace(-t_max, t_max, n_t)
+    starts = np.array([ic.point(float(s)) for s in s_vals])
     fan_xy = np.empty((n_s, n_t, 2))
-    for i, s in enumerate(s_vals):
-        for j, t in enumerate(t_vals):
-            p = _endpoint(pde, ic, float(s), float(t), h)
-            fan_xy[i, j] = p[:2]
+    for j, t in enumerate(t_vals):
+        fan_xy[:, j] = _endpoint(pde, starts, float(t), h)[:, :2]
     span = ic.s_end - ic.s_start
     s_lo, s_hi = ic.s_start - 0.5 * span, ic.s_end + 0.5 * span
 
@@ -168,24 +163,19 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
         dist = np.linalg.norm(fan_xy - q, axis=2)
         i0, j0 = np.unravel_index(int(np.argmin(dist)), dist.shape)
         s, t = float(s_vals[i0]), float(t_vals[j0])
-        converged = False
-        used = 0
         res = float("inf")
-        for it in range(max_iter):
-            used = it + 1
-            endpoint = _endpoint(pde, ic, s, t, h)
+        for used in range(1, max_iter + 1):
+            ds = 1e-6 * (1 + abs(s))
+            endpoint, plus, minus = _endpoint(
+                pde, np.array([ic.point(v) for v in (s, s + ds, s - ds)]), t, h)
             g = endpoint[:2] - q
             res = float(np.max(np.abs(g)))
             if res <= newton_tol * (1 + np.max(np.abs(q))):
-                converged = True
                 break
             b = {"x": endpoint[0], "y": endpoint[1], "z": endpoint[2]}
             dxy_dt = np.array([as_real(evaluate(pde.P, b), 1e-12, "P"),
                                as_real(evaluate(pde.Q, b), 1e-12, "Q")])
-            ds = 1e-6 * (1 + abs(s))
-            plus = _endpoint(pde, ic, s + ds, t, h)[:2]
-            minus = _endpoint(pde, ic, s - ds, t, h)[:2]
-            dxy_ds = (plus - minus) / (2 * ds)
+            dxy_ds = (plus[:2] - minus[:2]) / (2 * ds)
             J = np.column_stack([dxy_ds, dxy_dt])
             try:
                 step = np.linalg.solve(J, -g)
@@ -198,11 +188,11 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
                 raise CharacteristicFanError(
                     f"query {tuple(q)} left the characteristic fan "
                     f"(wandered to s={s!r}, t={t!r})")
-        if not converged:
+        else:
             raise CharacteristicFanError(
                 f"Newton did not converge for query {tuple(q)} "
                 f"(residual {res:.3e}); point may be outside the fan")
-        zs.append(float(_endpoint(pde, ic, s, t, h)[2]))
+        zs.append(float(endpoint[2]))
         params.append((s, t))
         iters.append(used)
         residuals.append(res)

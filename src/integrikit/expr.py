@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -162,9 +162,21 @@ class Expr:
     def __repr__(self) -> str:
         return f"Expr({render(self)!r})"
 
+    def __reduce__(self):
+        # rebuilt from its fields: a cached hash stays in the process that made it
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _cached_hash(node: Expr, *key) -> int:
+    """Hash of an inner node, computed once from its children's hashes."""
+    if getattr(node, "_hash", None) is None:
+        object.__setattr__(node, "_hash", hash(key))
+    return node._hash
+
 
 @dataclass(frozen=True, eq=True, repr=False)
 class Const(Expr):
+    __slots__ = ("value",)
     value: complex
 
     def __post_init__(self):
@@ -181,6 +193,7 @@ class Const(Expr):
 
 @dataclass(frozen=True, eq=True, repr=False)
 class Var(Expr):
+    __slots__ = ("name",)
     name: str
 
     def __hash__(self):
@@ -189,25 +202,28 @@ class Var(Expr):
 
 @dataclass(frozen=True, eq=True, repr=False)
 class Unary(Expr):
+    __slots__ = ("op", "child", "_hash")
     op: str  # only '-'
     child: Expr
 
     def __hash__(self):
-        return hash(("unary", self.op, self.child))
+        return _cached_hash(self, "unary", self.op, self.child)
 
 
 @dataclass(frozen=True, eq=True, repr=False)
 class Binary(Expr):
+    __slots__ = ("op", "left", "right", "_hash")
     op: str  # + - * / ^
     left: Expr
     right: Expr
 
     def __hash__(self):
-        return hash(("binary", self.op, self.left, self.right))
+        return _cached_hash(self, "binary", self.op, self.left, self.right)
 
 
 @dataclass(frozen=True, eq=True, repr=False)
 class Call(Expr):
+    __slots__ = ("fn", "arg", "_hash")
     fn: str
     arg: Expr
 
@@ -216,7 +232,7 @@ class Call(Expr):
             raise ExprError(f"unknown function '{self.fn}'")
 
     def __hash__(self):
-        return hash(("call", self.fn, self.arg))
+        return _cached_hash(self, "call", self.fn, self.arg)
 
 
 ZERO = Const(0.0)
@@ -557,17 +573,6 @@ def render(e: Expr) -> str:
 # Evaluation
 # --------------------------------------------------------------------------
 
-_FN_EVAL: Mapping[str, Callable[[complex], complex]] = {
-    "sin": cmath.sin, "cos": cmath.cos, "tan": cmath.tan, "atan": cmath.atan,
-    "exp": cmath.exp, "ln": cmath.log, "sqrt": cmath.sqrt,
-    "sinh": cmath.sinh, "cosh": cmath.cosh, "tanh": cmath.tanh,
-    "abs": lambda z: complex(abs(z)),
-    "re": lambda z: complex(z.real),
-    "im": lambda z: complex(z.imag),
-    "conj": lambda z: z.conjugate(),
-}
-
-
 def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
@@ -593,22 +598,12 @@ def evaluate(e: Expr, bindings: Bindings) -> complex:
     if isinstance(e, Binary):
         a = evaluate(e.left, bindings)
         b = evaluate(e.right, bindings)
-        op = e.op
+        if e.op == "/" and b == 0:
+            raise EvalDomainError(e, "division by zero")
+        if e.op == "^" and a == 0 and (b.real < 0 or b.imag != 0):
+            raise EvalDomainError(e, "zero raised to a negative/complex power")
         try:
-            if op == "+":
-                v = a + b
-            elif op == "-":
-                v = a - b
-            elif op == "*":
-                v = a * b
-            elif op == "/":
-                if b == 0:
-                    raise EvalDomainError(e, "division by zero")
-                v = a / b
-            else:  # '^'
-                if a == 0 and (b.real < 0 or b.imag != 0):
-                    raise EvalDomainError(e, "zero raised to a negative/complex power")
-                v = a ** b
+            v = _backend.SCALAR_OPS[e.op](a, b)
         except (OverflowError, ValueError, ZeroDivisionError):
             raise EvalDomainError(e, "arithmetic domain error") from None
         if not _finite(v):
@@ -619,7 +614,7 @@ def evaluate(e: Expr, bindings: Bindings) -> complex:
     if e.fn == "ln" and arg == 0:
         raise EvalDomainError(e, "ln of zero")
     try:
-        v = _FN_EVAL[e.fn](arg)
+        v = _backend.SCALAR_OPS[e.fn](arg)
     except (OverflowError, ValueError, ZeroDivisionError):
         raise EvalDomainError(e, "function domain error") from None
     if not _finite(v):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _backend
 from .expr import Expr, as_expr, compile_system, diff, eval_many
-from .realfield import CheckReport, Region, VectorField
+from .realfield import CheckReport, Region
 
 __all__ = [
     "AutonomousSystem", "Trajectory", "IntegrationError", "EigenPair",
@@ -36,7 +36,7 @@ class DegenerateSamplesError(ValueError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped state samples from a numeric integrator."""
+    """Time-stamped states, (len(ts), n) or (len(ts), batch, n), from RK4."""
     ts: np.ndarray
     states: np.ndarray
     method: str = "rk4"
@@ -45,8 +45,8 @@ class Trajectory:
     def __post_init__(self):
         ts = np.asarray(self.ts, dtype=float)
         states = np.asarray(self.states, dtype=float)
-        if states.ndim != 2 or len(ts) != len(states):
-            raise ValueError("states must be (len(ts), n)")
+        if states.ndim not in (2, 3) or len(ts) != len(states):
+            raise ValueError("states must be (len(ts), n) or (len(ts), batch, n)")
         if len(ts) > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("time stamps must be strictly increasing")
         object.__setattr__(self, "ts", ts)
@@ -58,7 +58,7 @@ class Trajectory:
 
     @property
     def n(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -85,22 +85,14 @@ class AutonomousSystem:
     def n(self) -> int:
         return len(self.names)
 
-    @classmethod
-    def from_field(cls, field_: VectorField, time_var: Optional[str] = None):
-        return cls(field_.names, field_.components, time_var)
-
-    def rhs_at(self, state, t: float = 0.0) -> np.ndarray:
-        bindings = dict(zip(self.names, state))
-        if self.time_var:
-            bindings[self.time_var] = t
-        return np.array([c.eval(bindings).real for c in self.components])
-
 
 def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float,
              guard: float = 1e12):
+    """RK4 from t0 to t1 in steps of h (h < 0 runs backward) of one state
+    (n,) or a batch (batch, n); returns ts and one x0-shaped state per t."""
     tape = compile_system(sys.components, sys.names, sys.time_var)
     x0c = np.asarray(x0, dtype=np.complex128)
-    if x0c.shape != (sys.n,):
+    if x0c.ndim not in (1, 2) or x0c.shape[-1] != sys.n:
         raise ValueError(f"x0 must have {sys.n} components")
     span = t1 - t0
     nsteps = max(1, int(math.ceil(span / h - 1e-9)))
@@ -116,16 +108,17 @@ def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float,
 
 def integrate_rk4(sys: AutonomousSystem, x0, t_span, h: float,
                   guard: float = 1e12) -> Trajectory:
-    """Classical fixed-step RK4; the final step is shortened to land on t_end."""
+    """Classical fixed-step RK4; the final step is shortened to land on t_end.
+    A batch of starts x0 (batch, n) is stepped at once; every row is checked."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be nondegenerate and increasing")
     if h <= 0:
         raise ValueError("step must be positive")
     ts, ys = _run_rk4(sys, x0, t0, t1, h, guard)
-    imag = float(np.max(np.abs(ys.imag)))
-    scale = float(np.max(np.abs(ys.real))) + 1.0
-    if imag > 1e-9 * scale:
+    imag = np.max(np.abs(ys.imag), axis=(0, -1))
+    scale = np.max(np.abs(ys.real), axis=(0, -1)) + 1.0
+    if np.any(imag > 1e-9 * scale):
         raise IntegrationError("trajectory acquired a non-negligible imaginary part",
                                float(ts[-1]))
     return Trajectory(ts, ys.real.copy(), method="rk4", step=h)

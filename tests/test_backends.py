@@ -142,3 +142,35 @@ def test_rk4_blow_up_is_reported_at_the_same_time():
     with pytest.raises(IntegrationError) as ex:
         integrate_rk4(blow_up, [1.0], (0.0, 2.0), 1e-2)
     assert ex.value.t_last == 1.0
+
+
+PENDULUM = AutonomousSystem(("x", "y"), (parse("y"), parse("-sin(x)")))
+NONLINEAR = AutonomousSystem(("x", "y"), (parse("sin(y) + exp(-x^2)/(1 + y^2)"),
+                                          parse("x/(2 + cos(x*y)) - y/10")))
+
+
+@pytest.mark.parametrize("system", [PENDULUM, NONLINEAR], ids=["pendulum", "nonlinear"])
+def test_batched_rk4_rows_match_their_single_runs(system, rng):
+    starts = rng.uniform(-1.5, 1.5, size=(5, 2))
+    batch = integrate_rk4(system, starts, (0.0, 2.0), 1e-2)
+    assert batch.states.shape == (201, 5, 2) and batch.n == 2
+    for k, start in enumerate(starts):
+        single = integrate_rk4(system, start, (0.0, 2.0), 1e-2)
+        assert np.array_equal(batch.ts, single.ts)
+        scale = 1 + np.max(np.abs(single.states))
+        assert np.max(np.abs(batch.states[:, k] - single.states)) <= 1e-13 * scale
+
+
+def test_batched_rk4_fails_with_its_first_failing_row():
+    blow_up = AutonomousSystem(("x",), (parse("x^2"),))
+    integrate_rk4(blow_up, [[0.25], [0.4]], (0.0, 2.0), 1e-2)   # both rows survive
+    with pytest.raises(IntegrationError) as ex:
+        integrate_rk4(blow_up, [[0.25], [1.0], [0.4]], (0.0, 2.0), 1e-2)
+    assert ex.value.t_last == 1.0          # where the row from 1.0 alone stops
+
+
+def test_batched_rk4_checks_every_row_for_imaginary_parts():
+    root = AutonomousSystem(("x",), (parse("sqrt(x)"),))
+    integrate_rk4(root, [[1.0], [2.0]], (0.0, 1.0), 1e-2)
+    with pytest.raises(IntegrationError, match="imaginary part"):
+        integrate_rk4(root, [[1.0], [-1.0]], (0.0, 1.0), 1e-2)

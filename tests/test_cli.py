@@ -253,6 +253,39 @@ class TestCommandSurface:
         assert code2 == 0 and rep2["status"] == "pass"
 
 
+class TestKdVLax:
+    SOLITON = ["--u", "-0.5/cosh(0.5*x - 0.5*t)^2", "--lam", "0.3"]
+
+    def test_backward_x_leg(self, capsys):
+        code, rep = run_json(["kdv-lax", *self.SOLITON, "--delta", "-0.2,0.2"], capsys)
+        assert code == 0
+        assert abs(rep["values"]["deviation"] - 1.2778667013435552e-12) <= 1e-15
+
+    def test_zero_length_leg_keeps_the_state(self, capsys):
+        code, rep = run_json(["kdv-lax", *self.SOLITON, "--delta", "0,0.2"], capsys)
+        assert code == 0 and rep["status"] == "pass"
+        assert rep["values"]["deviation"] == 0
+
+    @pytest.mark.parametrize("u", ["sqrt(x)", "ln(x)"])
+    def test_complex_field_is_a_numeric_error(self, u, capsys):
+        code, rep = run_json(["kdv-lax", "--u", u, "--lam", "0.3", "--x0", "-0.1"], capsys)
+        assert code == 3
+        assert "u has non-negligible imaginary part" in rep["diagnostics"]["error"]
+
+    def test_pole_on_a_leg_is_a_numeric_error(self, capsys):
+        code, rep = run_json(["kdv-lax", "--u", "1/x", "--lam", "0.3", "--x0", "-0.1"],
+                             capsys)
+        assert code == 3
+        assert "division by zero while evaluating '1/x'" in rep["diagnostics"]["error"]
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_one_is_a_usage_error(self, steps, capsys):
+        code, rep = run_json(["kdv-lax", "--u", "x", "--lam", "0.3", "--steps", steps],
+                             capsys)
+        assert code == 2 and rep["status"] == "error"
+        assert "steps" in rep["diagnostics"]["error"]
+
+
 class TestTaskFile:
     def test_task_run(self, tmp_path, capsys):
         task = tmp_path / "job.task"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -236,3 +238,24 @@ class TestImmutability:
         assert parse("x*y + 1") == parse("x*y + 1")
         assert hash(parse("sin(x)")) == hash(parse("sin(x)"))
         assert parse("x+y") != parse("y+x")
+
+    def test_hash_is_computed_once_per_node(self):
+        calls = []
+
+        class CountingVar(Var):
+            def __hash__(self):
+                calls.append(self.name)
+                return super().__hash__()
+
+        e = Binary("*", Call("sin", CountingVar("x")), Const(2.0))
+        first = hash(e)
+        assert calls == ["x"]
+        assert hash(e) == first and calls == ["x"]
+        assert first == hash(Binary("*", Call("sin", Var("x")), Const(2.0)))
+
+    def test_copies_rebuild_from_fields(self):
+        e = parse("sin(x*y) + 1/x - 2*i")
+        h = hash(e)
+        for f in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert f is not e and getattr(f, "_hash", None) is None
+            assert f == e and hash(f) == h
