@@ -2,16 +2,17 @@
 
 A tape (:class:`integrikit.expr.Tape`) is plain data.  Registers start
 as the variables followed by the constants; each op appends one result
-and then drops the slots no later op reads.  :func:`_run` is the only
-interpreter: it runs a tape on complex scalars with :data:`SCALAR_OPS`
-and on complex128 arrays with :data:`ARRAY_OPS`.  :func:`eval_points`
-runs it on :data:`BLOCK` points at a time, so that live temporaries
-stay small.  :func:`rk4` is the only RK4 loop: one state steps on
-scalars, a batch of states steps on arrays of its columns.
+and then drops the slots no later op reads.  :func:`_run` runs a tape
+on complex scalars with :data:`SCALAR_OPS` and on complex128 arrays with
+:data:`ARRAY_OPS`; :func:`eval_points` runs it on :data:`BLOCK` points at
+a time, so that live temporaries stay small.  :func:`rk4` is the only
+RK4 loop: it steps one state on scalars, or a batch on arrays of its
+columns, with a straight-line step generated from the tape (:func:`_step_fn`).
 
 Domain failures never raise: division by 0, ln 0 and 0 raised to a
 negative or complex power give NaN, as do cmath overflow and domain
-errors.  Callers turn NaN into precise errors.
+errors in :func:`_run`.  Callers turn NaN into precise errors; :func:`rk4`
+fails a step that raises like one that leaves the domain.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,41 +109,81 @@ def rk4(ops, consts, outs, x0, guard, t0, h, hlast, t_end, nsteps):
 
     `x0` is one state (n,) or a batch of states (batch, n); ``ys[k]``
     has its shape.  Returns ``(ts, ys, status, reached)``: status 1 means
-    some row at step `reached` + 1 was non-finite or exceeded `guard`.
+    step `reached` + 1 raised, or some row was non-finite or exceeded `guard`.
     """
     x0 = np.asarray(x0, dtype=np.complex128)
     ts = np.empty(nsteps + 1, dtype=np.float64)
     ys = np.empty((nsteps + 1,) + x0.T.shape, dtype=np.complex128)
     ts[0] = t0
     ys[0] = x0.T
-    consts = list(consts)
-    if x0.ndim == 1:
-        table, scalar, within = SCALAR_OPS, complex, _within_scalar
-        y = [complex(v) for v in x0]
+    step = _step_fn(ops, consts, outs, x0.shape[-1], x0.ndim != 1)
+    if x0.ndim != 1:
+        scalar, within, y = np.complex128, _within_rows, tuple(ys[0])
     else:
-        table, scalar, within = ARRAY_OPS, np.complex128, _within_rows
-        y = list(ys[0])
-    n = len(y)
-
-    def rhs(state, t):
-        regs = _run(ops, table, [*state, scalar(t), *consts])
-        return [regs[o] for o in outs]
+        scalar, within, y = complex, _within_scalar, tuple(complex(v) for v in x0)
 
     with np.errstate(all="ignore"):
         for s in range(nsteps):
             hs = h if s < nsteps - 1 else hlast
             t = t0 + s * h
-            k1 = rhs(y, t)
-            k2 = rhs([y[j] + 0.5 * hs * k1[j] for j in range(n)], t + 0.5 * hs)
-            k3 = rhs([y[j] + 0.5 * hs * k2[j] for j in range(n)], t + 0.5 * hs)
-            k4 = rhs([y[j] + hs * k3[j] for j in range(n)], t + hs)
-            y = [y[j] + (hs / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-                 for j in range(n)]
-            if not within(y, guard):
+            try:
+                y = step(*y, scalar(t), scalar(t + 0.5 * hs), scalar(t + hs), hs)
+            except (OverflowError, ValueError, ZeroDivisionError):
+                y = None
+            if y is None or not within(y, guard):
                 return ts, np.moveaxis(ys, 1, -1), 1, s
             ts[s + 1] = t_end if s == nsteps - 1 else t0 + (s + 1) * h
             ys[s + 1] = y
     return ts, np.moveaxis(ys, 1, -1), 0, nsteps
+
+
+def _tuple(items) -> str:
+    """Source of a tuple, or a parameter list, of `items`."""
+    items = list(items)
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+@lru_cache(maxsize=32)
+def _step_fn(ops, consts, outs, n, batch):
+    """One RK4 step ``step(y0, ..., t, t_half, t_end, hs)`` of the system
+    tape as straight-line source on scalars or (`batch`) arrays: slot j is
+    ``v<j>``, one assignment per op.  A factory binds the table functions
+    and the constants (Python complex for one state, complex128 for a batch)
+    as values, so no user text reaches the source and no cycle forms.
+    """
+    nvars = n + 1
+    fns = sorted({op for op, _, _, _ in ops} - {"neg", "+", "-", "*"})
+    funcs = [(ARRAY_OPS if batch else SCALAR_OPS)[op] for op in fns]   # catalog ops only
+    fname = {op: "f_" + {"/": "div", "^": "pow"}.get(op, op) for op in fns}
+    const_names = [f"v{nvars + k}" for k in range(len(consts))]
+    lines = [f"def _factory{_tuple([fname[op] for op in fns] + const_names)}:",
+             f"    def rhs{_tuple(f'v{j}' for j in range(nvars))}:"]
+    for i, (op, a, b, _) in enumerate(ops):
+        if op == "neg":
+            value = f"-v{a}"
+        elif op in ("+", "-", "*"):
+            value = f"v{a} {op} v{b}"
+        else:
+            value = f"{fname[op]}(v{a})" if b < 0 else f"{fname[op]}(v{a}, v{b})"
+        lines.append(f"        v{nvars + len(consts) + i} = {value}")
+    lines.append(f"        return {_tuple(f'v{o}' for o in outs)}")
+
+    ys = [f"y{j}" for j in range(n)]
+    lines.append(f"    def step{_tuple(ys + ['t', 't_half', 't_end', 'hs'])}:")
+    stages = (("k1", "{y}", "t"), ("k2", "{y} + 0.5 * hs * k1_{j}", "t_half"),
+              ("k3", "{y} + 0.5 * hs * k2_{j}", "t_half"),
+              ("k4", "{y} + hs * k3_{j}", "t_end"))
+    for k, arg, t in stages:
+        args = [arg.format(y=y, j=j) for j, y in enumerate(ys)] + [t]
+        lines.append(f"        {_tuple(f'{k}_{j}' for j in range(n))} = rhs{_tuple(args)}")
+    new = [f"{y} + (hs / 6.0) * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
+           for j, y in enumerate(ys)]
+    lines += [f"        return {_tuple(new)}", "    return step"]
+    scope: dict = {}
+    exec(compile("\n".join(lines), "<rk4 step>", "exec"), scope)
+    factory = scope.pop("_factory")
+    values = consts if batch else [complex(c) for c in consts]
+    return factory(*funcs, *values)
 
 
 def _within_scalar(y, guard) -> bool:

@@ -4,7 +4,7 @@ This module is the substrate for the whole toolkit: immutable expression
 trees with a text grammar, pointwise evaluation in complex double
 precision, exact symbolic differentiation, and compilation to
 value-numbered instruction tapes, which :mod:`integrikit._backend` runs
-on complex scalars (RK4) and on blocks of points (batch evaluation).
+on blocks of points and turns into straight-line RK4 steps.
 Shared subtrees are computed once per tape; the tree walk
 :func:`evaluate` stays the reference and the source of error messages.
 
@@ -758,52 +758,52 @@ class Tape:
     outs: tuple
 
 
+def _number(e, memo) -> int:
+    """Provisional slot of `e` (see `_lower`).  `memo` holds the lowering's
+    state; it is passed, not closed over, so that no reference cycle forms."""
+    nvars, var_slot, consts, const_slot, rows, row_slot, by_id = memo
+    s = by_id.get(id(e))
+    if s is not None:
+        return s
+    if isinstance(e, Binary):
+        key = (e.op, _number(e.left, memo), _number(e.right, memo))
+    elif isinstance(e, Call):
+        key = (e.fn, _number(e.arg, memo), None)
+    elif isinstance(e, Unary):
+        key = ("neg", _number(e.child, memo), None)
+    elif isinstance(e, Const):
+        key = None
+        s = const_slot.get(e.value)
+        if s is None:
+            s = const_slot[e.value] = -1 - len(consts)
+            consts.append(np.complex128(e.value))
+    else:
+        key = None
+        s = var_slot.get(e.name)
+        if s is None:
+            raise UnboundVariableError(e.name)
+    if key is not None:
+        s = row_slot.get(key)
+        if s is None:
+            s = row_slot[key] = nvars + len(rows)
+            rows.append(key)
+    by_id[id(e)] = s
+    return s
+
+
 def _lower(exprs, names: tuple) -> Tape:
     """Value-number the DAG of `exprs` into a Tape.
 
     Nodes are memoised by identity, and each op by (op, argument slots),
     so equal subtrees share one slot without hashing whole subtrees.
+    Provisional slots: variables as final, constant k as -1 - k and
+    result i as nvars + i; renumbered once the constant count is known.
     """
     nvars = len(names)
-    var_slot = {n: j for j, n in enumerate(names)}
     consts: list = []
-    const_slot: dict = {}
     rows: list = []
-    row_slot: dict = {}
-    by_id: dict = {}
-
-    # Provisional slots: variables as final, constant k as -1 - k and
-    # result i as nvars + i; renumbered once the constant count is known.
-    def lower(e) -> int:
-        s = by_id.get(id(e))
-        if s is not None:
-            return s
-        if isinstance(e, Binary):
-            key = (e.op, lower(e.left), lower(e.right))
-        elif isinstance(e, Call):
-            key = (e.fn, lower(e.arg), None)
-        elif isinstance(e, Unary):
-            key = ("neg", lower(e.child), None)
-        elif isinstance(e, Const):
-            key = None
-            s = const_slot.get(e.value)
-            if s is None:
-                s = const_slot[e.value] = -1 - len(consts)
-                consts.append(np.complex128(e.value))
-        else:
-            key = None
-            s = var_slot.get(e.name)
-            if s is None:
-                raise UnboundVariableError(e.name)
-        if key is not None:
-            s = row_slot.get(key)
-            if s is None:
-                s = row_slot[key] = nvars + len(rows)
-                rows.append(key)
-        by_id[id(e)] = s
-        return s
-
-    provisional = [lower(e) for e in exprs]
+    memo = (nvars, {n: j for j, n in enumerate(names)}, consts, {}, rows, {}, {})
+    provisional = [_number(e, memo) for e in exprs]
     shift = len(consts)
 
     def final(s):

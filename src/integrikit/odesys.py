@@ -94,6 +94,9 @@ def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float,
     x0c = np.asarray(x0, dtype=np.complex128)
     if x0c.ndim not in (1, 2) or x0c.shape[-1] != sys.n:
         raise ValueError(f"x0 must have {sys.n} components")
+    for name, v in (("start time", t0), ("end time", t1), ("step", h)):
+        if not math.isfinite(v):
+            raise ValueError(f"RK4 {name} must be finite, got {v!r}")
     span = t1 - t0
     nsteps = max(1, int(math.ceil(span / h - 1e-9)))
     hlast = span - (nsteps - 1) * h

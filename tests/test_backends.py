@@ -1,12 +1,14 @@
 """The tape evaluator against the tree walk `evaluate`: values, domain
 failures, blocking and the RK4 driver built on it."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from integrikit import _backend
 from integrikit.expr import (
-    Const, EvalDomainError, compile_expr, compile_system, diff, eval_many,
+    Const, EvalDomainError, _lower, compile_expr, compile_system, diff, eval_many,
     evaluate, node_count, parse,
 )
 from integrikit.odesys import AutonomousSystem, IntegrationError, integrate_rk4
@@ -174,3 +176,77 @@ def test_batched_rk4_checks_every_row_for_imaginary_parts():
     integrate_rk4(root, [[1.0], [2.0]], (0.0, 1.0), 1e-2)
     with pytest.raises(IntegrationError, match="imaginary part"):
         integrate_rk4(root, [[1.0], [-1.0]], (0.0, 1.0), 1e-2)
+
+
+def reference_rk4(tape, x0, t0, h, nsteps):
+    """RK4 over the tape interpreter `_backend._run`, with the arithmetic of
+    the generated step: Python complex constants for one state, the tape's
+    complex128 constants for a batch.  Returns rk4's (steps + 1, ...) states."""
+    batch = x0.ndim == 2
+    table, scalar = (_backend.ARRAY_OPS, np.complex128) if batch else (_backend.SCALAR_OPS, complex)
+    consts = list(tape.consts) if batch else [complex(c) for c in tape.consts]
+
+    def rhs(state, t):
+        regs = _backend._run(tape.ops, table, [*state, scalar(t), *consts])
+        return [regs[o] for o in tape.outs]
+
+    y = list(x0.T.astype(np.complex128)) if batch else [complex(v) for v in x0]
+    states = [y]
+    for s in range(nsteps):
+        t = t0 + s * h
+        k1 = rhs(y, t)
+        k2 = rhs([a + 0.5 * h * k for a, k in zip(y, k1)], t + 0.5 * h)
+        k3 = rhs([a + 0.5 * h * k for a, k in zip(y, k2)], t + 0.5 * h)
+        k4 = rhs([a + h * k for a, k in zip(y, k3)], t + h)
+        y = [a + (h / 6.0) * (b + 2.0 * c + 2.0 * d + e)
+             for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+        states.append(y)
+    return np.moveaxis(np.array(states, dtype=np.complex128), 1, -1)
+
+
+@pytest.mark.parametrize("names,time_name", [
+    (("x", "y"), None), (("x", "y"), "s"), (("x", "y", "z"), None), (("x", "y", "z"), "s"),
+])
+@pytest.mark.parametrize("rows", [0, 4], ids=["one_state", "batch"])
+def test_generated_step_matches_the_tape_interpreter_bit_for_bit(names, time_name, rows, rng):
+    variables = names + ((time_name,) if time_name else ())
+    exprs = bounded_smooth_exprs(len(names) + (3 if time_name else 0), 3 * len(names), variables)
+    for k in range(3):
+        tape = compile_system(tuple(exprs[k::3]), names, time_name)
+        x0 = rng.uniform(-0.5, 0.5, size=(rows, len(names)) if rows else len(names))
+        ts, ys, status, reached = _backend.rk4(tape.ops, tape.consts, tape.outs, x0, 1e12,
+                                               0.25, 0.01, 0.01, 0.75, 50)
+        with np.errstate(all="ignore"):
+            ref = reference_rk4(tape, x0, 0.25, 0.01, 50)
+        assert ys.shape == ref.shape
+        done = ys[:reached + 1]
+        assert done.tobytes() == np.ascontiguousarray(ref[:reached + 1]).tobytes(), \
+            [str(e) for e in exprs[k::3]]
+        if status:                        # a random system may blow up: same step
+            assert not np.all(np.isfinite(ref[reached + 1]) & (np.abs(ref[reached + 1]) <= 1e12))
+
+
+def test_overflow_inside_a_step_stops_like_a_non_finite_state():
+    # exp(y) overflows in the last stage of the step from t = 7.09 (y = 710)
+    logistic = AutonomousSystem(("x", "y"), (parse("1/(1 + exp(y))"), parse("100")))
+    with pytest.raises(IntegrationError) as ex:
+        integrate_rk4(logistic, [0.0, 0.0], (0.0, 10.0), 1e-2)
+    assert ex.value.t_last == 7.09
+
+
+def test_lowering_and_generated_steps_leave_no_reference_cycles():
+    u = parse("-0.5/cosh(0.5*x - 0.5*t)^2")
+    uxxx = diff(diff(diff(u, "x"), "x"), "x")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            _lower((uxxx,), ("x", "t"))
+        assert gc.collect() == 0
+        tape = _lower((uxxx, u), ("x", "y", "t"))
+        for x0 in ([0.1, 0.2], [[0.1, 0.2], [0.3, 0.4]]):
+            _backend.rk4(tape.ops, tape.consts, tape.outs, x0, 1e12, 0.0, 0.1, 0.1, 0.2, 2)
+        assert _backend._step_fn.cache_info().currsize >= 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -8,7 +8,7 @@ from integrikit.btlax import (
     lax_commuting_flow, liouville_bt, maxwell_plane_wave, maxwell_residual,
     sine_gordon_bt, sine_gordon_kink, wave_equation_residual,
 )
-from integrikit.expr import Const, eval_many, evaluate, parse
+from integrikit.expr import Const, compile_system, eval_many, evaluate, parse
 from integrikit.realfield import Region
 
 XT_SQUARE = Region(("x", "t"), ((-2, 2), (-2, 2)))
@@ -119,6 +119,14 @@ class TestLaxCommutingFlow:
     def test_non_solution_deviates(self):
         dev = lax_commuting_flow("x", 0.3, 1.0, 1.0, 0.0, (0.2, 0.2))
         assert dev.deviation > 1e-2
+
+    def test_legs_share_two_compiled_systems(self):
+        compile_system.cache_clear()
+        first = lax_commuting_flow(SOLITON, 0.3, 1.0, 0.1, 0.0, (0.2, 0.2))
+        assert compile_system.cache_info().misses == 2    # one along x, one along t
+        again = lax_commuting_flow(SOLITON, 0.3, 1.0, -0.4, 0.3, (0.2, -0.1))
+        assert compile_system.cache_info().misses == 2
+        assert first.deviation <= 1e-5 and again.deviation <= 1e-5
 
     def test_deviation_shrinks_with_rectangle(self):
         big = lax_commuting_flow(SOLITON, 0.3, 1.0, 0.1, 0.0, (0.2, 0.2))

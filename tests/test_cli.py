@@ -286,6 +286,27 @@ class TestKdVLax:
         assert "steps" in rep["diagnostics"]["error"]
 
 
+class TestNonFiniteSpan:
+    """A non-finite step, start or end time is a usage error that names it."""
+    SYSTEM = ["--f", "y;-x", "--vars", "x,y", "--x0", "1,0"]
+
+    @pytest.mark.parametrize("argv,value", [
+        (["rk4", *SYSTEM, "--t-span", "0,inf", "--h", "0.1"], "end time must be finite, got inf"),
+        (["rk4", *SYSTEM, "--t-span", "0,1", "--h", "inf"], "step must be finite, got inf"),
+        (["rk4", *SYSTEM, "--t-span", "0,1", "--h", "nan"], "step must be finite, got nan"),
+        (["drift", *SYSTEM, "--phi", "x^2 + y^2", "--T", "inf", "--h", "0.1"],
+         "end time must be finite, got inf"),
+        (["pde-char", "--P", "1", "--Q", "1", "--R", "0", "--start", "0,0,1",
+          "--t-span", "0,inf"], "end time must be finite, got inf"),
+        (["pde-char", "--P", "1", "--Q", "1", "--R", "0", "--start", "0,0,1",
+          "--t-span", "-inf,0"], "start time must be finite, got -inf"),
+    ], ids=["rk4-span", "rk4-h-inf", "rk4-h-nan", "drift-T", "pde-char-end", "pde-char-start"])
+    def test_is_a_usage_error(self, argv, value, capsys):
+        code, rep = run_json(argv, capsys)
+        assert code == 2 and rep["status"] == "error"
+        assert value in rep["diagnostics"]["error"]
+
+
 class TestTaskFile:
     def test_task_run(self, tmp_path, capsys):
         task = tmp_path / "job.task"
