@@ -6,8 +6,8 @@ and then drops the slots no later op reads.  :func:`_run` runs a tape
 on complex scalars with :data:`SCALAR_OPS` and on complex128 arrays with
 :data:`ARRAY_OPS`; :func:`eval_points` runs it on :data:`BLOCK` points at
 a time, so that live temporaries stay small.  :func:`rk4` is the only
-RK4 loop: it steps one state on scalars, or a batch on arrays of its
-columns, with a straight-line step generated from the tape (:func:`_step_fn`).
+RK4 loop: it steps one state on complex scalars with a straight-line step
+generated from the tape (:func:`_step_fn`).
 
 Domain failures never raise: division by 0, ln 0 and 0 raised to a
 negative or complex power give NaN, as do cmath overflow and domain
@@ -107,34 +107,28 @@ def rk4(ops, consts, outs, x0, guard, t0, h, hlast, t_end, nsteps):
     `outs`, over variables (state..., time).  Takes `nsteps` steps of `h`
     from `t0`, the last of length `hlast` ending at `t_end`.
 
-    `x0` is one state (n,) or a batch of states (batch, n); ``ys[k]``
-    has its shape.  Returns ``(ts, ys, status, reached)``: status 1 means
-    step `reached` + 1 raised, or some row was non-finite or exceeded `guard`.
+    `x0` is one state (n,).  Returns ``(ts, ys, status, reached)``: status 1
+    means step `reached` + 1 raised, or left a non-finite state or one
+    beyond `guard`.
     """
-    x0 = np.asarray(x0, dtype=np.complex128)
     ts = np.empty(nsteps + 1, dtype=np.float64)
-    ys = np.empty((nsteps + 1,) + x0.T.shape, dtype=np.complex128)
+    ys = np.empty((nsteps + 1, len(x0)), dtype=np.complex128)
     ts[0] = t0
-    ys[0] = x0.T
-    step = _step_fn(ops, consts, outs, x0.shape[-1], x0.ndim != 1)
-    if x0.ndim != 1:
-        scalar, within, y = np.complex128, _within_rows, tuple(ys[0])
-    else:
-        scalar, within, y = complex, _within_scalar, tuple(complex(v) for v in x0)
-
-    with np.errstate(all="ignore"):
-        for s in range(nsteps):
-            hs = h if s < nsteps - 1 else hlast
-            t = t0 + s * h
-            try:
-                y = step(*y, scalar(t), scalar(t + 0.5 * hs), scalar(t + hs), hs)
-            except (OverflowError, ValueError, ZeroDivisionError):
-                y = None
-            if y is None or not within(y, guard):
-                return ts, np.moveaxis(ys, 1, -1), 1, s
-            ts[s + 1] = t_end if s == nsteps - 1 else t0 + (s + 1) * h
-            ys[s + 1] = y
-    return ts, np.moveaxis(ys, 1, -1), 0, nsteps
+    ys[0] = x0
+    step = _step_fn(ops, consts, outs, len(x0))
+    y = tuple(complex(v) for v in x0)
+    for s in range(nsteps):
+        hs = h if s < nsteps - 1 else hlast
+        t = t0 + s * h
+        try:
+            y = step(*y, complex(t), complex(t + 0.5 * hs), complex(t + hs), hs)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            y = None
+        if y is None or not _within(y, guard):
+            return ts, ys, 1, s
+        ts[s + 1] = t_end if s == nsteps - 1 else t0 + (s + 1) * h
+        ys[s + 1] = y
+    return ts, ys, 0, nsteps
 
 
 def _tuple(items) -> str:
@@ -144,16 +138,16 @@ def _tuple(items) -> str:
 
 
 @lru_cache(maxsize=32)
-def _step_fn(ops, consts, outs, n, batch):
+def _step_fn(ops, consts, outs, n):
     """One RK4 step ``step(y0, ..., t, t_half, t_end, hs)`` of the system
-    tape as straight-line source on scalars or (`batch`) arrays: slot j is
-    ``v<j>``, one assignment per op.  A factory binds the table functions
-    and the constants (Python complex for one state, complex128 for a batch)
-    as values, so no user text reaches the source and no cycle forms.
+    tape as straight-line source on complex scalars: slot j is ``v<j>``, one
+    assignment per op.  A factory binds the table functions and the constants
+    (as Python complex) as values, so no user text reaches the source and no
+    cycle forms.
     """
     nvars = n + 1
     fns = sorted({op for op, _, _, _ in ops} - {"neg", "+", "-", "*"})
-    funcs = [(ARRAY_OPS if batch else SCALAR_OPS)[op] for op in fns]   # catalog ops only
+    funcs = [SCALAR_OPS[op] for op in fns]   # catalog ops only
     fname = {op: "f_" + {"/": "div", "^": "pow"}.get(op, op) for op in fns}
     const_names = [f"v{nvars + k}" for k in range(len(consts))]
     lines = [f"def _factory{_tuple([fname[op] for op in fns] + const_names)}:",
@@ -182,15 +176,9 @@ def _step_fn(ops, consts, outs, n, batch):
     scope: dict = {}
     exec(compile("\n".join(lines), "<rk4 step>", "exec"), scope)
     factory = scope.pop("_factory")
-    values = consts if batch else [complex(c) for c in consts]
-    return factory(*funcs, *values)
+    return factory(*funcs, *(complex(c) for c in consts))
 
 
-def _within_scalar(y, guard) -> bool:
+def _within(y, guard) -> bool:
     return all(math.isfinite(v.real) and math.isfinite(v.imag)
                and abs(v.real) + abs(v.imag) <= guard for v in y)
-
-
-def _within_rows(y, guard) -> bool:
-    return all(np.all(np.isfinite(v) & (np.abs(v.real) + np.abs(v.imag) <= guard))
-               for v in y)

@@ -238,8 +238,6 @@ def lax_commuting_flow(u, lam: float, psi0: float, x0: float, t0: float,
         stages = np.column_stack([ss, ss + 0.5 * hs, ss + hs]).ravel()
         pts = np.column_stack([stages, np.full_like(stages, fixed)])
         _check_leg_field(fields, pts if along == "x" else pts[:, ::-1])
-        if h == 0.0:
-            return state
         _, ys = _run_rk4(systems[along], state + (fixed,), s0, s1, h)
         return tuple(float(v) for v in ys[-1, :2].real)
 

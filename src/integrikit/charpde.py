@@ -10,8 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, as_expr, as_real, diff, evaluate
-from .odesys import AutonomousSystem, Trajectory, integrate_rk4
+from .expr import Expr, as_expr, as_real, diff, eval_many, evaluate
+from .odesys import AutonomousSystem, Trajectory, _run_rk4, integrate_rk4
 from .realfield import CheckReport, Region, VectorField, exactness_check, residual_sweep
 
 __all__ = [
@@ -81,10 +81,15 @@ class InitialCurve:
         if not self.s_start < self.s_end:
             raise ValueError("s interval is empty")
 
-    def point(self, s: float) -> np.ndarray:
-        b = {self.param: s}
-        return np.array([as_real(evaluate(c, b), 1e-12, "initial curve")
-                         for c in (self.x0, self.y0, self.z0)])
+    def points(self, s_values) -> np.ndarray:
+        """The curve points (x0, y0, z0) at each s, as rows."""
+        return np.column_stack([_real_values(c, (self.param,), s_values, "initial curve")
+                                for c in (self.x0, self.y0, self.z0)])
+
+
+def _real_values(e: Expr, names, pts, context: str) -> np.ndarray:
+    """`e` at the rows of `pts` by one eval_many; each value must be real."""
+    return np.array([as_real(v, 1e-12, context) for v in eval_many(e, names, pts)])
 
 
 def characteristic_trace(pde: QuasilinearPDE, start, t_span, h: float,
@@ -92,22 +97,24 @@ def characteristic_trace(pde: QuasilinearPDE, start, t_span, h: float,
     """RK4 trace of dx/dt = P, dy/dt = Q, dz/dt = R from a start point.
 
     Aborts with the last good t if the state norm exceeds the blow-up guard.
+    A zero-length span takes no step but checks start, span and step alike.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if t0 == t1:
-        return Trajectory(np.array([t0]), np.asarray([start], dtype=float),
-                          method="rk4", step=h)
-    return integrate_rk4(pde.characteristic_system, start, (t0, t1), h, guard)
+    if t0 != t1:
+        return integrate_rk4(pde.characteristic_system, start, (t0, t1), h, guard)
+    if h <= 0:
+        raise ValueError("step must be positive")
+    ts, ys = _run_rk4(pde.characteristic_system, start, t0, t1, h, guard)
+    return Trajectory(ts, ys.real.copy(), method="rk4", step=h)
 
 
-def _endpoint(pde: QuasilinearPDE, starts: np.ndarray, t: float,
-              h: float) -> np.ndarray:
-    """Endpoints at time t of the characteristics from the rows of starts."""
-    if t == 0.0:
-        return starts
-    sys = pde.characteristic_system if t > 0 else AutonomousSystem(
-        ("x", "y", "z"), tuple(-c for c in (pde.P, pde.Q, pde.R)))
-    return integrate_rk4(sys, starts, (0.0, abs(t)), h).endpoint
+def _trace(pde: QuasilinearPDE, start, t: float, h: float) -> Trajectory:
+    """The characteristic from `start` over times [0, |t|].  For t < 0 it
+    runs under (-P, -Q, -R), so its state k lies at time -ts[k]."""
+    if t >= 0:
+        return characteristic_trace(pde, start, (0.0, t), h)
+    backward = AutonomousSystem(("x", "y", "z"), tuple(-c for c in (pde.P, pde.Q, pde.R)))
+    return integrate_rk4(backward, start, (0.0, -t), h)
 
 
 @dataclass(frozen=True)
@@ -120,54 +127,55 @@ class CauchySolution:
 
 def _transversality_check(pde: QuasilinearPDE, ic: InitialCurve,
                           samples: int = 33, threshold: float = 1e-8):
-    dx0 = diff(ic.x0, ic.param)
-    dy0 = diff(ic.y0, ic.param)
-    for s in np.linspace(ic.s_start, ic.s_end, samples):
-        p = ic.point(s)
-        b = {"x": p[0], "y": p[1], "z": p[2]}
-        pv = as_real(evaluate(pde.P, b), 1e-12, "P")
-        qv = as_real(evaluate(pde.Q, b), 1e-12, "Q")
-        sb = {ic.param: s}
-        cross = pv * as_real(evaluate(dy0, sb), 1e-12, "y0'") \
-            - qv * as_real(evaluate(dx0, sb), 1e-12, "x0'")
-        if abs(cross) < threshold:
-            raise TransversalityError(
-                f"initial curve is characteristic at s={s!r} (|P y0' - Q x0'| < {threshold})")
+    ss = np.linspace(ic.s_start, ic.s_end, samples)
+    pts = ic.points(ss)
+    pv = _real_values(pde.P, ("x", "y", "z"), pts, "P")
+    qv = _real_values(pde.Q, ("x", "y", "z"), pts, "Q")
+    cross = pv * _real_values(diff(ic.y0, ic.param), (ic.param,), ss, "y0'") \
+        - qv * _real_values(diff(ic.x0, ic.param), (ic.param,), ss, "x0'")
+    low = np.abs(cross) < threshold
+    if low.any():
+        raise TransversalityError(
+            f"initial curve is characteristic at s={float(ss[np.argmax(low)])!r} "
+            f"(|P y0' - Q x0'| < {threshold})")
 
 
 def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
                  h: float = 0.01, newton_tol: float = 1e-10, t_max: float = 5.0,
-                 fan_shape=(21, 41), max_iter: int = 30) -> CauchySolution:
+                 fan_rows: int = 21, max_iter: int = 30) -> CauchySolution:
     """Solve z at query points by inverting the characteristic map.
 
     For each query (x*, y*) a Newton iteration finds (s, t) with
-    x(s, t) = x*, y(s, t) = y*.  Each iteration traces s and s +- ds as one
-    batch; the Jacobian combines that central difference in s with the
-    exact flow velocity in t.  Initial guesses come from a coarse fan over
-    (s, t), traced as one batch of all s per t column.
+    x(s, t) = x*, y(s, t) = y*.  Each iteration traces s and s +- ds one
+    by one; the Jacobian combines that central difference in s with the
+    exact flow velocity in t.  The initial guess is the nearest point of a
+    coarse fan: the characteristics from `fan_rows` curve points, each
+    traced once forward and once backward over [0, t_max], with every RK4
+    state (s, +-t) a fan point.
     """
+    if not t_max > 0:
+        raise ValueError(f"t_max must be positive, got {t_max!r}")
     _transversality_check(pde, ic)
-    n_s, n_t = fan_shape
-    s_vals = np.linspace(ic.s_start, ic.s_end, n_s)
-    t_vals = np.linspace(-t_max, t_max, n_t)
-    starts = np.array([ic.point(float(s)) for s in s_vals])
-    fan_xy = np.empty((n_s, n_t, 2))
-    for j, t in enumerate(t_vals):
-        fan_xy[:, j] = _endpoint(pde, starts, float(t), h)[:, :2]
+    s_fan = np.linspace(ic.s_start, ic.s_end, fan_rows)
+    fan_st, fan_xy = [], []
+    for s, start in zip(s_fan, ic.points(s_fan)):
+        for sign in (1.0, -1.0):
+            traj = _trace(pde, start, sign * t_max, h)
+            fan_st += [(s, sign * t) for t in traj.ts]
+            fan_xy.append(traj.states[:, :2])
+    fan_st, fan_xy = np.array(fan_st), np.concatenate(fan_xy)
     span = ic.s_end - ic.s_start
     s_lo, s_hi = ic.s_start - 0.5 * span, ic.s_end + 0.5 * span
 
     zs, params, iters, residuals = [], [], [], []
     for q in queries:
         q = np.asarray(q, dtype=float)
-        dist = np.linalg.norm(fan_xy - q, axis=2)
-        i0, j0 = np.unravel_index(int(np.argmin(dist)), dist.shape)
-        s, t = float(s_vals[i0]), float(t_vals[j0])
+        s, t = (float(v) for v in fan_st[np.argmin(np.linalg.norm(fan_xy - q, axis=1))])
         res = float("inf")
         for used in range(1, max_iter + 1):
             ds = 1e-6 * (1 + abs(s))
-            endpoint, plus, minus = _endpoint(
-                pde, np.array([ic.point(v) for v in (s, s + ds, s - ds)]), t, h)
+            endpoint, plus, minus = (_trace(pde, p, t, h).endpoint
+                                     for p in ic.points([s, s + ds, s - ds]))
             g = endpoint[:2] - q
             res = float(np.max(np.abs(g)))
             if res <= newton_tol * (1 + np.max(np.abs(q))):

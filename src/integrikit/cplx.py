@@ -167,7 +167,7 @@ def harmonic_conjugate(v, base, region: Region, grid: int = 41,
     differences of the u grid against the symbolic partials of v, so its
     residual carries an O(h^2) finite-difference floor.
     """
-    from .realfield import VectorField, potential_grid
+    from .realfield import VectorField, gradient_check, potential_grid
 
     v = as_expr(v)
     lap = diff(diff(v, "x"), "x") + diff(diff(v, "y"), "y")
@@ -180,18 +180,7 @@ def harmonic_conjugate(v, base, region: Region, grid: int = 41,
     grad_field = VectorField(("x", "y"), (diff(v, "y"), -diff(v, "x")))
     x_axis, y_axis = region.axes(grid)
     u_grid = potential_grid(grad_field, (x_axis, y_axis), base, panels=panels)
-
-    hx, hy = x_axis[1] - x_axis[0], y_axis[1] - y_axis[0]
-    du_dx = (u_grid[2:, 1:-1] - u_grid[:-2, 1:-1]) / (2 * hx)
-    du_dy = (u_grid[1:-1, 2:] - u_grid[1:-1, :-2]) / (2 * hy)
-    xm, ym = np.meshgrid(x_axis[1:-1], y_axis[1:-1], indexing="ij")
-    inner = np.stack([xm.ravel(), ym.ravel()], axis=1)
-    vy = eval_many(diff(v, "y"), ("x", "y"), inner).real.reshape(xm.shape)
-    vx = eval_many(diff(v, "x"), ("x", "y"), inner).real.reshape(xm.shape)
-    dev = np.maximum(np.abs(du_dx - vy), np.abs(du_dy + vx))
-    k = int(np.argmax(dev))
-    cr_report = CheckReport.from_residual(
-        float(dev.max()), cr_tol, (float(xm.ravel()[k]), float(ym.ravel()[k])), dev.size)
+    cr_report = gradient_check(grad_field, (x_axis, y_axis), u_grid, cr_tol)
     return HarmonicConjugate(x_axis, y_axis, u_grid, lap_report, cr_report)
 
 

@@ -36,7 +36,7 @@ class DegenerateSamplesError(ValueError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped states, (len(ts), n) or (len(ts), batch, n), from RK4."""
+    """Time-stamped states, (len(ts), n), from RK4."""
     ts: np.ndarray
     states: np.ndarray
     method: str = "rk4"
@@ -45,8 +45,8 @@ class Trajectory:
     def __post_init__(self):
         ts = np.asarray(self.ts, dtype=float)
         states = np.asarray(self.states, dtype=float)
-        if states.ndim not in (2, 3) or len(ts) != len(states):
-            raise ValueError("states must be (len(ts), n) or (len(ts), batch, n)")
+        if states.ndim != 2 or len(ts) != len(states):
+            raise ValueError("states must be (len(ts), n)")
         if len(ts) > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("time stamps must be strictly increasing")
         object.__setattr__(self, "ts", ts)
@@ -58,7 +58,7 @@ class Trajectory:
 
     @property
     def n(self) -> int:
-        return self.states.shape[-1]
+        return self.states.shape[1]
 
 
 @dataclass(frozen=True)
@@ -88,17 +88,19 @@ class AutonomousSystem:
 
 def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float,
              guard: float = 1e12):
-    """RK4 from t0 to t1 in steps of h (h < 0 runs backward) of one state
-    (n,) or a batch (batch, n); returns ts and one x0-shaped state per t."""
+    """RK4 of one state x0 (n,) from t0 to t1 in steps of h (h < 0 runs
+    backward; t0 == t1 takes no step); returns ts and the (len(ts), n) states."""
     tape = compile_system(sys.components, sys.names, sys.time_var)
     x0c = np.asarray(x0, dtype=np.complex128)
-    if x0c.ndim not in (1, 2) or x0c.shape[-1] != sys.n:
+    if x0c.shape != (sys.n,):
         raise ValueError(f"x0 must have {sys.n} components")
+    if not np.all(np.isfinite(x0c)):
+        raise ValueError(f"x0 must be finite, got {[float(v.real) for v in x0c]}")
     for name, v in (("start time", t0), ("end time", t1), ("step", h)):
         if not math.isfinite(v):
             raise ValueError(f"RK4 {name} must be finite, got {v!r}")
     span = t1 - t0
-    nsteps = max(1, int(math.ceil(span / h - 1e-9)))
+    nsteps = 0 if span == 0 else max(1, int(math.ceil(span / h - 1e-9)))
     hlast = span - (nsteps - 1) * h
     ts, ys, status, reached = _backend.rk4(
         tape.ops, tape.consts, tape.outs, x0c, float(guard),
@@ -111,17 +113,14 @@ def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float,
 
 def integrate_rk4(sys: AutonomousSystem, x0, t_span, h: float,
                   guard: float = 1e12) -> Trajectory:
-    """Classical fixed-step RK4; the final step is shortened to land on t_end.
-    A batch of starts x0 (batch, n) is stepped at once; every row is checked."""
+    """Classical fixed-step RK4; the final step is shortened to land on t_end."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be nondegenerate and increasing")
     if h <= 0:
         raise ValueError("step must be positive")
     ts, ys = _run_rk4(sys, x0, t0, t1, h, guard)
-    imag = np.max(np.abs(ys.imag), axis=(0, -1))
-    scale = np.max(np.abs(ys.real), axis=(0, -1)) + 1.0
-    if np.any(imag > 1e-9 * scale):
+    if np.max(np.abs(ys.imag)) > 1e-9 * (np.max(np.abs(ys.real)) + 1.0):
         raise IntegrationError("trajectory acquired a non-negligible imaginary part",
                                float(ts[-1]))
     return Trajectory(ts, ys.real.copy(), method="rk4", step=h)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from integrikit import charpde
 from integrikit.charpde import (
     CharacteristicFanError, InitialCurve, NotPotentialError, QuasilinearPDE,
     TransversalityError, characteristic_trace, homogeneous_solution_check,
     normal_surface_check, pde_residual, solve_cauchy,
 )
 from integrikit.expr import eval_many, parse
+from integrikit.odesys import integrate_rk4
 from integrikit.realfield import Region, VectorField
 
 SQUARE = Region(("x", "y"), ((-2, 2), (-2, 2)))
@@ -108,6 +110,38 @@ class TestSolveCauchy:
         ic = InitialCurve("s", "s", "0", "s^2", 0.5, 2.0)
         with pytest.raises(CharacteristicFanError):
             solve_cauchy(pde, ic, [(3.5, 0.0)])  # radius beyond the data range
+
+
+class TestCharacteristicFan:
+    """The fan traces each of its rows once forward and once backward;
+    Newton traces s, s + ds and s - ds once per iteration."""
+    PDE = QuasilinearPDE("1", "1", "1")
+    IC = InitialCurve("s", "s", "0", "sin(s)", -3.0, 3.0)
+    QUERIES = [(1.0, 0.3), (-0.4, -1.2)]     # reached forward and backward in t
+
+    @pytest.fixture
+    def traces(self, monkeypatch):
+        """Every trajectory solve_cauchy gets from integrate_rk4, in order."""
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(integrate_rk4(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(charpde, "integrate_rk4", recording)
+        return made
+
+    @pytest.mark.parametrize("fan_rows", [5, 21])
+    def test_trace_count(self, traces, fan_rows):
+        sol = solve_cauchy(self.PDE, self.IC, self.QUERIES, fan_rows=fan_rows)
+        assert len(traces) == 2 * fan_rows + 3 * sum(sol.iterations)
+
+    @pytest.mark.parametrize("query", QUERIES, ids=["forward", "backward"])
+    def test_newton_starts_at_the_nearest_fan_point(self, traces, query):
+        solve_cauchy(self.PDE, self.IC, [query], fan_rows=9)
+        fan = np.concatenate([traj.states for traj in traces[:18]])
+        nearest = fan[np.argmin(np.linalg.norm(fan[:, :2] - query, axis=1))]
+        assert np.max(np.abs(traces[18].endpoint - nearest)) <= 1e-12
 
 
 class TestPDEResidual:

@@ -307,6 +307,53 @@ class TestNonFiniteSpan:
         assert value in rep["diagnostics"]["error"]
 
 
+class TestZeroLengthSpan:
+    """A zero-length pde-char span takes no step but checks its inputs."""
+    PDE = ["pde-char", "--P", "1", "--Q", "1", "--R", "0"]
+
+    @pytest.mark.parametrize("start,span,h,message", [
+        ("1,2", "0,0", "0.01", "x0 must have 3 components"),
+        ("1,2,3,4", "0.5,0.5", "0.01", "x0 must have 3 components"),
+        ("1,2,3", "inf,inf", "0.01", "start time must be finite, got inf"),
+        ("1,2,nan", "0,0", "0.01", "x0 must be finite, got [1.0, 2.0, nan]"),
+        ("1,2,nan", "0,1", "0.01", "x0 must be finite, got [1.0, 2.0, nan]"),
+        ("1,2,3", "0,0", "0", "step must be positive"),
+    ], ids=["short-start", "long-start", "infinite-time", "nan-start", "nan-start-nonzero",
+            "zero-step"])
+    def test_bad_input_is_a_usage_error(self, start, span, h, message, capsys):
+        code, rep = run_json([*self.PDE, "--start", start, "--t-span", span, "--h", h],
+                             capsys)
+        assert code == 2 and rep["status"] == "error"
+        assert message in rep["diagnostics"]["error"]
+
+    def test_good_input_returns_the_start(self, capsys):
+        code, rep = run_json([*self.PDE, "--start", "1,2,3", "--t-span", "0.5,0.5"], capsys)
+        assert code == 0 and rep["values"]["endpoint"] == [1, 2, 3]
+
+
+class TestCharacteristicErrors:
+    def test_initial_curve_failing_at_a_sample_names_the_subtree(self, capsys):
+        code, rep = run_json(["pde-solve", "--P", "1", "--Q", "1", "--R", "0",
+                              "--ic", "s;0;ln(s);0;1", "--query", "0.5,0.5"], capsys)
+        assert code == 3
+        assert "ln of zero" in rep["diagnostics"]["error"]
+        assert "'ln(s)'" in rep["diagnostics"]["error"]
+
+    @pytest.mark.parametrize("t_max", ["0", "-1"])
+    def test_non_positive_fan_time_is_a_usage_error(self, t_max, capsys):
+        code, rep = run_json(["pde-solve", "--P", "1", "--Q", "1", "--R", "0",
+                              "--ic", "s;0;s;0;1", "--query", "0.5,0.5", "--t-max", t_max],
+                             capsys)
+        assert code == 2
+        assert f"t_max must be positive, got {float(t_max)!r}" in rep["diagnostics"]["error"]
+
+    def test_conjugate_on_a_two_point_grid_is_a_usage_error(self, capsys):
+        code, rep = run_json(["conjugate", "--v", "x*y", "--base", "0,0",
+                              "--region", "-1,1,-1,1", "--grid", "2"], capsys)
+        assert code == 2
+        assert rep["diagnostics"]["error"] == "grid too coarse: need at least 3 points per axis"
+
+
 class TestTaskFile:
     def test_task_run(self, tmp_path, capsys):
         task = tmp_path / "job.task"
