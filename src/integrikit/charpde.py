@@ -5,6 +5,7 @@ normal-surface (potential) check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,6 +79,9 @@ class InitialCurve:
             extra = getattr(self, attr).variables() - {self.param}
             if extra:
                 raise ValueError(f"{attr} references {sorted(extra)}")
+        for name in ("s_start", "s_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.s_start < self.s_end:
             raise ValueError("s interval is empty")
 
@@ -170,6 +174,7 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
     zs, params, iters, residuals = [], [], [], []
     for q in queries:
         q = np.asarray(q, dtype=float)
+        shown = tuple(q.tolist())
         s, t = (float(v) for v in fan_st[np.argmin(np.linalg.norm(fan_xy - q, axis=1))])
         res = float("inf")
         for used in range(1, max_iter + 1):
@@ -189,16 +194,16 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
                 step = np.linalg.solve(J, -g)
             except np.linalg.LinAlgError:
                 raise CharacteristicFanError(
-                    f"singular characteristic Jacobian at query {tuple(q)}") from None
+                    f"singular characteristic Jacobian at query {shown}") from None
             s += float(step[0])
             t += float(step[1])
             if not (s_lo <= s <= s_hi) or abs(t) > 1.5 * t_max:
                 raise CharacteristicFanError(
-                    f"query {tuple(q)} left the characteristic fan "
+                    f"query {shown} left the characteristic fan "
                     f"(wandered to s={s!r}, t={t!r})")
         else:
             raise CharacteristicFanError(
-                f"Newton did not converge for query {tuple(q)} "
+                f"Newton did not converge for query {shown} "
                 f"(residual {res:.3e}); point may be outside the fan")
         zs.append(float(endpoint[2]))
         params.append((s, t))

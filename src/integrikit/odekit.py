@@ -14,7 +14,7 @@ import numpy as np
 
 from .expr import (Const, Expr, as_expr, as_real, diff, eval_many, evaluate)
 from .odesys import Trajectory
-from .realfield import (CheckReport, Region, VectorField, integrate_expr,
+from .realfield import (CheckReport, Region, VectorField, integrate_rows,
                         potential_reconstruct, residual_sweep)
 
 __all__ = [
@@ -289,10 +289,18 @@ def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
 
     Valid on one monotone branch only: v0 must be nonzero and E - U(x)
     must stay positive over the swept interval (a turning point is an
-    error naming the abscissa).
+    error naming the abscissa).  The target must be finite.
+
+    U(x) = -(integral of F from x_ref to x).  A polynomial F gets an exact
+    antiderivative; any other F is integrated by 64-panel Gauss-Legendre
+    quadrature for all abscissas of a call at once, each value required
+    to be real.
     """
     if (x_target is None) == (t_target is None):
         raise ValueError("give exactly one of x_target, t_target")
+    for name, target in (("x_target", x_target), ("t_target", t_target)):
+        if target is not None and not math.isfinite(target):
+            raise ValueError(f"{name} must be finite, got {target!r}")
     if problem.v0 == 0:
         raise ValueError("v0 must be nonzero (monotone branch required)")
     m, x0, v0, t0 = problem.m, problem.x0, problem.v0, problem.t0
@@ -308,13 +316,12 @@ def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
         f_expr = problem.F
 
         def U_vec(xs: np.ndarray) -> np.ndarray:
-            out = np.empty(len(xs))
-            for i, xv in enumerate(np.asarray(xs, dtype=float)):
-                lo, hi, sign = ((problem.x_ref, xv, -1.0) if xv >= problem.x_ref
-                                else (xv, problem.x_ref, 1.0))
-                val = integrate_expr(f_expr, "x", lo, hi, 64)
-                out[i] = sign * as_real(val, 1e-12, "potential quadrature")
-            return out
+            xs = np.asarray(xs, dtype=float)
+            up = xs >= problem.x_ref
+            vals = integrate_rows(f_expr, "x", np.where(up, problem.x_ref, xs),
+                                  np.where(up, xs, problem.x_ref), 64)
+            return np.where(up, -1.0, 1.0) * np.array(
+                [as_real(complex(v), 1e-12, "potential quadrature") for v in vals])
 
     def U(x: float) -> float:
         return float(U_vec(np.array([x]))[0])

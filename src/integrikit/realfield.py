@@ -10,12 +10,14 @@ Region and CheckReport.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _backend
 from .expr import Expr, as_expr, as_real, diff, eval_many
 
 __all__ = [
@@ -87,7 +89,10 @@ class Region:
         object.__setattr__(self, "excluded", tuple(tuple(float(x) for x in p) for p in self.excluded))
         if len(self.names) != len(self.bounds):
             raise ValueError("one bound pair per variable required")
-        for lo, hi in self.bounds:
+        for name, (lo, hi) in zip(self.names, self.bounds):
+            for side, value in (("lower", lo), ("upper", hi)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{side} bound of {name} must be finite, got {value!r}")
             if not lo < hi:
                 raise ValueError(f"empty box: [{lo}, {hi}]")
         for p in self.excluded:
@@ -161,6 +166,9 @@ class ParametricCurve:
         object.__setattr__(self, "components", tuple(as_expr(c) for c in self.components))
         object.__setattr__(self, "t_start", float(self.t_start))
         object.__setattr__(self, "t_end", float(self.t_end))
+        for name in ("t_start", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.t_start < self.t_end:
             raise ValueError("t_start must be < t_end")
         for c in self.components:
@@ -215,22 +223,53 @@ def _gl5():
     return np.polynomial.legendre.leggauss(5)
 
 
-def gauss_nodes(t0: float, t1: float, panels: int):
-    """Composite 5-point Gauss-Legendre nodes and weights on [t0, t1]."""
+def gauss_nodes(t0, t1, panels: int):
+    """Composite 5-point Gauss-Legendre nodes and weights on [t0, t1].
+
+    Arrays t0, t1 give one row per interval, bit-identical to the scalar
+    case: edges are ``arange(panels + 1) * step + t0`` with the last edge
+    t1, as np.linspace builds one interval (on arrays it switches every row
+    to another formula when any row has zero width).
+    """
+    if panels < 1:
+        raise ValueError(f"panels must be at least 1, got {panels!r}")
     x, w = _gl5()
-    edges = np.linspace(t0, t1, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    edges = np.arange(panels + 1) * ((t1 - t0)[..., None] / panels) + t0[..., None]
+    edges[..., -1] = t1
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    nodes = (mid[..., None] + half[..., None] * x).reshape(*t0.shape, 5 * panels)
+    weights = (half[..., None] * w).reshape(*t0.shape, 5 * panels)
     return nodes, weights
+
+
+def integrate_rows(e: Expr, param: str, t0, t1, panels: int, columns=None) -> np.ndarray:
+    """Composite Gauss-Legendre integrals of e(param) over [t0[i], t1[i]].
+
+    `columns` binds each other variable of e to one value per interval.
+    One eval_many takes at most ``_backend.BLOCK`` points (at least one
+    interval), so memory stays bounded however many intervals there are.
+    """
+    columns = columns or {}
+    names = (param, *columns)
+    nodes, weights = gauss_nodes(np.ravel(t0), np.ravel(t1), panels)
+    out = np.empty(len(nodes), dtype=complex)
+    step = max(1, _backend.BLOCK // nodes.shape[1])
+    for lo in range(0, len(nodes), step):
+        rows = slice(lo, lo + step)
+        pts = np.empty(nodes[rows].shape + (len(names),), dtype=complex)
+        pts[..., 0] = nodes[rows]
+        for j, col in enumerate(columns.values(), 1):
+            pts[..., j] = np.ravel(col)[rows, None]
+        vals = eval_many(e, names, pts.reshape(-1, len(names)))
+        out[rows] = np.add.reduce(weights[rows] * vals.reshape(nodes[rows].shape), axis=1)
+    return out
 
 
 def integrate_expr(e: Expr, param: str, t0: float, t1: float, panels: int) -> complex:
     """One-shot composite Gauss-Legendre integral of e(param) over [t0, t1]."""
-    nodes, weights = gauss_nodes(t0, t1, panels)
-    vals = eval_many(e, (param,), nodes.reshape(-1, 1))
-    return complex(np.sum(weights * vals))
+    return complex(integrate_rows(e, param, t0, t1, panels)[0])
 
 
 def residual_sweep(exprs: Sequence[Expr], names, pts: np.ndarray):
@@ -369,18 +408,26 @@ def potential_reconstruct(F: VectorField, base, target, panels: int = 64,
     return total
 
 
-def _signed_integral(e: Expr, param: str, a: float, b: float, panels: int) -> float:
-    if a == b:
-        return 0.0
-    lo, hi, sign = (a, b, 1.0) if a < b else (b, a, -1.0)
-    return sign * as_real(integrate_expr(e, param, lo, hi, panels), 1e-12, "potential leg")
+def _legs(e: Expr, param: str, start: float, ends: np.ndarray, panels: int,
+          columns=None) -> np.ndarray:
+    """Real integrals of e(param) from `start` to each of `ends` (0 where an
+    end is `start`), with other variables bound per leg by `columns`."""
+    moving = ends != start
+    vals = integrate_rows(e, param, np.minimum(start, ends[moving]),
+                          np.maximum(start, ends[moving]), panels,
+                          {k: v[moving] for k, v in (columns or {}).items()})
+    out = np.zeros(len(ends))
+    out[moving] = np.where(ends[moving] > start, 1.0, -1.0) * np.array(
+        [as_real(complex(v), 1e-12, "potential leg") for v in vals])
+    return out
 
 
 def potential_grid(F: VectorField, axes, base, panels: int = 8) -> np.ndarray:
     """Reconstructed potential values u on a 2-D grid, with u(base) = 0.
 
-    Each node gets the axis-parallel polyline reconstruction (x-leg at the
-    base ordinate, then the y-leg at the node abscissa).
+    u at each node is the axis-parallel polyline reconstruction: the x-leg
+    at the base ordinate, then the y-leg at the node abscissa.  All x-legs
+    are integrated together, and so are all y-legs, binding x per leg.
     """
     if F.n != 2:
         raise ValueError("potential_grid supports 2-D fields")
@@ -388,14 +435,10 @@ def potential_grid(F: VectorField, axes, base, panels: int = 8) -> np.ndarray:
     bx, by = (float(base[0]), float(base[1]))
     x, y = F.names
     p_expr, q_expr = F.components
-    p_line = p_expr.subs({y: by})
-    u = np.empty((len(x_axis), len(y_axis)))
-    for i, xv in enumerate(x_axis):
-        leg1 = _signed_integral(p_line, x, bx, float(xv), panels)
-        q_line = q_expr.subs({x: float(xv)})
-        for j in range(len(y_axis)):
-            u[i, j] = leg1 + _signed_integral(q_line, y, by, float(y_axis[j]), panels)
-    return u
+    xs, ys = np.meshgrid(x_axis, y_axis, indexing="ij")
+    x_legs = _legs(p_expr.subs({y: by}), x, bx, x_axis, panels)
+    y_legs = _legs(q_expr, y, by, ys.ravel(), panels, {x: xs.ravel()})
+    return x_legs[:, None] + y_legs.reshape(xs.shape)
 
 
 def gradient_check(F: VectorField, axes, u_grid: np.ndarray, tol: float) -> CheckReport:

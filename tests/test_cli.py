@@ -307,6 +307,33 @@ class TestNonFiniteSpan:
         assert value in rep["diagnostics"]["error"]
 
 
+class TestBadQuadratureInput:
+    """A non-finite region bound, curve interval or energy target, or a
+    panel count below 1, is a usage error that names it."""
+
+    @pytest.mark.parametrize("argv,value", [
+        (["exact-check", "--P", "y", "--Q", "x", "--region", "0,1,0,inf"],
+         "upper bound of y must be finite, got inf"),
+        (["conjugate", "--v", "y", "--base", "0,0", "--region", "0,1,0,inf", "--grid", "5"],
+         "upper bound of y must be finite, got inf"),
+        (["line-integral", "--P", "y", "--Q", "x", "--curve", "t;t", "--interval", "0,inf"],
+         "t_end must be finite, got inf"),
+        (["energy", "--F", "-sin(x)", "--m", "1", "--x0", "0", "--v0", "1",
+          "--x-target", "inf"], "x_target must be finite, got inf"),
+        (["pde-solve", "--P", "1", "--Q", "1", "--R", "0", "--ic", "s;0;s;0;inf",
+          "--query", "0.5,0.5"], "s_end must be finite, got inf"),
+        (["line-integral", "--P", "y", "--Q", "x", "--curve", "t;t", "--interval", "0,1",
+          "--panels", "0"], "panels must be at least 1, got 0"),
+        (["potential", "--P", "y", "--Q", "x", "--base", "0,0", "--target", "1,1",
+          "--panels", "-1"], "panels must be at least 1, got -1"),
+    ], ids=["exact-check", "conjugate", "line-integral", "energy", "pde-solve",
+            "zero-panels", "negative-panels"])
+    def test_is_a_usage_error(self, argv, value, capsys):
+        code, rep = run_json(argv, capsys)
+        assert code == 2 and rep["status"] == "error"
+        assert rep["diagnostics"]["error"] == value
+
+
 class TestZeroLengthSpan:
     """A zero-length pde-char span takes no step but checks its inputs."""
     PDE = ["pde-char", "--P", "1", "--Q", "1", "--R", "0"]
@@ -346,6 +373,24 @@ class TestCharacteristicErrors:
                              capsys)
         assert code == 2
         assert f"t_max must be positive, got {float(t_max)!r}" in rep["diagnostics"]["error"]
+
+    def test_query_outside_the_fan_is_named_in_plain_floats(self, capsys):
+        code, rep = run_json(["pde-solve", "--P", "1", "--Q", "1", "--R", "0",
+                              "--ic", "s;0;s;0;1", "--query", "5,0.5", "--t-max", "1"],
+                             capsys)
+        assert code == 3
+        assert rep["diagnostics"]["error"].startswith(
+            "query (5.0, 0.5) left the characteristic fan (wandered to s=")
+
+    def test_pole_on_a_potential_leg_is_a_numeric_error(self, capsys):
+        # v is harmonic away from (0, 0.03125), which is no grid point but
+        # is a quadrature node of the y-leg from y = 0 to y = 1 at x = 0
+        code, rep = run_json(["conjugate", "--v", "x/(x^2+(y-0.03125)^2)", "--base", "0,0",
+                              "--region", "0,1,0,1", "--grid", "5", "--laplace-tol", "1"],
+                             capsys)
+        assert code == 3
+        assert rep["diagnostics"]["error"].startswith(
+            "division by zero at (y=0.03125, x=0.0) while evaluating")
 
     def test_conjugate_on_a_two_point_grid_is_a_usage_error(self, capsys):
         code, rep = run_json(["conjugate", "--v", "x*y", "--base", "0,0",

@@ -5,7 +5,10 @@ from integrikit.odekit import (
     EnergyProblem, ExactODE, NonExactError, TurningPointError, energy_solve,
     exact_check, exact_solve, integrating_factor_apply, reduction_residual,
 )
+from integrikit.expr import parse
 from integrikit.realfield import Region
+
+from conftest import linspace_gl5_integral
 
 SQUARE = Region(("x", "y"), ((-3, 3), (-3, 3)))
 
@@ -168,6 +171,28 @@ class TestEnergySolve:
         traj = integrate_rk4(AutonomousSystem(("x", "v"), ("v", "-sin(x)")),
                              (0.0, 1.5), (0.0, 0.5), 1e-4)
         assert abs(sol.position_at(0.5) - traj.endpoint[0]) <= 1e-6
+
+    def test_non_polynomial_potential_matches_per_abscissa_quadrature(self):
+        force, m, x_ref = "-sin(x) + 0.3*cos(2*x)", 1.5, 0.4
+        sol = energy_solve(EnergyProblem(force, m, 0.2, 3.0, x_ref=x_ref), x_target=1.0)
+
+        def U_ref(xv):
+            lo, hi, sign = (x_ref, xv, -1.0) if xv >= x_ref else (xv, x_ref, 1.0)
+            return sign * linspace_gl5_integral(parse(force), "x", lo, hi, 64).real
+
+        # x_ref itself is a zero-width leg; 60 legs of 320 nodes span three blocks
+        xs = np.concatenate([np.linspace(-1.5, 2.0, 59), [x_ref]])
+        U = np.array([U_ref(float(xv)) for xv in xs])
+        assert np.array([sol.U(float(xv)) for xv in xs]).tobytes() == U.tobytes()
+        assert sol.E == 0.5 * m * 3.0 ** 2 + U_ref(0.2)
+        assert sol._v(xs).tobytes() == np.sqrt((2.0 / m) * (sol.E - U)).tobytes()
+
+    def test_non_finite_target_rejected(self):
+        problem = EnergyProblem("-sin(x)", 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="x_target must be finite, got inf"):
+            energy_solve(problem, x_target=float("inf"))
+        with pytest.raises(ValueError, match="t_target must be finite, got nan"):
+            energy_solve(problem, t_target=float("nan"))
 
     def test_mass_validation(self):
         with pytest.raises(ValueError):

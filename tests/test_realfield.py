@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from integrikit.expr import parse
+from integrikit import _backend, cli, cplx, expr, realfield
+from integrikit.expr import EvalDomainError, parse
 from integrikit.realfield import (
     EndpointMismatchError, ExcludedPointError, NonConservativeError,
-    ParametricCurve, Region, VectorField, exactness_check, gradient_check,
-    line_integral, path_independence_probe, potential_grid,
+    ParametricCurve, Region, VectorField, exactness_check, gauss_nodes,
+    gradient_check, line_integral, path_independence_probe, potential_grid,
     potential_reconstruct, work_energy,
 )
+
+from conftest import bounded_smooth_exprs, linspace_gl5_integral
 
 SQUARE = Region(("x", "y"), ((-2, 2), (-2, 2)))
 
@@ -46,6 +49,18 @@ class TestTypes:
         pts = reg.grid_points(3)
         assert len(pts) == 8
         assert not any(np.allclose(p, (0, 0)) for p in pts)
+
+    @pytest.mark.parametrize("bounds,message", [
+        (((0, 1), (float("-inf"), 1)), "lower bound of y must be finite, got -inf"),
+        (((0, float("nan")), (0, 1)), "upper bound of x must be finite, got nan"),
+    ])
+    def test_region_bounds_must_be_finite(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            Region(("x", "y"), bounds)
+
+    def test_curve_interval_must_be_finite(self):
+        with pytest.raises(ValueError, match="t_start must be finite, got -inf"):
+            ParametricCurve("t", (parse("t"),), float("-inf"), 0.0)
 
     def test_closed_curve_endpoint_check(self):
         with pytest.raises(ValueError):
@@ -209,6 +224,82 @@ class TestPotential:
             for _ in range(10):
                 loop = fourier_loop(rng)
                 assert abs(line_integral(F, loop, panels=96)) <= 1e-9
+
+
+class TestBatchedQuadrature:
+    """Quadrature over many intervals at once agrees bit for bit with the
+    one-interval computation it replaces."""
+    INTERVALS = [(0.25, 0.25), (0.0, 0.0), (2.0, -1.0), (-3.5, -1.25), (0.1, 0.7),
+                 (2.9, -1.3), (-1e3, 2e4 / 3), (1e-300, 3e-300), (-0.0, 1.0)]
+
+    @pytest.mark.parametrize("panels", [1, 7, 64])
+    def test_node_rows_match_the_one_interval_nodes(self, panels):
+        x, w = np.polynomial.legendre.leggauss(5)
+        t0, t1 = zip(*self.INTERVALS)
+        nodes, weights = gauss_nodes(t0, t1, panels)
+        for row, (a, b) in enumerate(self.INTERVALS):
+            one_nodes, one_weights = gauss_nodes(a, b, panels)
+            assert nodes[row].tobytes() == one_nodes.tobytes()
+            assert weights[row].tobytes() == one_weights.tobytes()
+            edges = np.linspace(a, b, panels + 1)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            half = 0.5 * (edges[1:] - edges[:-1])
+            assert nodes[row].tobytes() == (mid[:, None] + half[:, None] * x).ravel().tobytes()
+            assert weights[row].tobytes() == (half[:, None] * w).ravel().tobytes()
+
+    @staticmethod
+    def leg_by_leg_grid(F, axes, base, panels):
+        """potential_grid one leg at a time: each x-leg on P(x, y_base) and
+        each y-leg on Q with the node abscissa substituted for x."""
+        def signed(e, param, a, b):
+            if a == b:
+                return 0.0
+            lo, hi, sign = (a, b, 1.0) if a < b else (b, a, -1.0)
+            return sign * linspace_gl5_integral(e, param, lo, hi, panels).real
+
+        (bx, by), (p, q) = base, F.components
+        u = np.empty((len(axes[0]), len(axes[1])))
+        for i, xv in enumerate(axes[0]):
+            leg = signed(p.subs({"y": by}), "x", bx, float(xv))
+            q_line = q.subs({"x": float(xv)})
+            for j, yv in enumerate(axes[1]):
+                u[i, j] = leg + signed(q_line, "y", by, float(yv))
+        return u
+
+    @pytest.mark.parametrize("on_node", [True, False], ids=["base-on-node", "base-off-node"])
+    def test_potential_grid_matches_leg_by_leg(self, on_node):
+        exprs = bounded_smooth_exprs(seed=5, count=6, names=("x", "y"))
+        axes = (np.linspace(-1.0, 1.0, 15), np.linspace(-1.2, 0.8, 11))
+        base = (axes[0][4], axes[1][7]) if on_node else (0.1234, -0.377)
+        for p, q in zip(exprs[::2], exprs[1::2]):
+            F = VectorField(("x", "y"), (p, q))
+            # 165 y-legs of 80 nodes span two blocks of eval_many
+            u = potential_grid(F, axes, base, panels=16)
+            assert u.tobytes() == self.leg_by_leg_grid(F, axes, base, 16).tobytes()
+
+    def test_conjugate_request_makes_few_eval_many_calls(self, monkeypatch, capsys):
+        calls = []
+        original = expr.eval_many
+
+        def counted(e, names, points):
+            calls.append(len(points))
+            return original(e, names, points)
+
+        for module in (expr, realfield, cplx):
+            monkeypatch.setattr(module, "eval_many", counted)
+        code = cli.main(["conjugate", "--v", "x^2 - y^2 + x*y", "--base", "0,0",
+                         "--region", "-1,1,-1,1", "--grid", "41"])
+        capsys.readouterr()
+        assert code == 0
+        # 1,681 y-legs of 80 nodes, in blocks that bound the memory of one call
+        assert 0 < len(calls) <= 30, len(calls)
+        assert max(calls) <= _backend.BLOCK
+
+    def test_pole_on_a_leg_names_the_point_and_subtree(self):
+        F = VectorField.of(("x", "y"), "1", "1/x")
+        axes = (np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+        with pytest.raises(EvalDomainError, match=r"x=0\.0\) while evaluating '1/x'"):
+            potential_grid(F, axes, base=(0.5, 0.0))
 
 
 class TestGradientCheck:
