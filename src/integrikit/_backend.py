@@ -7,18 +7,17 @@ on complex scalars with :data:`SCALAR_OPS` and on complex128 arrays with
 :data:`ARRAY_OPS`; :func:`eval_points` runs it on :data:`BLOCK` points at
 a time, so that live temporaries stay small.  :func:`rk4` is the only
 RK4 loop: it steps one state on complex scalars with a straight-line step
-generated from the tape (:func:`_step_fn`).
+generated from the tape (:func:`_step_fn`) that also applies the guard.
 
 Domain failures never raise: division by 0, ln 0 and 0 raised to a
 negative or complex power give NaN, as do cmath overflow and domain
 errors in :func:`_run`.  Callers turn NaN into precise errors; :func:`rk4`
-fails a step that raises like one that leaves the domain.
+fails a step that raises like one that leaves the domain or the guard.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 import operator
 from functools import lru_cache
 
@@ -107,15 +106,15 @@ def rk4(ops, consts, outs, x0, guard, t0, h, hlast, t_end, nsteps):
     `outs`, over variables (state..., time).  Takes `nsteps` steps of `h`
     from `t0`, the last of length `hlast` ending at `t_end`.
 
-    `x0` is one state (n,).  Returns ``(ts, ys, status, reached)``: status 1
-    means step `reached` + 1 raised, or left a non-finite state or one
-    beyond `guard`.
+    `x0` is one state (n,); h < 0 steps backward.  Returns ``(ts, ys,
+    status, reached)``: status 1 means step `reached` + 1 raised or left
+    `guard` (see :func:`_step_fn`).
     """
     ts = np.empty(nsteps + 1, dtype=np.float64)
     ys = np.empty((nsteps + 1, len(x0)), dtype=np.complex128)
     ts[0] = t0
     ys[0] = x0
-    step = _step_fn(ops, consts, outs, len(x0))
+    step = _step_fn(ops, consts, outs, len(x0), guard)
     y = tuple(complex(v) for v in x0)
     for s in range(nsteps):
         hs = h if s < nsteps - 1 else hlast
@@ -124,7 +123,7 @@ def rk4(ops, consts, outs, x0, guard, t0, h, hlast, t_end, nsteps):
             y = step(*y, complex(t), complex(t + 0.5 * hs), complex(t + hs), hs)
         except (OverflowError, ValueError, ZeroDivisionError):
             y = None
-        if y is None or not _within(y, guard):
+        if y is None:
             return ts, ys, 1, s
         ts[s + 1] = t_end if s == nsteps - 1 else t0 + (s + 1) * h
         ys[s + 1] = y
@@ -138,19 +137,21 @@ def _tuple(items) -> str:
 
 
 @lru_cache(maxsize=32)
-def _step_fn(ops, consts, outs, n):
+def _step_fn(ops, consts, outs, n, guard):
     """One RK4 step ``step(y0, ..., t, t_half, t_end, hs)`` of the system
     tape as straight-line source on complex scalars: slot j is ``v<j>``, one
-    assignment per op.  A factory binds the table functions and the constants
-    (as Python complex) as values, so no user text reaches the source and no
-    cycle forms.
+    assignment per op.  It returns the new state, or None unless every
+    component has ``abs(re) + abs(im) <= guard``, which with a finite guard
+    also rejects NaN and infinities.  A factory binds the table functions,
+    the constants (as Python complex) and `guard` as values, so no user text
+    reaches the source and no cycle forms.
     """
     nvars = n + 1
     fns = sorted({op for op, _, _, _ in ops} - {"neg", "+", "-", "*"})
     funcs = [SCALAR_OPS[op] for op in fns]   # catalog ops only
     fname = {op: "f_" + {"/": "div", "^": "pow"}.get(op, op) for op in fns}
     const_names = [f"v{nvars + k}" for k in range(len(consts))]
-    lines = [f"def _factory{_tuple([fname[op] for op in fns] + const_names)}:",
+    lines = [f"def _factory{_tuple([fname[op] for op in fns] + const_names + ['guard'])}:",
              f"    def rhs{_tuple(f'v{j}' for j in range(nvars))}:"]
     for i, (op, a, b, _) in enumerate(ops):
         if op == "neg":
@@ -170,15 +171,12 @@ def _step_fn(ops, consts, outs, n):
     for k, arg, t in stages:
         args = [arg.format(y=y, j=j) for j, y in enumerate(ys)] + [t]
         lines.append(f"        {_tuple(f'{k}_{j}' for j in range(n))} = rhs{_tuple(args)}")
-    new = [f"{y} + (hs / 6.0) * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
-           for j, y in enumerate(ys)]
-    lines += [f"        return {_tuple(new)}", "    return step"]
+    lines += [f"        n{j} = {y} + (hs / 6.0) * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
+              for j, y in enumerate(ys)]
+    bounded = " and ".join(f"abs(n{j}.real) + abs(n{j}.imag) <= guard" for j in range(n))
+    lines += [f"        return {_tuple(f'n{j}' for j in range(n))} if {bounded} else None",
+              "    return step"]
     scope: dict = {}
     exec(compile("\n".join(lines), "<rk4 step>", "exec"), scope)
     factory = scope.pop("_factory")
-    return factory(*funcs, *(complex(c) for c in consts))
-
-
-def _within(y, guard) -> bool:
-    return all(math.isfinite(v.real) and math.isfinite(v.imag)
-               and abs(v.real) + abs(v.imag) <= guard for v in y)
+    return factory(*funcs, *(complex(c) for c in consts), float(guard))

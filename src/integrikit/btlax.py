@@ -14,8 +14,7 @@ import numpy as np
 
 from .expr import (Const, EvalDomainError, Expr, Var, as_expr, as_real, call,
                    diff, eval_many, evaluate)
-from .odesys import (AutonomousSystem, SingularMatrixSampleError, _eval_matrix_grid,
-                     _run_rk4)
+from .odesys import AutonomousSystem, _check_conditioned, _eval_matrix_grid, _run_rk4
 from .realfield import CheckReport, Region, residual_sweep
 
 __all__ = [
@@ -239,7 +238,7 @@ def lax_commuting_flow(u, lam: float, psi0: float, x0: float, t0: float,
         pts = np.column_stack([stages, np.full_like(stages, fixed)])
         _check_leg_field(fields, pts if along == "x" else pts[:, ::-1])
         _, ys = _run_rk4(systems[along], state + (fixed,), s0, s1, h)
-        return tuple(float(v) for v in ys[-1, :2].real)
+        return tuple(float(v) for v in ys[-1, :2])
 
     dx, dt = float(delta[0]), float(delta[1])
     start = (float(psi0), float(psi_x0))
@@ -270,11 +269,7 @@ def chiral_residual(entries, region: Region, tol: float = 1e-9, grid=21) -> Chec
     gxt = [[diff(e, "t") for e in row] for row in gx]
     pts = region.grid_points(grid)
     G = _eval_matrix_grid(entries, ("x", "t"), pts)
-    conds = np.linalg.cond(G)
-    if np.max(conds) >= 1e8:
-        k = int(np.argmax(conds))
-        raise SingularMatrixSampleError(
-            f"g is near-singular at {tuple(np.round(pts[k].real, 6))}")
+    _check_conditioned(G, pts, "g")
     Gx = _eval_matrix_grid(gx, ("x", "t"), pts)
     Gt = _eval_matrix_grid(gt, ("x", "t"), pts)
     Gxt = _eval_matrix_grid(gxt, ("x", "t"), pts)

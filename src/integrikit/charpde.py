@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Expr, as_expr, as_real, diff, eval_many, evaluate
-from .odesys import AutonomousSystem, Trajectory, _run_rk4, integrate_rk4
+from .odesys import AutonomousSystem, Trajectory, _run_rk4
 from .realfield import CheckReport, Region, VectorField, exactness_check, residual_sweep
 
 __all__ = [
@@ -96,29 +96,24 @@ def _real_values(e: Expr, names, pts, context: str) -> np.ndarray:
     return np.array([as_real(v, 1e-12, context) for v in eval_many(e, names, pts)])
 
 
-def characteristic_trace(pde: QuasilinearPDE, start, t_span, h: float,
-                         guard: float = 1e12) -> Trajectory:
+def characteristic_trace(pde: QuasilinearPDE, start, t_span, h: float) -> Trajectory:
     """RK4 trace of dx/dt = P, dy/dt = Q, dz/dt = R from a start point.
 
-    Aborts with the last good t if the state norm exceeds the blow-up guard.
+    Raises IntegrationError with the last good t if the state blows up.
     A zero-length span takes no step but checks start, span and step alike.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if t0 != t1:
-        return integrate_rk4(pde.characteristic_system, start, (t0, t1), h, guard)
+    if not t1 >= t0:
+        raise ValueError("t_span must be nondegenerate and increasing")
     if h <= 0:
         raise ValueError("step must be positive")
-    ts, ys = _run_rk4(pde.characteristic_system, start, t0, t1, h, guard)
-    return Trajectory(ts, ys.real.copy(), method="rk4", step=h)
+    return Trajectory(*_run_rk4(pde.characteristic_system, start, t0, t1, h))
 
 
-def _trace(pde: QuasilinearPDE, start, t: float, h: float) -> Trajectory:
-    """The characteristic from `start` over times [0, |t|].  For t < 0 it
-    runs under (-P, -Q, -R), so its state k lies at time -ts[k]."""
-    if t >= 0:
-        return characteristic_trace(pde, start, (0.0, t), h)
-    backward = AutonomousSystem(("x", "y", "z"), tuple(-c for c in (pde.P, pde.Q, pde.R)))
-    return integrate_rk4(backward, start, (0.0, -t), h)
+def _trace(system: AutonomousSystem, start, t: float, h: float):
+    """``(ts, states)`` of the characteristic of `system` from `start` at
+    time 0 to time t, by steps of h, or of -h when t < 0."""
+    return _run_rk4(system, start, 0.0, t, h if t >= 0 else -h)
 
 
 @dataclass(frozen=True)
@@ -154,19 +149,23 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
     by one; the Jacobian combines that central difference in s with the
     exact flow velocity in t.  The initial guess is the nearest point of a
     coarse fan: the characteristics from `fan_rows` curve points, each
-    traced once forward and once backward over [0, t_max], with every RK4
-    state (s, +-t) a fan point.
+    traced once forward to t_max and once backward to -t_max, with every
+    RK4 state (s, t) a fan point.  Every trace runs the one characteristic
+    system, built once.
     """
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")
+    if not h > 0:
+        raise ValueError("step must be positive")
     _transversality_check(pde, ic)
+    system = pde.characteristic_system
     s_fan = np.linspace(ic.s_start, ic.s_end, fan_rows)
     fan_st, fan_xy = [], []
     for s, start in zip(s_fan, ic.points(s_fan)):
-        for sign in (1.0, -1.0):
-            traj = _trace(pde, start, sign * t_max, h)
-            fan_st += [(s, sign * t) for t in traj.ts]
-            fan_xy.append(traj.states[:, :2])
+        for t_end in (t_max, -t_max):
+            ts, states = _trace(system, start, t_end, h)
+            fan_st += [(s, t) for t in ts]
+            fan_xy.append(states[:, :2])
     fan_st, fan_xy = np.array(fan_st), np.concatenate(fan_xy)
     span = ic.s_end - ic.s_start
     s_lo, s_hi = ic.s_start - 0.5 * span, ic.s_end + 0.5 * span
@@ -179,7 +178,7 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
         res = float("inf")
         for used in range(1, max_iter + 1):
             ds = 1e-6 * (1 + abs(s))
-            endpoint, plus, minus = (_trace(pde, p, t, h).endpoint
+            endpoint, plus, minus = (_trace(system, p, t, h)[1][-1]
                                      for p in ic.points([s, s + ds, s - ds]))
             g = endpoint[:2] - q
             res = float(np.max(np.abs(g)))

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Const, Expr, EvalDomainError, as_expr, diff, eval_many
+from .expr import Const, Expr, as_expr, diff, eval_many
 from .realfield import (CheckReport, ParametricCurve, Region, gauss_nodes,
                         residual_sweep)
 
@@ -189,10 +189,6 @@ def _trapezoid_circle(f: ComplexFunction, contour: Contour, nodes: int) -> compl
     ts = 2 * math.pi * np.arange(nodes) / nodes
     zs = contour.center + contour.radius * np.exp(1j * sign * ts)
     vals = f.sample(zs)
-    if not np.all(np.isfinite(vals)):
-        k = int(np.argmax(~np.isfinite(vals)))
-        raise EvalDomainError(f.z_expr if f.is_z_form else f.u_expr,
-                              f"singular contour sample at t={ts[k]!r}")
     dz = 1j * sign * contour.radius * np.exp(1j * sign * ts)
     return complex(np.sum(vals * dz) * (2 * math.pi / nodes))
 
@@ -203,10 +199,6 @@ def _panel_contour(f: ComplexFunction, contour: Contour, nodes: int) -> complex:
     ts, weights = gauss_nodes(curve.t_start, curve.t_end, panels)
     zs = contour.points(ts)
     vals = f.sample(zs)
-    if not np.all(np.isfinite(vals)):
-        k = int(np.argmax(~np.isfinite(vals)))
-        raise EvalDomainError(f.z_expr if f.is_z_form else f.u_expr,
-                              f"singular contour sample at t={ts[k]!r}")
     dx = diff(curve.components[0], curve.param)
     dy = diff(curve.components[1], curve.param)
     dzs = (eval_many(dx, (curve.param,), ts.reshape(-1, 1))
@@ -265,9 +257,6 @@ def laurent_coeffs(f, z0: complex, rho: float, n_range, nodes: int = 256) -> dic
     ts = 2 * math.pi * np.arange(nodes) / nodes
     zs = z0 + rho * np.exp(1j * ts)
     vals = f.sample(zs)
-    if not np.all(np.isfinite(vals)):
-        k = int(np.argmax(~np.isfinite(vals)))
-        raise EvalDomainError(f.z_expr or f.u_expr, f"singular node on circle at t={ts[k]!r}")
     out = {}
     for n in range(n_min, n_max + 1):
         out[n] = complex(rho ** (-n) * np.mean(vals * np.exp(-1j * n * ts)))

@@ -12,8 +12,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import (Const, Expr, as_expr, as_real, diff, eval_many, evaluate)
-from .odesys import Trajectory
+from .expr import (Binary, Const, Expr, NonDifferentiableError, Unary, Var, as_expr,
+                   as_real, diff, eval_many, evaluate)
+from .odesys import Trajectory, _shown_point
 from .realfield import (CheckReport, Region, VectorField, integrate_rows,
                         potential_reconstruct, residual_sweep)
 
@@ -148,7 +149,7 @@ def integrating_factor_apply(ode: ExactODE, mu, region: Region, tol: float = 1e-
         raise ValueError("integrating factor is identically ~0 on the grid")
     near_zero = pts[vals < 1e-8 * (1 + scale)]
     if len(near_zero):
-        shown = ", ".join(str(tuple(np.round(p, 6))) for p in near_zero[:5])
+        shown = ", ".join(str(_shown_point(p)) for p in near_zero[:5])
         warnings.warn(f"integrating factor nearly vanishes at {len(near_zero)} "
                       f"grid points (e.g. {shown})", stacklevel=2)
     transformed = ExactODE(mu * ode.M, mu * ode.N)
@@ -218,14 +219,41 @@ class EnergyProblem:
             raise ValueError(f"force references {sorted(extra)}; only x allowed")
 
 
+def _is_polynomial(F: Expr) -> bool:
+    """Whether the tree of F is a polynomial in x: built from x-free
+    subtrees and x by negation, + - *, division by an x-free subtree and
+    powers with a non-negative integer real constant exponent."""
+    if "x" not in F.variables() or isinstance(F, Var):
+        return True
+    if isinstance(F, Unary):
+        return _is_polynomial(F.child)
+    if not isinstance(F, Binary):
+        return False
+    if F.op in ("+", "-", "*"):
+        return _is_polynomial(F.left) and _is_polynomial(F.right)
+    if F.op == "/":
+        return "x" not in F.right.variables() and _is_polynomial(F.left)
+    k = F.right.value if isinstance(F.right, Const) else None
+    return (k is not None and k.imag == 0 and k.real >= 0 and k.real.is_integer()
+            and _is_polynomial(F.left))
+
+
 def _polynomial_antiderivative(F: Expr, max_degree: int = 40) -> Optional[Expr]:
-    """-integral of F dx when F is polynomial in x (detected via diff), else None."""
+    """-integral of F dx when F is a polynomial in x of degree at most
+    `max_degree`, from its Taylor coefficients at 0, else None.  A
+    polynomial whose x-free subtrees have no derivative rule (``abs(2)*x``)
+    also gives None, so it takes the quadrature path."""
+    if not _is_polynomial(F):
+        return None
     derivs = [F]
-    for _ in range(max_degree + 1):
-        if derivs[-1] == Const(0.0):
-            break
-        derivs.append(diff(derivs[-1], "x"))
-    else:
+    try:
+        for _ in range(max_degree + 1):
+            if derivs[-1] == Const(0.0):
+                break
+            derivs.append(diff(derivs[-1], "x"))
+        else:
+            return None
+    except NonDifferentiableError:
         return None
     degree = len(derivs) - 2  # last entry is the zero constant
     x = as_expr("x")
@@ -379,7 +407,7 @@ def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
             t_end = t0 + dt_goal
 
     if x_end == x0:
-        traj = Trajectory(np.array([t0]), np.array([[x0]]), method="energy", step=float("nan"))
+        traj = Trajectory(np.array([t0]), np.array([[x0]]))
     else:
         xs = np.linspace(x0, x_end, samples)
         ts = np.empty(samples)
@@ -387,6 +415,6 @@ def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
         for k in range(1, samples):
             seg = s * _adaptive_quad(lambda q: 1.0 / v_of_x(q), xs[k - 1], xs[k], quad_tol)
             ts[k] = ts[k - 1] + seg
-        traj = Trajectory(ts, xs.reshape(-1, 1), method="energy", step=float("nan"))
+        traj = Trajectory(ts, xs.reshape(-1, 1))
     return EnergySolution(problem=problem, trajectory=traj, E=E, U=U,
                           x_end=x_end, t_end=t_end, _tau=tau, _v=v_of_x)

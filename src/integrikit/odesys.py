@@ -39,8 +39,6 @@ class Trajectory:
     """Time-stamped states, (len(ts), n), from RK4."""
     ts: np.ndarray
     states: np.ndarray
-    method: str = "rk4"
-    step: float = float("nan")
 
     def __post_init__(self):
         ts = np.asarray(self.ts, dtype=float)
@@ -86,10 +84,15 @@ class AutonomousSystem:
         return len(self.names)
 
 
-def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float,
-             guard: float = 1e12):
+#: Bound on |re| + |im| of every RK4 state component: a step past it blows up.
+GUARD = 1e12
+
+
+def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float):
     """RK4 of one state x0 (n,) from t0 to t1 in steps of h (h < 0 runs
-    backward; t0 == t1 takes no step); returns ts and the (len(ts), n) states."""
+    backward; t0 == t1 takes no step); returns ts and the real (len(ts), n)
+    states.  Raises IntegrationError on a blow-up past GUARD, a domain
+    failure or a non-negligible imaginary part."""
     tape = compile_system(sys.components, sys.names, sys.time_var)
     x0c = np.asarray(x0, dtype=np.complex128)
     if x0c.shape != (sys.n,):
@@ -103,27 +106,25 @@ def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float,
     nsteps = 0 if span == 0 else max(1, int(math.ceil(span / h - 1e-9)))
     hlast = span - (nsteps - 1) * h
     ts, ys, status, reached = _backend.rk4(
-        tape.ops, tape.consts, tape.outs, x0c, float(guard),
+        tape.ops, tape.consts, tape.outs, x0c, GUARD,
         float(t0), float(h), float(hlast), float(t1), nsteps)
     if status != 0:
         raise IntegrationError("state blew up or left the evaluation domain",
                                float(ts[reached]))
-    return ts, ys
+    if np.max(np.abs(ys.imag)) > 1e-9 * (np.max(np.abs(ys.real)) + 1.0):
+        raise IntegrationError("trajectory acquired a non-negligible imaginary part",
+                               float(ts[-1]))
+    return ts, ys.real.copy()
 
 
-def integrate_rk4(sys: AutonomousSystem, x0, t_span, h: float,
-                  guard: float = 1e12) -> Trajectory:
+def integrate_rk4(sys: AutonomousSystem, x0, t_span, h: float) -> Trajectory:
     """Classical fixed-step RK4; the final step is shortened to land on t_end."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be nondegenerate and increasing")
     if h <= 0:
         raise ValueError("step must be positive")
-    ts, ys = _run_rk4(sys, x0, t0, t1, h, guard)
-    if np.max(np.abs(ys.imag)) > 1e-9 * (np.max(np.abs(ys.real)) + 1.0):
-        raise IntegrationError("trajectory acquired a non-negligible imaginary part",
-                               float(ts[-1]))
-    return Trajectory(ts, ys.real.copy(), method="rk4", step=h)
+    return Trajectory(*_run_rk4(sys, x0, t0, t1, h))
 
 
 def drift_along(phi: Expr, sys: AutonomousSystem, traj: Trajectory):
@@ -517,7 +518,7 @@ def linear_solve(A, x0, t_eval) -> LinearSolveResult:
         vecs = tuple(coef[k + power] for power in range(p.multiplicity))
         modes.append(ModeFit(p.value, p.multiplicity, vecs))
         k += p.multiplicity
-    traj = Trajectory(t_eval, X, method="expm", step=float("nan"))
+    traj = Trajectory(t_eval, X)
     return LinearSolveResult(traj, tuple(modes), fit_residual)
 
 
@@ -536,6 +537,22 @@ def commutator_flow(A, u0, t: float) -> np.ndarray:
 
 class SingularMatrixSampleError(RuntimeError):
     pass
+
+
+def _shown_point(p) -> tuple:
+    """A sample point for a message: real parts rounded to 6 places, as
+    plain floats."""
+    return tuple(float(v) for v in np.round(np.real(p), 6))
+
+
+def _check_conditioned(mats, pts, what: str):
+    """Raise SingularMatrixSampleError naming the first point of `pts`
+    where the matrix `what` (one per point in `mats`) has condition number
+    1e8 or more."""
+    conds = np.linalg.cond(mats)
+    if np.max(conds) >= 1e8:
+        k = int(np.argmax(conds))
+        raise SingularMatrixSampleError(f"{what} is near-singular at {_shown_point(pts[k])}")
 
 
 def _eval_matrix_grid(entries, names, pts) -> np.ndarray:
@@ -573,11 +590,7 @@ def matrix_identity_check(entries, region: Region, tol: float = 1e-8,
 
     pts = region.grid_points(grid)
     Av = _eval_matrix_grid(entries, names, pts)
-    conds = np.linalg.cond(Av)
-    if np.max(conds) >= 1e8:
-        k = int(np.argmax(conds))
-        raise SingularMatrixSampleError(
-            f"matrix is near-singular at {tuple(np.round(pts[k].real, 6))}")
+    _check_conditioned(Av, pts, "matrix")
     Ax = _eval_matrix_grid(dx, names, pts)
     Ay = _eval_matrix_grid(dy, names, pts)
     Axy = _eval_matrix_grid(dxy, names, pts)

@@ -9,9 +9,9 @@ import pytest
 from integrikit import _backend
 from integrikit.expr import (
     Const, EvalDomainError, _lower, compile_expr, compile_system, diff, eval_many,
-    evaluate, node_count, parse,
+    evaluate, neg, node_count, parse,
 )
-from integrikit.odesys import AutonomousSystem, IntegrationError, integrate_rk4
+from integrikit.odesys import GUARD, AutonomousSystem, IntegrationError, _run_rk4, integrate_rk4
 
 from conftest import bounded_smooth_exprs
 
@@ -221,3 +221,42 @@ def test_lowering_and_generated_steps_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_negative_step_is_the_negated_system_bit_for_bit(rng):
+    """RK4 by -h on F multiplies the same operands as RK4 by h on -F."""
+    names = ("x", "y", "z")
+    exprs = bounded_smooth_exprs(17, 9, names)
+    for k in range(3):
+        forward = AutonomousSystem(names, tuple(exprs[k::3]))
+        negated = AutonomousSystem(names, tuple(neg(e) for e in exprs[k::3]))
+        x0 = rng.uniform(-0.5, 0.5, size=3)
+        ts, states = _run_rk4(forward, x0, 0.0, -0.537, -0.01)
+        ref_ts, ref_states = _run_rk4(negated, x0, 0.0, 0.537, 0.01)
+        assert len(ts) == 55 and ts[-1] == -0.537
+        assert np.array_equal(ts, -ref_ts)
+        assert states.tobytes() == ref_states.tobytes(), [str(e) for e in exprs[k::3]]
+
+
+@pytest.mark.parametrize("start,inside", [
+    (GUARD, True), (-GUARD, True), (complex(GUARD / 2, -GUARD / 2), True),
+    (np.nextafter(GUARD, np.inf), False),
+    (complex(np.nextafter(GUARD / 2, np.inf), -np.nextafter(GUARD / 2, np.inf)), False),
+    (float("inf"), False), (float("nan"), False),
+], ids=["at", "at-negative", "at-complex", "above", "above-complex", "inf", "nan"])
+def test_the_generated_step_keeps_a_state_at_the_guard_and_fails_the_next_float(start, inside):
+    still = compile_system((Const(0.0),), ("x",), None)      # every step returns its state
+    ts, ys, status, reached = _backend.rk4(still.ops, still.consts, still.outs, [start], GUARD,
+                                           0.0, 0.5, 0.5, 1.0, 2)
+    assert (status, reached) == ((0, 2) if inside else (1, 0))
+    if inside:
+        assert ys[-1, 0] == start
+
+
+def test_a_state_past_the_guard_is_a_blow_up_at_its_last_good_time():
+    drift = AutonomousSystem(("x",), (Const(-1.0),))     # x grows by 0.5 per step back
+    _, states = _run_rk4(drift, [GUARD - 1.0], 0.0, -1.0, -0.5)
+    assert states[-1, 0] == GUARD
+    with pytest.raises(IntegrationError, match="blew up") as ex:
+        _run_rk4(drift, [GUARD - 1.0], 0.0, -1.5, -0.5)
+    assert ex.value.t_last == -1.0

@@ -9,6 +9,7 @@ from integrikit.btlax import (
     sine_gordon_bt, sine_gordon_kink, wave_equation_residual,
 )
 from integrikit.expr import Const, compile_system, eval_many, evaluate, parse
+from integrikit.odesys import SingularMatrixSampleError
 from integrikit.realfield import Region
 
 XT_SQUARE = Region(("x", "t"), ((-2, 2), (-2, 2)))
@@ -150,6 +151,11 @@ class TestChiralResidual:
         rep = chiral_residual([["e^(x*t)", "0"], ["0", "1"]],
                               Region(("x", "t"), ((-1, 1), (-1, 1))), tol=1e-9)
         assert abs(rep.max_residual - 2.0) <= 1e-9
+
+    def test_singular_sample_is_named_in_plain_floats(self):
+        with pytest.raises(SingularMatrixSampleError) as ex:
+            chiral_residual([["x", "0"], ["0", "1"]], XT_SQUARE, grid=5)
+        assert str(ex.value) == "g is near-singular at (0.0, -2.0)"
 
 
 SPACETIME = Region(("x", "y", "z", "t"), ((-1, 1), (-1, 1), (-1, 1), (0, 2)))

@@ -9,8 +9,8 @@ from integrikit.charpde import (
     TransversalityError, characteristic_trace, homogeneous_solution_check,
     normal_surface_check, pde_residual, solve_cauchy,
 )
-from integrikit.expr import eval_many, parse
-from integrikit.odesys import integrate_rk4
+from integrikit.expr import compile_system, eval_many, parse
+from integrikit.odesys import _run_rk4
 from integrikit.realfield import Region, VectorField
 
 SQUARE = Region(("x", "y"), ((-2, 2), (-2, 2)))
@@ -121,14 +121,14 @@ class TestCharacteristicFan:
 
     @pytest.fixture
     def traces(self, monkeypatch):
-        """Every trajectory solve_cauchy gets from integrate_rk4, in order."""
+        """Every ``(ts, states)`` solve_cauchy gets from _run_rk4, in order."""
         made = []
 
         def recording(*args, **kwargs):
-            made.append(integrate_rk4(*args, **kwargs))
+            made.append(_run_rk4(*args, **kwargs))
             return made[-1]
 
-        monkeypatch.setattr(charpde, "integrate_rk4", recording)
+        monkeypatch.setattr(charpde, "_run_rk4", recording)
         return made
 
     @pytest.mark.parametrize("fan_rows", [5, 21])
@@ -139,9 +139,18 @@ class TestCharacteristicFan:
     @pytest.mark.parametrize("query", QUERIES, ids=["forward", "backward"])
     def test_newton_starts_at_the_nearest_fan_point(self, traces, query):
         solve_cauchy(self.PDE, self.IC, [query], fan_rows=9)
-        fan = np.concatenate([traj.states for traj in traces[:18]])
+        fan = np.concatenate([states for _, states in traces[:18]])
         nearest = fan[np.argmin(np.linalg.norm(fan[:, :2] - query, axis=1))]
-        assert np.max(np.abs(traces[18].endpoint - nearest)) <= 1e-12
+        assert np.max(np.abs(traces[18][1][-1] - nearest)) <= 1e-12
+
+
+class TestCharacteristicSystem:
+    def test_one_solve_compiles_one_system(self):
+        pde = QuasilinearPDE("1.375", "0.625 + 0.0625*x", "0.8125*z")
+        ic = InitialCurve("s", "s", "0", "sin(s)", -1.0, 1.0)
+        before = compile_system.cache_info().misses
+        solve_cauchy(pde, ic, [(0.5, 0.3), (-0.2, -0.4)], h=0.05, t_max=1.0, fan_rows=5)
+        assert compile_system.cache_info().misses - before == 1
 
 
 class TestPDEResidual:

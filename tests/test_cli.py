@@ -188,6 +188,24 @@ class TestCommandSurface:
                               "--v0", "1", "--t-target", "1"], capsys)
         assert abs(rep["values"]["x_end"] - 2.0) <= 1e-8
 
+    def test_energy_with_an_abs_force(self, capsys):
+        # F = -|x| is -x on the path: x = sqrt(1.25) sin(t + phase)
+        code, rep = run_json(["energy", "--F", "-abs(x)", "--m", "1", "--x0", "0.5",
+                              "--v0", "1", "--x-target", "0.8"], capsys)
+        exact = math.asin(0.8 / math.sqrt(1.25)) - math.asin(0.5 / math.sqrt(1.25))
+        assert code == 0 and abs(rep["values"]["t_end"] - exact) <= 1e-12
+
+    @pytest.mark.parametrize("force,x0,exact", [
+        ("abs(2)*x", "1", math.cosh(0.5 * math.sqrt(2)) + math.sinh(0.5 * math.sqrt(2)) / math.sqrt(2)),
+        ("-x*re(2)", "0", math.sin(0.5 * math.sqrt(2)) / math.sqrt(2)),
+    ])
+    def test_energy_with_an_x_free_abs_or_re_in_a_polynomial_force(self, force, x0, exact,
+                                                                    capsys):
+        # F = +-2x; abs(2) and re(2) have no derivative rule, so quadrature
+        code, rep = run_json(["energy", "--F", force, "--m", "1", "--x0", x0,
+                              "--v0", "1", "--t-target", "0.5"], capsys)
+        assert code == 0 and abs(rep["values"]["x_end"] - exact) <= 1e-8
+
     def test_energy_requires_one_target(self, capsys):
         code, rep = run_json(["energy", "--F", "2", "--m", "1", "--x0", "0",
                               "--v0", "1"], capsys)
@@ -374,6 +392,13 @@ class TestCharacteristicErrors:
         assert code == 2
         assert f"t_max must be positive, got {float(t_max)!r}" in rep["diagnostics"]["error"]
 
+    @pytest.mark.parametrize("h", ["0", "-0.01", "nan"])
+    def test_non_positive_step_is_a_usage_error(self, h, capsys):
+        code, rep = run_json(["pde-solve", "--P", "1", "--Q", "1", "--R", "0",
+                              "--ic", "s;0;s;0;1", "--query", "0.5,0.5", "--h", h], capsys)
+        assert code == 2
+        assert "step must be positive" in rep["diagnostics"]["error"]
+
     def test_query_outside_the_fan_is_named_in_plain_floats(self, capsys):
         code, rep = run_json(["pde-solve", "--P", "1", "--Q", "1", "--R", "0",
                               "--ic", "s;0;s;0;1", "--query", "5,0.5", "--t-max", "1"],
@@ -391,6 +416,13 @@ class TestCharacteristicErrors:
         assert code == 3
         assert rep["diagnostics"]["error"].startswith(
             "division by zero at (y=0.03125, x=0.0) while evaluating")
+
+    def test_contour_through_a_pole_is_a_numeric_error(self, capsys):
+        # the middle Gauss node of the one panel on t in [-1, 1] is z = 0
+        code, rep = run_json(["contour", "--f", "1/z", "--curve", "t;0", "--interval", "-1,1",
+                              "--nodes", "5"], capsys)
+        assert code == 3
+        assert rep["diagnostics"]["error"] == "division by zero at (z=0.0) while evaluating '1/z'"
 
     def test_conjugate_on_a_two_point_grid_is_a_usage_error(self, capsys):
         code, rep = run_json(["conjugate", "--v", "x*y", "--base", "0,0",

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from integrikit.odekit import (
-    EnergyProblem, ExactODE, NonExactError, TurningPointError, energy_solve,
-    exact_check, exact_solve, integrating_factor_apply, reduction_residual,
+    EnergyProblem, ExactODE, NonExactError, TurningPointError, _is_polynomial,
+    energy_solve, exact_check, exact_solve, integrating_factor_apply, reduction_residual,
 )
-from integrikit.expr import parse
+from integrikit.expr import Const, diff, parse
 from integrikit.realfield import Region
 
 from conftest import linspace_gl5_integral
@@ -84,6 +84,14 @@ class TestIntegratingFactor:
         with pytest.warns(UserWarning, match="vanishes"):
             integrating_factor_apply(ExactODE("y", "x"), "x", SQUARE)
 
+    def test_near_zero_factor_points_are_plain_floats(self):
+        region = Region(("x", "y"), ((-1, 1), (-1, 1)))
+        with pytest.warns(UserWarning) as record:
+            integrating_factor_apply(ExactODE("y", "x"), "x", region, grid=5)
+        assert str(record[0].message) == (
+            "integrating factor nearly vanishes at 5 grid points (e.g. (0.0, -1.0), "
+            "(0.0, -0.5), (0.0, 0.0), (0.0, 0.5), (0.0, 1.0))")
+
     def test_rejects_zero_factor(self):
         with pytest.raises(ValueError):
             integrating_factor_apply(ExactODE("y", "x"), "0", SQUARE)
@@ -112,6 +120,31 @@ class TestReductionResidual:
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValueError, match="unknown symbol"):
             reduction_residual("y*w", "x", (0.0, 1.0))
+
+
+def reaches_zero_by_differentiation(F, max_degree):
+    """Reference test for a polynomial force: one of F, F', ...,
+    F^(max_degree) is the zero constant."""
+    for _ in range(max_degree + 1):
+        if F == Const(0.0):
+            return True
+        F = diff(F, "x")
+    return False
+
+
+class TestPolynomialForce:
+    # The polynomials here have degree at most 3, so 8 derivatives classify
+    # them.  41, the bound in _polynomial_antiderivative, would not finish:
+    # trees like 1/x and sin(x)^2 double with every derivative, and 16
+    # derivatives of sin(x)^2 already take seconds.
+    FORCES = ["2", "-x", "x/4", "(x+1)^3", "exp(2)*x", "3*x^2 - x/7 + sin(1)",
+              "-(x - 2)*(x + 0.5)^2/exp(1)", "x^0.5", "x^-1", "1/x", "exp(-x)",
+              "sin(x)^2", "2^x", "x*cos(x)"]
+
+    @pytest.mark.parametrize("force", FORCES)
+    def test_tree_check_matches_the_derivative_test(self, force):
+        F = parse(force)
+        assert _is_polynomial(F) == reaches_zero_by_differentiation(F, 8)
 
 
 class TestEnergySolve:

@@ -323,5 +323,6 @@ class TestMatrixIdentityCheck:
         from integrikit.odesys import SingularMatrixSampleError
         entries = [["x", "0"], ["0", "1"]]  # singular at x = 0
         reg = Region(("x", "y"), ((-1, 1), (-1, 1)))
-        with pytest.raises(SingularMatrixSampleError):
+        with pytest.raises(SingularMatrixSampleError) as ex:
             matrix_identity_check(entries, reg)
+        assert str(ex.value) == "matrix is near-singular at (0.0, -1.0)"
