@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, as_expr, as_real, diff, eval_many, evaluate
+from .expr import Expr, Var, as_expr, as_real, diff, eval_many, evaluate
 from .odesys import AutonomousSystem, Trajectory, _run_rk4
 from .realfield import CheckReport, Region, VectorField, exactness_check, residual_sweep
 
@@ -116,6 +116,14 @@ def _trace(system: AutonomousSystem, start, t: float, h: float):
     return _run_rk4(system, start, 0.0, t, h if t >= 0 else -h)
 
 
+def _query(q) -> np.ndarray:
+    """A query point as a float array; it must be two finite numbers."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (2,) or not np.all(np.isfinite(q)):
+        raise ValueError(f"query must be two finite numbers (x, y), got {q.tolist()}")
+    return q
+
+
 @dataclass(frozen=True)
 class CauchySolution:
     z_values: tuple
@@ -144,21 +152,28 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
                  fan_rows: int = 21, max_iter: int = 30) -> CauchySolution:
     """Solve z at query points by inverting the characteristic map.
 
-    For each query (x*, y*) a Newton iteration finds (s, t) with
-    x(s, t) = x*, y(s, t) = y*.  Each iteration traces s and s +- ds one
-    by one; the Jacobian combines that central difference in s with the
-    exact flow velocity in t.  The initial guess is the nearest point of a
-    coarse fan: the characteristics from `fan_rows` curve points, each
-    traced once forward to t_max and once backward to -t_max, with every
-    RK4 state (s, t) a fan point.  Every trace runs the one characteristic
-    system, built once.
+    For each query (x*, y*), two finite numbers, a Newton iteration finds
+    (s, t) with x(s, t) = x*, y(s, t) = y*.  Each iteration makes one
+    trace of the variational system: X = (x, y, z) and dX/ds, with
+    d(dX/ds)/dt = DF(X) dX/ds for F = (P, Q, R) and DF from `diff`,
+    started at the curve point and its s-derivative.  The Jacobian is
+    (dx/ds, dy/ds) at the endpoint next to the flow velocity (P, Q) there.
+    The initial guess is the nearest point of a coarse fan: the
+    characteristics of the 3-state system from `fan_rows` curve points,
+    each traced once forward to t_max and once backward to -t_max, with
+    every RK4 state (s, t) a fan point.  Both systems are built once.
     """
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     if not h > 0:
         raise ValueError("step must be positive")
+    queries = [_query(q) for q in queries]
     _transversality_check(pde, ic)
     system = pde.characteristic_system
+    variational = AutonomousSystem(system.names + ("dx", "dy", "dz"), system.components + tuple(
+        sum(diff(f, v) * Var("d" + v) for v in system.names) for f in system.components))
+    curve = (ic.x0, ic.y0, ic.z0)
+    curve += tuple(diff(c, ic.param) for c in curve)
     s_fan = np.linspace(ic.s_start, ic.s_end, fan_rows)
     fan_st, fan_xy = [], []
     for s, start in zip(s_fan, ic.points(s_fan)):
@@ -172,14 +187,12 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
 
     zs, params, iters, residuals = [], [], [], []
     for q in queries:
-        q = np.asarray(q, dtype=float)
         shown = tuple(q.tolist())
         s, t = (float(v) for v in fan_st[np.argmin(np.linalg.norm(fan_xy - q, axis=1))])
         res = float("inf")
         for used in range(1, max_iter + 1):
-            ds = 1e-6 * (1 + abs(s))
-            endpoint, plus, minus = (_trace(system, p, t, h)[1][-1]
-                                     for p in ic.points([s, s + ds, s - ds]))
+            start = [as_real(evaluate(c, {ic.param: s}), 1e-12, "initial curve") for c in curve]
+            endpoint = _trace(variational, start, t, h)[1][-1]
             g = endpoint[:2] - q
             res = float(np.max(np.abs(g)))
             if res <= newton_tol * (1 + np.max(np.abs(q))):
@@ -187,8 +200,7 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
             b = {"x": endpoint[0], "y": endpoint[1], "z": endpoint[2]}
             dxy_dt = np.array([as_real(evaluate(pde.P, b), 1e-12, "P"),
                                as_real(evaluate(pde.Q, b), 1e-12, "Q")])
-            dxy_ds = (plus[:2] - minus[:2]) / (2 * ds)
-            J = np.column_stack([dxy_ds, dxy_dt])
+            J = np.column_stack([endpoint[3:5], dxy_dt])
             try:
                 step = np.linalg.solve(J, -g)
             except np.linalg.LinAlgError:

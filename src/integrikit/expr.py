@@ -44,7 +44,7 @@ FUNCTIONS = (
     "sinh", "cosh", "tanh", "abs", "re", "im", "conj",
 )
 
-#: Catalog functions with no derivative rule (diff on them is an error).
+#: Catalog functions with no derivative rule in a variable they depend on.
 NON_DIFFERENTIABLE = frozenset({"abs", "re", "im", "conj"})
 
 CONSTANTS: Mapping[str, complex] = {
@@ -634,7 +634,11 @@ def as_real(z: complex, tol: float = 1e-12, context: str = "value") -> float:
 # --------------------------------------------------------------------------
 
 def diff(e: Expr, var: str) -> Expr:
-    """Exact symbolic partial derivative with constant folding only."""
+    """Exact symbolic partial derivative with constant folding only.
+
+    ``abs``, ``re``, ``im`` and ``conj`` have no derivative rule in a
+    variable their argument depends on (NonDifferentiableError); in any
+    other variable their derivative is 0."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
@@ -668,6 +672,8 @@ def diff(e: Expr, var: str) -> Expr:
     # Call
     fn, u = e.fn, e.arg
     if fn in NON_DIFFERENTIABLE:
+        if var not in variables(u):
+            return ZERO
         raise NonDifferentiableError(f"'{fn}' has no derivative rule")
     du = diff(u, var)
     if fn == "sin":

@@ -45,10 +45,19 @@ class LieSeriesConfig:
             raise ValueError("truncation order must be in 1..12")
 
 
+def _bindings(V: OperatorField, point) -> dict:
+    """The coordinates of `point` by variable name, one per variable of V."""
+    point = tuple(point)
+    if len(point) != V.n:
+        raise ValueError(f"point needs {V.n} coordinates ({', '.join(V.names)}), "
+                         f"got {len(point)}")
+    return dict(zip(V.names, point))
+
+
 def lie_derivative(V: OperatorField, f, point) -> float:
     """Directional derivative sum_i V^i(p) * df/dx^i(p)."""
     f = as_expr(f)
-    bindings = dict(zip(V.names, point))
+    bindings = _bindings(V, point)
     total = 0j
     for name, comp in zip(V.names, V.components):
         total += evaluate(comp, bindings) * evaluate(diff(f, name), bindings)
@@ -81,7 +90,7 @@ def lie_series_flow(V: OperatorField, x0, t: float,
                     cfg: Optional[LieSeriesConfig] = None) -> np.ndarray:
     """Flow map by the truncated exponential series sum t^l/l! D_V^l x^i."""
     cfg = cfg or LieSeriesConfig()
-    bindings = dict(zip(V.names, x0))
+    bindings = _bindings(V, x0)
     out = np.empty(V.n)
     for i, seq in enumerate(_series_terms(V, cfg)):
         acc = 0j
@@ -96,7 +105,7 @@ def lie_series_flow(V: OperatorField, x0, t: float,
 
 def infinitesimal_transform(V: OperatorField, x0, t: float) -> np.ndarray:
     """First-order generator step x0 + t*V(x0)."""
-    bindings = dict(zip(V.names, x0))
+    bindings = _bindings(V, x0)
     vals = np.array([as_real(evaluate(c, bindings), 1e-12, "field value")
                      for c in V.components])
     return np.asarray(x0, dtype=float) + t * vals
@@ -117,7 +126,7 @@ def equilibrium_find(V: OperatorField, seed, tol: float = 1e-12,
     x = np.asarray(seed, dtype=float).copy()
 
     def field_at(p):
-        b = dict(zip(V.names, p))
+        b = _bindings(V, p)
         return np.array([as_real(evaluate(c, b), 1e-12, "field value")
                          for c in V.components])
 
@@ -125,7 +134,7 @@ def equilibrium_find(V: OperatorField, seed, tol: float = 1e-12,
     for _ in range(max_iter):
         if np.max(np.abs(fx)) <= tol:
             return x
-        b = dict(zip(V.names, x))
+        b = _bindings(V, x)
         J = np.array([[as_real(evaluate(e, b), 1e-12, "Jacobian entry")
                        for e in row] for row in jac])
         try:

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import (Binary, Const, Expr, NonDifferentiableError, Unary, Var, as_expr,
+from .expr import (Binary, Const, Expr, Unary, Var, as_expr,
                    as_real, diff, eval_many, evaluate)
 from .odesys import Trajectory, _shown_point
 from .realfield import (CheckReport, Region, VectorField, integrate_rows,
@@ -240,20 +240,15 @@ def _is_polynomial(F: Expr) -> bool:
 
 def _polynomial_antiderivative(F: Expr, max_degree: int = 40) -> Optional[Expr]:
     """-integral of F dx when F is a polynomial in x of degree at most
-    `max_degree`, from its Taylor coefficients at 0, else None.  A
-    polynomial whose x-free subtrees have no derivative rule (``abs(2)*x``)
-    also gives None, so it takes the quadrature path."""
+    `max_degree`, from its Taylor coefficients at 0, else None."""
     if not _is_polynomial(F):
         return None
     derivs = [F]
-    try:
-        for _ in range(max_degree + 1):
-            if derivs[-1] == Const(0.0):
-                break
-            derivs.append(diff(derivs[-1], "x"))
-        else:
-            return None
-    except NonDifferentiableError:
+    for _ in range(max_degree + 1):
+        if derivs[-1] == Const(0.0):
+            break
+        derivs.append(diff(derivs[-1], "x"))
+    else:
         return None
     degree = len(derivs) - 2  # last entry is the zero constant
     x = as_expr("x")

@@ -114,7 +114,7 @@ class TestSolveCauchy:
 
 class TestCharacteristicFan:
     """The fan traces each of its rows once forward and once backward;
-    Newton traces s, s + ds and s - ds once per iteration."""
+    Newton makes one variational trace per iteration."""
     PDE = QuasilinearPDE("1", "1", "1")
     IC = InitialCurve("s", "s", "0", "sin(s)", -3.0, 3.0)
     QUERIES = [(1.0, 0.3), (-0.4, -1.2)]     # reached forward and backward in t
@@ -134,23 +134,44 @@ class TestCharacteristicFan:
     @pytest.mark.parametrize("fan_rows", [5, 21])
     def test_trace_count(self, traces, fan_rows):
         sol = solve_cauchy(self.PDE, self.IC, self.QUERIES, fan_rows=fan_rows)
-        assert len(traces) == 2 * fan_rows + 3 * sum(sol.iterations)
+        assert len(traces) == 2 * fan_rows + sum(sol.iterations)
 
     @pytest.mark.parametrize("query", QUERIES, ids=["forward", "backward"])
     def test_newton_starts_at_the_nearest_fan_point(self, traces, query):
         solve_cauchy(self.PDE, self.IC, [query], fan_rows=9)
         fan = np.concatenate([states for _, states in traces[:18]])
         nearest = fan[np.argmin(np.linalg.norm(fan[:, :2] - query, axis=1))]
-        assert np.max(np.abs(traces[18][1][-1] - nearest)) <= 1e-12
+        assert np.max(np.abs(traces[18][1][-1][:3] - nearest)) <= 1e-12
+
+    @pytest.mark.parametrize("P, Q, R, curve, query", [
+        ("z", "1", "0", ("s", "0", "0.5*sin(s)"), (0.9, 0.4)),      # Burgers
+        ("-y", "x", "0", ("s", "0", "s^2"), (0.6, 0.8)),            # rotation
+    ], ids=["burgers", "rotation"])
+    def test_variational_column_matches_a_central_difference(self, traces, P, Q, R,
+                                                             curve, query):
+        pde = QuasilinearPDE(P, Q, R)
+        ic = InitialCurve("s", *curve, 0.1, 2.0)
+        sol = solve_cauchy(pde, ic, [query], fan_rows=9)
+        ts, states = traces[-1]
+        (s, _), t = sol.params[0], ts[-1]
+        ds = 1e-6 * (1 + abs(s))
+        plus, minus = (charpde._trace(pde.characteristic_system, p, t, 0.01)[1][-1]
+                       for p in ic.points([s + ds, s - ds]))
+        column = (plus - minus) / (2 * ds)
+        assert np.max(np.abs(states[-1][3:] - column)) <= 1e-6 * np.max(np.abs(column))
 
 
 class TestCharacteristicSystem:
-    def test_one_solve_compiles_one_system(self):
+    def test_one_solve_compiles_two_systems(self):
         pde = QuasilinearPDE("1.375", "0.625 + 0.0625*x", "0.8125*z")
         ic = InitialCurve("s", "s", "0", "sin(s)", -1.0, 1.0)
+        queries = [(0.5, 0.3), (-0.2, -0.4)]
         before = compile_system.cache_info().misses
-        solve_cauchy(pde, ic, [(0.5, 0.3), (-0.2, -0.4)], h=0.05, t_max=1.0, fan_rows=5)
-        assert compile_system.cache_info().misses - before == 1
+        solve_cauchy(pde, ic, queries, h=0.05, t_max=1.0, fan_rows=5)
+        assert compile_system.cache_info().misses - before == 2
+        before = compile_system.cache_info().misses
+        solve_cauchy(pde, ic, queries, h=0.05, t_max=1.0, fan_rows=5)
+        assert compile_system.cache_info().misses == before
 
 
 class TestPDEResidual:

@@ -201,7 +201,7 @@ class TestCommandSurface:
     ])
     def test_energy_with_an_x_free_abs_or_re_in_a_polynomial_force(self, force, x0, exact,
                                                                     capsys):
-        # F = +-2x; abs(2) and re(2) have no derivative rule, so quadrature
+        # F = +-2x; abs(2) and re(2) are x-free, so their x-derivative is 0
         code, rep = run_json(["energy", "--F", force, "--m", "1", "--x0", x0,
                               "--v0", "1", "--t-target", "0.5"], capsys)
         assert code == 0 and abs(rep["values"]["x_end"] - exact) <= 1e-8
@@ -234,6 +234,17 @@ class TestCommandSurface:
         code, rep = run_json(["equilibrium", "--V", "x-1;y+2", "--vars", "x,y",
                               "--seed", "0,0"], capsys)
         assert rep["values"]["point"] == [1, -2]
+
+    def test_exact_check_with_an_x_free_abs(self, capsys):
+        code, rep = run_json(["exact-check", "--P", "abs(2)*y", "--Q", "2*x",
+                              "--region", "-1,1,-1,1", "--grid", "5"], capsys)
+        assert code == 0 and rep["max_residual"] == 0
+
+    def test_pde_solve_with_an_x_free_re(self, capsys):
+        # P = 2, Q = 1: z is constant on x - 2y = s, so z(0.5, 0.3) = -0.1
+        code, rep = run_json(["pde-solve", "--P", "re(2)", "--Q", "1", "--R", "0",
+                              "--ic", "s;0;s;-2;2", "--query", "0.5,0.3"], capsys)
+        assert code == 0 and abs(rep["values"]["z"][0] + 0.1) <= 1e-15
 
     def test_pde_commands(self, capsys):
         code, rep = run_json(["pde-char", "--P", "1", "--Q", "1", "--R", "1",
@@ -399,6 +410,12 @@ class TestCharacteristicErrors:
         assert code == 2
         assert "step must be positive" in rep["diagnostics"]["error"]
 
+    def test_a_field_without_a_derivative_rule_is_a_usage_error(self, capsys):
+        code, rep = run_json(["pde-solve", "--P", "abs(x)+1", "--Q", "1", "--R", "0",
+                              "--ic", "s;0;s;-2;2", "--query", "0.5,0.3"], capsys)
+        assert code == 2
+        assert rep["diagnostics"]["error"] == "'abs' has no derivative rule"
+
     def test_query_outside_the_fan_is_named_in_plain_floats(self, capsys):
         code, rep = run_json(["pde-solve", "--P", "1", "--Q", "1", "--R", "0",
                               "--ic", "s;0;s;0;1", "--query", "5,0.5", "--t-max", "1"],
@@ -429,6 +446,28 @@ class TestCharacteristicErrors:
                               "--region", "-1,1,-1,1", "--grid", "2"], capsys)
         assert code == 2
         assert rep["diagnostics"]["error"] == "grid too coarse: need at least 3 points per axis"
+
+
+class TestMalformedPoints:
+    PDE = ["pde-solve", "--P", "1", "--Q", "1", "--R", "0", "--ic", "s;0;s;-2;2", "--query"]
+    FIELD = ["--V", "y;-x", "--vars", "x,y"]
+
+    @pytest.mark.parametrize("query", ["0.7", "0.5,0.3,1", "nan,0.3", "0.5,inf"])
+    def test_query_must_be_two_finite_numbers(self, query, capsys):
+        code, rep = run_json(self.PDE + [query], capsys)
+        assert code == 2
+        assert rep["diagnostics"]["error"].startswith("query must be two finite numbers")
+
+    @pytest.mark.parametrize("argv, given", [
+        (["lie", *FIELD, "--f", "x^2+y", "--point", "1,2,3"], 3),
+        (["lie", *FIELD, "--f", "x^2+y", "--point", "1"], 1),
+        (["flow", *FIELD, "--x0", "1,0,5", "--t", "1"], 3),
+        (["equilibrium", "--V", "x-1;y-2", "--vars", "x,y", "--seed", "0,0,0"], 3),
+    ], ids=["lie-long", "lie-short", "flow-long", "equilibrium-long"])
+    def test_point_needs_one_coordinate_per_variable(self, argv, given, capsys):
+        code, rep = run_json(argv, capsys)
+        assert code == 2
+        assert rep["diagnostics"]["error"] == f"point needs 2 coordinates (x, y), got {given}"
 
 
 class TestTaskFile:

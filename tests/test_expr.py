@@ -145,6 +145,13 @@ class TestDiff:
             with pytest.raises(NonDifferentiableError):
                 diff(parse(f"{fn}(x)"), "x")
 
+    def test_non_differentiable_call_free_of_the_variable_is_constant(self):
+        assert diff(parse("abs(2)*x"), "x") == Call("abs", Const(2.0))
+        for fn in ("abs", "re", "im", "conj"):
+            assert diff(parse(f"{fn}(y)"), "x") == Const(0.0)
+            with pytest.raises(NonDifferentiableError, match=f"'{fn}'"):
+                diff(parse(f"x*{fn}(y)"), "y")
+
     def test_diff_variables_subset(self):
         e = parse("sin(x*y) + exp(x)")
         assert diff(e, "x").variables() <= e.variables()
