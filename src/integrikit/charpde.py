@@ -93,7 +93,7 @@ class InitialCurve:
 
 def _real_values(e: Expr, names, pts, context: str) -> np.ndarray:
     """`e` at the rows of `pts` by one eval_many; each value must be real."""
-    return np.array([as_real(v, 1e-12, context) for v in eval_many(e, names, pts)])
+    return np.array([as_real(complex(v), 1e-12, context) for v in eval_many(e, names, pts)])
 
 
 def characteristic_trace(pde: QuasilinearPDE, start, t_span, h: float) -> Trajectory:

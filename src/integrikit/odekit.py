@@ -12,10 +12,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import (Binary, Const, Expr, Unary, Var, as_expr,
-                   as_real, diff, eval_many, evaluate)
+from .expr import Expr, as_expr, as_real, diff, eval_many, evaluate
 from .odesys import Trajectory, _shown_point
-from .realfield import (CheckReport, Region, VectorField, integrate_rows,
+from .realfield import (CheckReport, Region, VectorField, gauss_nodes, integrate_rows,
                         potential_reconstruct, residual_sweep)
 
 __all__ = [
@@ -212,69 +211,14 @@ class EnergyProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "F", as_expr(self.F))
+        for name in ("m", "x0", "v0", "t0", "x_ref"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.m <= 0:
             raise ValueError("mass must be positive")
         extra = self.F.variables() - {"x"}
         if extra:
             raise ValueError(f"force references {sorted(extra)}; only x allowed")
-
-
-def _is_polynomial(F: Expr) -> bool:
-    """Whether the tree of F is a polynomial in x: built from x-free
-    subtrees and x by negation, + - *, division by an x-free subtree and
-    powers with a non-negative integer real constant exponent."""
-    if "x" not in F.variables() or isinstance(F, Var):
-        return True
-    if isinstance(F, Unary):
-        return _is_polynomial(F.child)
-    if not isinstance(F, Binary):
-        return False
-    if F.op in ("+", "-", "*"):
-        return _is_polynomial(F.left) and _is_polynomial(F.right)
-    if F.op == "/":
-        return "x" not in F.right.variables() and _is_polynomial(F.left)
-    k = F.right.value if isinstance(F.right, Const) else None
-    return (k is not None and k.imag == 0 and k.real >= 0 and k.real.is_integer()
-            and _is_polynomial(F.left))
-
-
-def _polynomial_antiderivative(F: Expr, max_degree: int = 40) -> Optional[Expr]:
-    """-integral of F dx when F is a polynomial in x of degree at most
-    `max_degree`, from its Taylor coefficients at 0, else None."""
-    if not _is_polynomial(F):
-        return None
-    derivs = [F]
-    for _ in range(max_degree + 1):
-        if derivs[-1] == Const(0.0):
-            break
-        derivs.append(diff(derivs[-1], "x"))
-    else:
-        return None
-    degree = len(derivs) - 2  # last entry is the zero constant
-    x = as_expr("x")
-    total = Const(0.0)
-    for k in range(degree + 1):
-        ck = evaluate(derivs[k], {"x": 0.0}) / math.factorial(k)
-        total = total + Const(-ck / (k + 1)) * x ** Const(float(k + 1))
-    return total
-
-
-def _adaptive_quad(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                   tol: float) -> float:
-    """Composite GL5 with panel doubling on a vectorized callable."""
-    from .realfield import gauss_nodes
-    if a == b:
-        return 0.0
-    prev = None
-    panels = 8
-    while panels <= 2 ** 13:
-        nodes, weights = gauss_nodes(a, b, panels)
-        val = float(np.sum(weights * fn(nodes)))
-        if prev is not None and abs(val - prev) <= tol * (1 + abs(val)):
-            return val
-        prev = val
-        panels *= 2
-    return prev
 
 
 @dataclass(frozen=True)
@@ -290,19 +234,39 @@ class EnergySolution:
 
     def position_at(self, t: float) -> float:
         """Invert t(x) on the monotone branch."""
-        dt = t - self.problem.t0
-        if dt < -1e-12 or dt > (self.t_end - self.problem.t0) * (1 + 1e-9) + 1e-12:
+        p = self.problem
+        dt = t - p.t0
+        if dt < -1e-12 or dt > (self.t_end - p.t0) * (1 + 1e-9) + 1e-12:
             raise ValueError("time outside the computed trajectory")
-        lo, hi = sorted((self.problem.x0, self.x_end))
-        s = 1.0 if self.problem.v0 > 0 else -1.0
-        x = self.problem.x0
-        for _ in range(80):
-            r = self._tau(x) - dt
-            if abs(r) <= 1e-12 * (1 + abs(dt)):
-                break
-            v = float(self._v(np.array([x]))[0])
-            x = min(max(x - r * v * s, lo), hi)
-        return x
+        return _invert_tau(self._tau, self._v, p.x0, 1.0 if p.v0 > 0 else -1.0,
+                           dt, abs(self.x_end - p.x0))
+
+
+def _invert_tau(tau, v_of_x, x0: float, s: float, dt: float, xi_hi: float) -> float:
+    """The x with tau(x) = dt, for dt between 0 and tau(x0 + s*xi_hi).
+
+    Newton in the offset xi = s*(x - x0), where tau increases with the
+    exact slope 1/|v(x)|; a step that leaves the bracket [xi_lo, xi_hi]
+    bisects it instead.  Stops when |tau - dt| <= 1e-13 (1 + |dt|) or
+    when xi no longer moves.
+    """
+    xi_lo = xi = 0.0
+    for _ in range(200):
+        x = x0 + s * xi
+        r = tau(x) - dt
+        if abs(r) <= 1e-13 * (1 + abs(dt)):
+            break
+        if r > 0:
+            xi_hi = xi
+        else:
+            xi_lo = xi
+        step = xi - r * float(v_of_x(np.array([x]))[0])
+        if not xi_lo < step < xi_hi:
+            step = 0.5 * (xi_lo + xi_hi)
+        if step == xi:
+            break
+        xi = step
+    return x
 
 
 def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
@@ -312,12 +276,17 @@ def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
 
     Valid on one monotone branch only: v0 must be nonzero and E - U(x)
     must stay positive over the swept interval (a turning point is an
-    error naming the abscissa).  The target must be finite.
+    error naming the abscissa).  The target must be finite, and the
+    trajectory has `samples` >= 2 points from x0 to x_end.
 
-    U(x) = -(integral of F from x_ref to x).  A polynomial F gets an exact
-    antiderivative; any other F is integrated by 64-panel Gauss-Legendre
-    quadrature for all abscissas of a call at once, each value required
-    to be real.
+    U(x) = -(integral of F from x_ref to x), for every force and all
+    abscissas of a call at once: one Gauss-Legendre panel on each gap
+    between the sorted abscissas, x_ref and 65 even edges over their span,
+    each leg required to be real, summed outward from x_ref.  The elapsed
+    time at the samples is one composite rule of 1/|v| over the gaps
+    between them, panels doubled from 8 until every running value meets
+    `quad_tol`.  A t_target is found by Newton on t(x) with the exact
+    slope 1/|v|, inside a bisection bracket.
     """
     if (x_target is None) == (t_target is None):
         raise ValueError("give exactly one of x_target, t_target")
@@ -326,25 +295,22 @@ def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
             raise ValueError(f"{name} must be finite, got {target!r}")
     if problem.v0 == 0:
         raise ValueError("v0 must be nonzero (monotone branch required)")
-    m, x0, v0, t0 = problem.m, problem.x0, problem.v0, problem.t0
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples!r}")
+    m, x0, v0, t0, x_ref = problem.m, problem.x0, problem.v0, problem.t0, problem.x_ref
     s = 1.0 if v0 > 0 else -1.0
 
-    poly_u = _polynomial_antiderivative(problem.F)
-    if poly_u is not None:
-        shift = evaluate(poly_u, {"x": problem.x_ref}).real
-
-        def U_vec(xs: np.ndarray) -> np.ndarray:
-            return eval_many(poly_u, ("x",), np.asarray(xs, dtype=float).reshape(-1, 1)).real - shift
-    else:
-        f_expr = problem.F
-
-        def U_vec(xs: np.ndarray) -> np.ndarray:
-            xs = np.asarray(xs, dtype=float)
-            up = xs >= problem.x_ref
-            vals = integrate_rows(f_expr, "x", np.where(up, problem.x_ref, xs),
-                                  np.where(up, xs, problem.x_ref), 64)
-            return np.where(up, -1.0, 1.0) * np.array(
-                [as_real(complex(v), 1e-12, "potential quadrature") for v in vals])
+    def U_vec(xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        span = np.linspace(min(xs.min(), x_ref), max(xs.max(), x_ref), 65)
+        edges, where = np.unique(np.concatenate([xs, [x_ref], span]), return_inverse=True)
+        legs = np.array([as_real(complex(v), 1e-12, "potential quadrature")
+                         for v in integrate_rows(problem.F, "x", edges[:-1], edges[1:], 1)])
+        r = where[len(xs)]
+        U = np.zeros(len(edges))
+        U[r + 1:] = -np.cumsum(legs[r:])
+        U[:r] = np.cumsum(legs[:r][::-1])[::-1]
+        return U[where[:len(xs)]]
 
     def U(x: float) -> float:
         return float(U_vec(np.array([x]))[0])
@@ -359,24 +325,34 @@ def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
             raise TurningPointError(float(np.asarray(xs).ravel()[k]))
         return np.sqrt((2.0 / m) * gap)
 
+    def elapsed(xs: np.ndarray) -> np.ndarray:
+        """t - t0 at the abscissas xs, which run from x0 in the direction
+        of motion."""
+        panels, prev = 8, None
+        while True:
+            nodes, weights = gauss_nodes(xs[:-1], xs[1:], panels)
+            legs = s * np.sum(weights / v_of_x(nodes.ravel()).reshape(nodes.shape), axis=1)
+            cum = np.concatenate([[0.0], np.cumsum(legs)])
+            if panels >= 2 ** 13 or (prev is not None and np.all(
+                    np.abs(cum - prev) <= quad_tol * (1 + np.abs(cum)))):
+                return cum
+            panels, prev = 2 * panels, cum
+
     def tau(x: float) -> float:
         """Elapsed time from x0 to x along the branch (x in branch direction)."""
-        if x == x0:
-            return 0.0
-        return s * _adaptive_quad(lambda xs: 1.0 / v_of_x(xs), x0, x, quad_tol)
+        return float(elapsed(np.array([x0, x]))[-1])
 
     if x_target is not None:
         x_end = float(x_target)
         if s * (x_end - x0) < 0:
             raise ValueError("x_target is behind the motion on this branch")
         v_of_x(np.linspace(x0, x_end, 257))  # turning-point scan
-        t_end = t0 + tau(x_end)
     else:
         dt_goal = float(t_target) - t0
         if dt_goal < 0:
             raise ValueError("t_target before t0")
         if dt_goal == 0:
-            x_end, t_end = x0, t0
+            x_end = x0
         else:
             # bracket in the signed offset xi = s*(x - x0), where tau increases
             xi_hi = max(0.1, abs(v0) * dt_goal)
@@ -388,28 +364,13 @@ def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
                 xi_hi *= 2.0
             else:
                 raise RuntimeError("could not bracket t_target")
-            xi_lo = 0.0
-            for _ in range(200):
-                xi = 0.5 * (xi_lo + xi_hi)
-                r = tau(x0 + s * xi) - dt_goal
-                if abs(r) <= 1e-13 * (1 + dt_goal):
-                    break
-                if r > 0:
-                    xi_hi = xi
-                else:
-                    xi_lo = xi
-            x_end = x0 + s * xi
-            t_end = t0 + dt_goal
+            x_end = _invert_tau(tau, v_of_x, x0, s, dt_goal, xi_hi)
 
     if x_end == x0:
         traj = Trajectory(np.array([t0]), np.array([[x0]]))
     else:
         xs = np.linspace(x0, x_end, samples)
-        ts = np.empty(samples)
-        ts[0] = t0
-        for k in range(1, samples):
-            seg = s * _adaptive_quad(lambda q: 1.0 / v_of_x(q), xs[k - 1], xs[k], quad_tol)
-            ts[k] = ts[k - 1] + seg
-        traj = Trajectory(ts, xs.reshape(-1, 1))
+        traj = Trajectory(t0 + elapsed(xs), xs.reshape(-1, 1))
+    t_end = float(traj.ts[-1]) if t_target is None else t0 + dt_goal
     return EnergySolution(problem=problem, trajectory=traj, E=E, U=U,
                           x_end=x_end, t_end=t_end, _tau=tau, _v=v_of_x)

@@ -86,13 +86,16 @@ class AutonomousSystem:
 
 #: Bound on |re| + |im| of every RK4 state component: a step past it blows up.
 GUARD = 1e12
+#: Most steps one RK4 trace may take; _backend.rk4 allocates every state up front.
+MAX_STEPS = 10 ** 6
 
 
 def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float):
     """RK4 of one state x0 (n,) from t0 to t1 in steps of h (h < 0 runs
     backward; t0 == t1 takes no step); returns ts and the real (len(ts), n)
-    states.  Raises IntegrationError on a blow-up past GUARD, a domain
-    failure or a non-negligible imaginary part."""
+    states.  Raises ValueError when that takes more than MAX_STEPS steps,
+    and IntegrationError on a blow-up past GUARD, a domain failure or a
+    non-negligible imaginary part."""
     tape = compile_system(sys.components, sys.names, sys.time_var)
     x0c = np.asarray(x0, dtype=np.complex128)
     if x0c.shape != (sys.n,):
@@ -103,7 +106,10 @@ def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float):
         if not math.isfinite(v):
             raise ValueError(f"RK4 {name} must be finite, got {v!r}")
     span = t1 - t0
-    nsteps = 0 if span == 0 else max(1, int(math.ceil(span / h - 1e-9)))
+    steps = span / h - 1e-9 if span else 0.0
+    if steps > MAX_STEPS:
+        raise ValueError(f"RK4 would take {steps:.6g} steps, more than MAX_STEPS = {MAX_STEPS}")
+    nsteps = max(1, math.ceil(steps)) if span else 0
     hlast = span - (nsteps - 1) * h
     ts, ys, status, reached = _backend.rk4(
         tape.ops, tape.consts, tape.outs, x0c, GUARD,

@@ -424,6 +424,25 @@ class TestCharacteristicErrors:
         assert rep["diagnostics"]["error"].startswith(
             "query (5.0, 0.5) left the characteristic fan (wandered to s=")
 
+    def test_non_real_initial_curve_is_named_in_plain_floats(self, capsys):
+        code, rep = run_json(["pde-solve", "--P", "1", "--Q", "1", "--R", "0",
+                              "--ic", "s;0;sqrt(s);-1;1", "--query", "0.5,0.1"], capsys)
+        assert code == 3
+        assert rep["diagnostics"]["error"] == (
+            "initial curve has non-negligible imaginary part 1.0")
+
+    @pytest.mark.parametrize("argv,steps", [
+        (["pde-solve", "--P", "1", "--Q", "1", "--R", "0", "--ic", "s;0;s;-1;1",
+          "--query", "0.5,0.1", "--h", "1e-300"], "5e+300"),
+        (["rk4", "--f", "y;-x", "--vars", "x,y", "--x0", "1,0", "--t-span", "0,1",
+          "--h", "1e-7"], "1e+07"),
+    ], ids=["pde-solve", "rk4"])
+    def test_a_step_count_past_the_cap_is_a_usage_error(self, argv, steps, capsys):
+        code, rep = run_json(argv, capsys)
+        assert code == 2
+        assert rep["diagnostics"]["error"] == (
+            f"RK4 would take {steps} steps, more than MAX_STEPS = 1000000")
+
     def test_pole_on_a_potential_leg_is_a_numeric_error(self, capsys):
         # v is harmonic away from (0, 0.03125), which is no grid point but
         # is a quadrature node of the y-leg from y = 0 to y = 1 at x = 0

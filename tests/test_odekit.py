@@ -1,14 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from integrikit.odekit import (
-    EnergyProblem, ExactODE, NonExactError, TurningPointError, _is_polynomial,
+    EnergyProblem, ExactODE, NonExactError, TurningPointError,
     energy_solve, exact_check, exact_solve, integrating_factor_apply, reduction_residual,
 )
-from integrikit.expr import Const, diff, parse
 from integrikit.realfield import Region
-
-from conftest import linspace_gl5_integral
 
 SQUARE = Region(("x", "y"), ((-3, 3), (-3, 3)))
 
@@ -122,31 +121,6 @@ class TestReductionResidual:
             reduction_residual("y*w", "x", (0.0, 1.0))
 
 
-def reaches_zero_by_differentiation(F, max_degree):
-    """Reference test for a polynomial force: one of F, F', ...,
-    F^(max_degree) is the zero constant."""
-    for _ in range(max_degree + 1):
-        if F == Const(0.0):
-            return True
-        F = diff(F, "x")
-    return False
-
-
-class TestPolynomialForce:
-    # The polynomials here have degree at most 3, so 8 derivatives classify
-    # them.  41, the bound in _polynomial_antiderivative, would not finish:
-    # trees like 1/x and sin(x)^2 double with every derivative, and 16
-    # derivatives of sin(x)^2 already take seconds.
-    FORCES = ["2", "-x", "x/4", "(x+1)^3", "exp(2)*x", "3*x^2 - x/7 + sin(1)",
-              "-(x - 2)*(x + 0.5)^2/exp(1)", "x^0.5", "x^-1", "1/x", "exp(-x)",
-              "sin(x)^2", "2^x", "x*cos(x)"]
-
-    @pytest.mark.parametrize("force", FORCES)
-    def test_tree_check_matches_the_derivative_test(self, force):
-        F = parse(force)
-        assert _is_polynomial(F) == reaches_zero_by_differentiation(F, 8)
-
-
 class TestEnergySolve:
     def test_constant_force_closed_form(self):
         # m=1, F=2, x0=0, v0=1  =>  x(t) = t^2 + t
@@ -205,20 +179,52 @@ class TestEnergySolve:
                              (0.0, 1.5), (0.0, 0.5), 1e-4)
         assert abs(sol.position_at(0.5) - traj.endpoint[0]) <= 1e-6
 
-    def test_non_polynomial_potential_matches_per_abscissa_quadrature(self):
-        force, m, x_ref = "-sin(x) + 0.3*cos(2*x)", 1.5, 0.4
-        sol = energy_solve(EnergyProblem(force, m, 0.2, 3.0, x_ref=x_ref), x_target=1.0)
+    # forces with an antiderivative G: U(x) = G(x_ref) - G(x)
+    CLOSED_FORMS = [
+        ("-sin(x) + 0.3*cos(2*x)", lambda x: math.cos(x) + 0.15 * math.sin(2 * x)),
+        ("(x+1)^12", lambda x: (x + 1) ** 13 / 13),
+        ("-3*exp(-4*x)", lambda x: 0.75 * math.exp(-4 * x)),
+        ("x*cos(x)", lambda x: math.cos(x) + x * math.sin(x)),
+    ]
 
-        def U_ref(xv):
-            lo, hi, sign = (x_ref, xv, -1.0) if xv >= x_ref else (xv, x_ref, 1.0)
-            return sign * linspace_gl5_integral(parse(force), "x", lo, hi, 64).real
+    def test_potential_matches_closed_forms(self):
+        m, x0, v0 = 1.5, 0.2, 3.0
+        xs = np.linspace(-2.0, 2.0, 41)
+        for force, G in self.CLOSED_FORMS:
+            for x_ref in (-2.0, 0.0, 0.4, 3.0):
+                sol = energy_solve(EnergyProblem(force, m, x0, v0, x_ref=x_ref), x_target=1.0)
+                for xv in map(float, xs):
+                    want = G(x_ref) - G(xv)
+                    assert abs(sol.U(xv) - want) <= 1e-14 * (1 + abs(want)), (force, x_ref, xv)
+                assert sol.E == 0.5 * m * v0 ** 2 + sol.U(x0)
+        # v from the same U, bit for bit, on the force whose E - U stays positive
+        sol = energy_solve(EnergyProblem(self.CLOSED_FORMS[0][0], m, x0, v0, x_ref=0.4),
+                           x_target=1.0)
+        for xv in map(float, xs):
+            assert sol._v(np.array([xv]))[0] == np.sqrt((2.0 / m) * (sol.E - sol.U(xv)))
 
-        # x_ref itself is a zero-width leg; 60 legs of 320 nodes span three blocks
-        xs = np.concatenate([np.linspace(-1.5, 2.0, 59), [x_ref]])
-        U = np.array([U_ref(float(xv)) for xv in xs])
-        assert np.array([sol.U(float(xv)) for xv in xs]).tobytes() == U.tobytes()
-        assert sol.E == 0.5 * m * 3.0 ** 2 + U_ref(0.2)
-        assert sol._v(xs).tobytes() == np.sqrt((2.0 / m) * (sol.E - U)).tobytes()
+    def test_x_target_ends_at_the_last_sample_time(self):
+        sol = energy_solve(EnergyProblem("-sin(x)", 1.0, 0.0, 2.5), x_target=2.0, samples=7)
+        assert sol.t_end == sol.trajectory.ts[-1]
+        assert sol.trajectory.ts[0] == 0.0 and np.all(np.diff(sol.trajectory.ts) > 0)
+
+    def test_position_on_the_pendulum_separatrix(self):
+        # F = -w^2 sin(x), v0 = 2w: x(t) = 4 atan(exp(w t)) - pi
+        w = 1.3
+        sol = energy_solve(EnergyProblem(f"-{w * w!r}*sin(x)", 1.0, 0.0, 2 * w), x_target=2.5)
+        for t in np.linspace(0.0, sol.t_end, 9):
+            want = 4.0 * math.atan(math.exp(w * t)) - math.pi
+            assert abs(sol.position_at(float(t)) - want) <= 1e-12
+
+    def test_t_target_on_an_exponential_force(self):
+        # F = -(m c / tau^2) exp(-2x/c), v0 = c/tau: x(t) = c ln(1 + t/tau)
+        m, c, tau = 1.3, 0.8, 1.7
+        problem = EnergyProblem(f"{-m * c / tau ** 2!r}*exp({-2.0 / c!r}*x)", m, 0.0, c / tau)
+        for t_target in (0.3, 2.0, 5.5):
+            sol = energy_solve(problem, t_target=t_target, samples=9)
+            assert abs(sol.x_end - c * math.log1p(t_target / tau)) <= 1e-12
+            assert sol.t_end == t_target
+            assert abs(sol.trajectory.ts[-1] - t_target) <= 1e-12
 
     def test_non_finite_target_rejected(self):
         problem = EnergyProblem("-sin(x)", 1.0, 0.0, 1.0)
@@ -226,6 +232,18 @@ class TestEnergySolve:
             energy_solve(problem, x_target=float("inf"))
         with pytest.raises(ValueError, match="t_target must be finite, got nan"):
             energy_solve(problem, t_target=float("nan"))
+
+    @pytest.mark.parametrize("field", ["m", "x0", "v0", "t0", "x_ref"])
+    def test_non_finite_problem_value_rejected(self, field):
+        values = {"m": 1.0, "x0": 0.0, "v0": 1.0, "t0": 0.0, "x_ref": 0.0, field: float("inf")}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+            EnergyProblem("2", **values)
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        # the trajectory runs from x0 to x_end, so it needs both ends
+        with pytest.raises(ValueError, match=f"samples must be at least 2, got {samples}"):
+            energy_solve(EnergyProblem("2", 1.0, 0.0, 1.0), x_target=1.0, samples=samples)
 
     def test_mass_validation(self):
         with pytest.raises(ValueError):
