@@ -6,8 +6,11 @@ and then drops the slots no later op reads.  :func:`_run` runs a tape
 on complex scalars with :data:`SCALAR_OPS` and on complex128 arrays with
 :data:`ARRAY_OPS`; :func:`eval_points` runs it on :data:`BLOCK` points at
 a time, so that live temporaries stay small.  :func:`rk4` is the only
-RK4 loop: it steps one state on complex scalars with a straight-line step
-generated from the tape (:func:`_step_fn`) that also applies the guard.
+RK4 loop: one whole trace generated from the tape as straight-line source
+(:func:`_trace_fn`), with the stages inlined and the guard applied.  It
+runs on Python floats with :data:`FLOAT_OPS` when the system and the start
+are real, and reruns on complex scalars with :data:`SCALAR_OPS`, bit for
+bit as before, when the float trace fails.
 
 Domain failures never raise: division by 0, ln 0 and 0 raised to a
 negative or complex power give NaN, as do cmath overflow and domain
@@ -18,7 +21,9 @@ fails a step that raises like one that leaves the domain or the guard.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
+from array import array
 from functools import lru_cache
 
 import numpy as np
@@ -101,33 +106,123 @@ def eval_points(ops, consts, pts, out) -> np.ndarray:
     return result
 
 
+# The float table.  An overflow inside a step gives an infinity on floats
+# but may give NaN on complex, where inf * (x + 0j) has a NaN imaginary
+# part that later products carry into the real one.  NaN and infinities on
+# floats reach the state, and the guard, except through an op that maps
+# them to a finite value: division into them, tanh, atan, exp of -inf, im
+# and powers.  Those refuse a non-finite argument (`x - x` is NaN, and
+# true, exactly then), so a float trace never succeeds where the complex
+# trace fails.
+
+#: Above this argument cmath's exp, sinh and cosh switch to a scaled
+#: formula (its CM_LOG_LARGE_DOUBLE is 708.39...) that rounds differently
+#: from math's, so the float table leaves such arguments to the complex trace.
+_EXP_SAFE = 708.0
+
+
+def _f_div(a, b):
+    if b - b:
+        raise OverflowError
+    return a / b                  # b == 0 raises ZeroDivisionError
+
+
+def _f_pow(a, b):
+    if a - a or b - b:
+        raise OverflowError
+    if -100.0 <= b <= 100.0 and b == math.floor(b):
+        # binary powering, then 1/r for b < 0: CPython's complex `**` (c_powi)
+        r, p, m = 1.0, a, int(abs(b))
+        while m:
+            if m & 1:
+                r = r * p
+            m >>= 1
+            if m:
+                p = p * p
+        if r - r:                 # complex `**` raises on an infinite result
+            raise OverflowError
+        return 1.0 / r if b < 0 else r
+    if a > 0.0:
+        return math.pow(a, b)     # cmath's |a|^b cos(0) for a > 0
+    raise ValueError("left to the complex trace")
+
+
+def _f_exp(x):
+    if not -math.inf < x <= _EXP_SAFE:
+        raise OverflowError
+    return math.exp(x)
+
+
+def _f_large(fn):
+    def f(x):
+        if not -_EXP_SAFE <= x <= _EXP_SAFE:
+            raise OverflowError
+        return fn(x)
+    return f
+
+
+def _f_finite(fn):
+    def f(x):
+        if x - x:
+            raise OverflowError
+        return fn(x)
+    return f
+
+
+def _f_ln(x):
+    if x > 0.0:
+        return cmath.log(x).real
+    raise ValueError("left to the complex trace")
+
+
+#: SCALAR_OPS for real operands on Python floats, with the same bits as the
+#: real part of SCALAR_OPS on complex operands of zero imaginary part.  A
+#: result that would not be real or might differ raises instead, and the
+#: caller reruns on complex.
+FLOAT_OPS = {
+    "neg": operator.neg, "+": operator.add, "-": operator.sub,
+    "*": operator.mul, "/": _f_div, "^": _f_pow,
+    "sin": math.sin, "cos": math.cos, "tan": math.tan,
+    "atan": _f_finite(lambda x: cmath.atan(x).real),
+    "exp": _f_exp, "ln": _f_ln, "sqrt": math.sqrt,
+    "sinh": _f_large(math.sinh), "cosh": _f_large(math.cosh),
+    "tanh": _f_finite(math.tanh),
+    "abs": abs, "re": float, "im": _f_finite(lambda x: 0.0), "conj": float,
+}
+
+
 def rk4(ops, consts, outs, x0, guard, t0, h, hlast, t_end, nsteps):
     """Classical RK4 of the system whose derivatives are the tape slots
     `outs`, over variables (state..., time).  Takes `nsteps` steps of `h`
     from `t0`, the last of length `hlast` ending at `t_end`.
 
     `x0` is one state (n,); h < 0 steps backward.  Returns ``(ts, ys,
-    status, reached)``: status 1 means step `reached` + 1 raised or left
-    `guard` (see :func:`_step_fn`).
+    status, reached)``: ys holds the start and each state reached, and
+    status 1 means step `reached` + 1 raised or left `guard` (see
+    :func:`_trace_fn`).  When every constant and start component is real,
+    the trace runs on floats (:data:`FLOAT_OPS`) and ys is float64; if that
+    trace fails, it reruns on complex from the start and ys is complex128.
     """
-    ts = np.empty(nsteps + 1, dtype=np.float64)
-    ys = np.empty((nsteps + 1, len(x0)), dtype=np.complex128)
-    ts[0] = t0
-    ys[0] = x0
-    step = _step_fn(ops, consts, outs, len(x0), guard)
-    y = tuple(complex(v) for v in x0)
-    for s in range(nsteps):
-        hs = h if s < nsteps - 1 else hlast
-        t = t0 + s * h
-        try:
-            y = step(*y, complex(t), complex(t + 0.5 * hs), complex(t + hs), hs)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            y = None
-        if y is None:
-            return ts, ys, 1, s
-        ts[s + 1] = t_end if s == nsteps - 1 else t0 + (s + 1) * h
-        ys[s + 1] = y
-    return ts, ys, 0, nsteps
+    ts = t0 + np.arange(nsteps + 1) * h
+    ts[0], ts[-1] = t0, t_end
+    y = [complex(v) for v in x0]
+    if not any(v.imag for v in y) and not any(c.imag for c in consts):
+        ys, status, reached = _trace(ops, consts, outs, [v.real for v in y], guard,
+                                     t0, h, hlast, nsteps, True)
+        if status == 0:
+            return ts, ys, 0, nsteps
+    ys, status, reached = _trace(ops, consts, outs, y, guard, t0, h, hlast, nsteps, False)
+    return ts, ys, status, reached
+
+
+def _trace(ops, consts, outs, y, guard, t0, h, hlast, nsteps, real):
+    """One generated trace from state `y`: ``(ys, status, reached)``, ys
+    float64 when `real`, else complex128, one row per state."""
+    buf = array("d", y if real else [p for v in y for p in (v.real, v.imag)])
+    trace = _trace_fn(ops, consts, outs, len(y), guard, real)
+    status, reached = trace(*y, t0, h, hlast, nsteps, buf.extend)
+    ys = np.frombuffer(buf, dtype=np.float64 if real else np.complex128)
+    return ys.reshape(-1, len(y)), status, reached
 
 
 def _tuple(items) -> str:
@@ -136,47 +231,105 @@ def _tuple(items) -> str:
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
-@lru_cache(maxsize=32)
-def _step_fn(ops, consts, outs, n, guard):
-    """One RK4 step ``step(y0, ..., t, t_half, t_end, hs)`` of the system
-    tape as straight-line source on complex scalars: slot j is ``v<j>``, one
-    assignment per op.  It returns the new state, or None unless every
-    component has ``abs(re) + abs(im) <= guard``, which with a finite guard
-    also rejects NaN and infinities.  A factory binds the table functions,
-    the constants (as Python complex) and `guard` as values, so no user text
-    reaches the source and no cycle forms.
-    """
-    nvars = n + 1
-    fns = sorted({op for op, _, _, _ in ops} - {"neg", "+", "-", "*"})
-    funcs = [SCALAR_OPS[op] for op in fns]   # catalog ops only
-    fname = {op: "f_" + {"/": "div", "^": "pow"}.get(op, op) for op in fns}
-    const_names = [f"v{nvars + k}" for k in range(len(consts))]
-    lines = [f"def _factory{_tuple([fname[op] for op in fns] + const_names + ['guard'])}:",
-             f"    def rhs{_tuple(f'v{j}' for j in range(nvars))}:"]
-    for i, (op, a, b, _) in enumerate(ops):
-        if op == "neg":
-            value = f"-v{a}"
-        elif op in ("+", "-", "*"):
-            value = f"v{a} {op} v{b}"
-        else:
-            value = f"{fname[op]}(v{a})" if b < 0 else f"{fname[op]}(v{a}, v{b})"
-        lines.append(f"        v{nvars + len(consts) + i} = {value}")
-    lines.append(f"        return {_tuple(f'v{o}' for o in outs)}")
+def _powers(dst: str, x: str, m: int) -> list:
+    """Lines that set `dst` to `x` to the power m >= 1 by binary powering:
+    the products, in order, of :func:`_f_pow` and of CPython's complex `**`."""
+    lines, r, p, k = [], None, x, 0
+    while True:
+        if m & 1:
+            if r is None:
+                r = p
+            else:
+                lines.append(f"{dst} = {r} * {p}")
+                r = dst
+        m >>= 1
+        if not m:
+            break
+        k += 1
+        lines.append(f"{dst}_{k} = {p} * {p}")
+        p = f"{dst}_{k}"
+    return lines if r == dst else lines + [f"{dst} = {r}"]
 
+
+@lru_cache(maxsize=32)
+def _trace_fn(ops, consts, outs, n, guard, real):
+    """A whole RK4 trace of the system tape as straight-line source:
+    ``trace(y0, ..., t0, h, hlast, nsteps, store)`` runs the step loop with
+    the four stages inlined (one local assignment per op), calls `store`
+    with each new state and returns ``(status, reached)``.  A step fails (status 1) when it raises, or unless every
+    component has ``abs(re) + abs(im) <= guard``, which with a finite guard
+    also rejects NaN and infinities.
+
+    With `real`, the same source runs on Python floats with
+    :data:`FLOAT_OPS`; otherwise on complex with :data:`SCALAR_OPS`, time
+    passed as ``complex(t)``, and each state stored as (re, im) pairs.  A
+    factory binds the table functions, the constants and `guard` as values,
+    so no user text reaches the source and no cycle forms.
+    """
+    table = FLOAT_OPS if real else SCALAR_OPS
+    nconsts = len(consts)
+    fns = sorted({op for op, _, _, _ in ops} - {"neg", "+", "-", "*"})
+    fname = {op: "f_" + {"/": "div", "^": "pow"}.get(op, op) for op in fns}
+    cname = [f"c{k}" for k in range(nconsts)]
+    read = set(outs) | {a for _, a, _, _ in ops} | {b for _, _, b, _ in ops}
     ys = [f"y{j}" for j in range(n)]
-    lines.append(f"    def step{_tuple(ys + ['t', 't_half', 't_end', 'hs'])}:")
-    stages = (("k1", "{y}", "t"), ("k2", "{y} + 0.5 * hs * k1_{j}", "t_half"),
-              ("k3", "{y} + 0.5 * hs * k2_{j}", "t_half"),
-              ("k4", "{y} + hs * k3_{j}", "t_end"))
-    for k, arg, t in stages:
-        args = [arg.format(y=y, j=j) for j, y in enumerate(ys)] + [t]
-        lines.append(f"        {_tuple(f'{k}_{j}' for j in range(n))} = rhs{_tuple(args)}")
-    lines += [f"        n{j} = {y} + (hs / 6.0) * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
-              for j, y in enumerate(ys)]
-    bounded = " and ".join(f"abs(n{j}.real) + abs(n{j}.imag) <= guard" for j in range(n))
-    lines += [f"        return {_tuple(f'n{j}' for j in range(n))} if {bounded} else None",
-              "    return step"]
+    as_time = (lambda e: e) if real else (lambda e: f"complex({e})")
+    # float `^` by a constant whole exponent in 1..100 inlines f_pow's
+    # products: a call per stage made x^2 systems slower than on complex
+    power = {n + 1 + k: int(c.real) for k, c in enumerate(consts)
+             if real and c.real == math.floor(c.real) and 1 <= c.real <= 100}
+
+    body = []
+    if n in read:
+        body += ["t = t0 + s * h", f"ta = {as_time('t')}", f"tb = {as_time('t + hh')}",
+                 f"tc = {as_time('t + hs')}"]
+    stages = (("k1", None, None, "ta"), ("k2", "hh", "k1", "tb"),
+              ("k3", "hh", "k2", "tb"), ("k4", "hs", "k3", "tc"))
+    for k, step, prev, time in stages:
+        state = ys if prev is None else [f"z{j}" for j in range(n)]
+        if prev is not None:
+            body += [f"z{j} = y{j} + {step} * {prev}_{j}" for j in range(n) if j in read]
+        slot = state + [time] + cname + [f"v{n + 1 + nconsts + i}" for i in range(len(ops))]
+        for i, (op, a, b, _) in enumerate(ops):
+            if op == "neg":
+                value = f"-{slot[a]}"
+            elif op in ("+", "-", "*"):
+                value = f"{slot[a]} {op} {slot[b]}"
+            elif op == "^" and real and b in power:
+                body += _powers(slot[n + 1 + nconsts + i], slot[a], power[b])
+                continue
+            else:
+                args = slot[a] if b < 0 else f"{slot[a]}, {slot[b]}"
+                value = f"{fname[op]}({args})"
+            body.append(f"{slot[n + 1 + nconsts + i]} = {value}")
+        body += [f"{k}_{j} = {slot[o]}" for j, o in enumerate(outs)]
+    body += [f"y{j} = y{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
+             for j in range(n)]
+    if real:
+        bounded = " and ".join(f"-guard <= y{j} <= guard" for j in range(n))
+        stored = _tuple(ys)
+    else:
+        bounded = " and ".join(f"abs(y{j}.real) + abs(y{j}.imag) <= guard" for j in range(n))
+        stored = _tuple(f"y{j}.{part}" for j in range(n) for part in ("real", "imag"))
+    body += [f"if not ({bounded}):", "    return 1, s", f"store({stored})"]
+
+    lines = [f"def _factory{_tuple([fname[op] for op in fns] + cname + ['guard', 'errors'])}:",
+             f"    def trace{_tuple(ys + ['t0', 'h', 'hlast', 'nsteps', 'store'])}:",
+             "        hs, hh, h6 = h, 0.5 * h, h / 6.0",
+             "        last = nsteps - 1",
+             "        s = 0",
+             "        try:",
+             "            for s in range(nsteps):",
+             "                if s == last:",
+             "                    hs, hh, h6 = hlast, 0.5 * hlast, hlast / 6.0"]
+    lines += ["                " + line for line in body]
+    lines += ["        except errors:",
+              "            return 1, s",
+              "        return 0, nsteps",
+              "    return trace"]
     scope: dict = {}
-    exec(compile("\n".join(lines), "<rk4 step>", "exec"), scope)
+    exec(compile("\n".join(lines), "<rk4 trace>", "exec"), scope)
     factory = scope.pop("_factory")
-    return factory(*funcs, *(complex(c) for c in consts), float(guard))
+    convert = (lambda c: float(c.real)) if real else complex
+    return factory(*(table[op] for op in fns), *(convert(c) for c in consts), float(guard),
+                   (OverflowError, ValueError, ZeroDivisionError))

@@ -4,6 +4,7 @@ and one-dimensional energy-method trajectories.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 import warnings
@@ -12,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import Expr, as_expr, as_real, diff, eval_many, evaluate
+from .expr import EvalError, Expr, as_expr, as_real, diff, eval_many, evaluate
 from .odesys import Trajectory, _shown_point
 from .realfield import (CheckReport, Region, VectorField, gauss_nodes, integrate_rows,
                         potential_reconstruct, residual_sweep)
@@ -277,7 +278,8 @@ def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
     Valid on one monotone branch only: v0 must be nonzero and E - U(x)
     must stay positive over the swept interval (a turning point is an
     error naming the abscissa).  The target must be finite, and the
-    trajectory has `samples` >= 2 points from x0 to x_end.
+    trajectory has `samples` >= 2 points from x0 to x_end, and F must be
+    finite at x_ref, where U is anchored.
 
     U(x) = -(integral of F from x_ref to x), for every force and all
     abscissas of a call at once: one Gauss-Legendre panel on each gap
@@ -299,6 +301,15 @@ def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
         raise ValueError(f"samples must be at least 2, got {samples!r}")
     m, x0, v0, t0, x_ref = problem.m, problem.x0, problem.v0, problem.t0, problem.x_ref
     s = 1.0 if v0 > 0 else -1.0
+    # a pole at x_ref leaves U(x_ref) = 0 meaningless: one GL5 panel from
+    # x_ref gives the same finite integral of 1/x for every width
+    try:
+        finite_at_ref = cmath.isfinite(evaluate(problem.F, {"x": x_ref}))
+    except EvalError:
+        finite_at_ref = False
+    if not finite_at_ref:
+        raise ValueError(f"force is not finite at x_ref = {x_ref!r}, where U = 0; "
+                         "choose another x_ref")
 
     def U_vec(xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

@@ -86,7 +86,7 @@ class AutonomousSystem:
 
 #: Bound on |re| + |im| of every RK4 state component: a step past it blows up.
 GUARD = 1e12
-#: Most steps one RK4 trace may take; _backend.rk4 allocates every state up front.
+#: Most steps one RK4 trace may take; _backend.rk4 stores the states in a growing buffer.
 MAX_STEPS = 10 ** 6
 
 
@@ -117,6 +117,8 @@ def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float):
     if status != 0:
         raise IntegrationError("state blew up or left the evaluation domain",
                                float(ts[reached]))
+    if ys.dtype == np.float64:          # the float trace: real by construction
+        return ts, ys
     if np.max(np.abs(ys.imag)) > 1e-9 * (np.max(np.abs(ys.real)) + 1.0):
         raise IntegrationError("trajectory acquired a non-negligible imaginary part",
                                float(ts[-1]))

@@ -8,8 +8,8 @@ import pytest
 
 from integrikit import _backend
 from integrikit.expr import (
-    Const, EvalDomainError, _lower, compile_expr, compile_system, diff, eval_many,
-    evaluate, neg, node_count, parse,
+    Const, EvalDomainError, _lower, add, call, compile_expr, compile_system, diff, eval_many,
+    evaluate, mul, neg, node_count, parse, pow_,
 )
 from integrikit.odesys import GUARD, AutonomousSystem, IntegrationError, _run_rk4, integrate_rk4
 
@@ -153,6 +153,18 @@ def test_rk4_rejects_a_trajectory_that_turns_complex():
         integrate_rk4(root, [-1.0], (0.0, 1.0), 1e-2)
 
 
+def complex_trace(tape, x0, t0, h, nsteps):
+    """The generated trace forced onto complex scalars: (ys, status, reached)."""
+    return _backend._trace(tape.ops, tape.consts, tape.outs, [complex(v) for v in x0], 1e12,
+                           t0, h, h, nsteps, False)
+
+
+def float_trace(tape, x0, t0, h, nsteps):
+    """The generated trace on Python floats: (ys, status, reached)."""
+    return _backend._trace(tape.ops, tape.consts, tape.outs, [float(v) for v in x0], 1e12,
+                           t0, h, h, nsteps, True)
+
+
 def reference_rk4(tape, x0, t0, h, nsteps):
     """RK4 over the tape interpreter `_backend._run`, with the arithmetic of
     the generated step (Python complex constants).  Returns rk4's
@@ -187,15 +199,106 @@ def test_generated_step_matches_the_tape_interpreter_bit_for_bit(names, time_nam
     for k in range(3):
         tape = compile_system(tuple(exprs[k::3]), names, time_name)
         x0 = rng.uniform(-0.5, 0.5, size=len(names))
-        ts, ys, status, reached = _backend.rk4(tape.ops, tape.consts, tape.outs, x0, 1e12,
-                                               0.25, h, h, 0.25 + 50 * h, 50)
+        ys, status, reached = complex_trace(tape, x0, 0.25, h, 50)
         ref = reference_rk4(tape, x0, 0.25, h, 50)
-        assert ys.shape == ref.shape
-        done = ys[:reached + 1]
-        assert done.tobytes() == np.ascontiguousarray(ref[:reached + 1]).tobytes(), \
+        assert ys.shape == (reached + 1, len(names))      # the start and every state reached
+        assert ys.tobytes() == np.ascontiguousarray(ref[:reached + 1]).tobytes(), \
             [str(e) for e in exprs[k::3]]
         if status:                        # a random system may blow up: same step
             assert not np.all(np.isfinite(ref[reached + 1]) & (np.abs(ref[reached + 1]) <= 1e12))
+
+
+def with_ln_atan_and_cubes(exprs, n):
+    """Systems of n components from `exprs`: every third one as it is, the
+    others with ln(1.5 + sin(.)) or atan(.) * (.)^3 in place of one component."""
+    systems = []
+    for k in range(0, len(exprs) - n + 1, n):
+        comps = list(exprs[k:k + n])
+        if k // n % 3 == 1:
+            comps[0] = call("ln", add(Const(1.5), call("sin", comps[0])))
+        elif k // n % 3 == 2:
+            comps[-1] = mul(call("atan", comps[-1]), pow_(comps[0], Const(3.0)))
+        systems.append(tuple(comps))
+    return systems
+
+
+@pytest.mark.parametrize("names,time_name", [
+    (("x", "y"), None), (("x", "y"), "s"), (("x", "y", "z"), None), (("x", "y", "z"), "s"),
+])
+def test_float_trace_is_the_real_part_of_the_complex_trace_bit_for_bit(names, time_name, rng):
+    variables = names + ((time_name,) if time_name else ())
+    exprs = bounded_smooth_exprs(31 + len(variables), 12 * len(names), variables)
+    traced, ops = 0, set()
+    for comps in with_ln_atan_and_cubes(exprs, len(names)):
+        tape = compile_system(comps, names, time_name)
+        ops |= {op for op, _, _, _ in tape.ops}
+        x0 = rng.uniform(-0.5, 0.5, size=len(names))
+        ys, status, reached = float_trace(tape, x0, 0.25, 0.01, 200)
+        ref, ref_status, _ = complex_trace(tape, x0, 0.25, 0.01, 200)
+        assert ys.dtype == np.float64 and ref.dtype == np.complex128
+        if status:                         # a blow-up: the complex rerun decides
+            assert ref_status, [str(e) for e in comps]
+            continue
+        traced += 1
+        assert ref_status == 0 and ys.shape == ref.shape == (201, len(names))
+        assert ys.tobytes() == np.ascontiguousarray(ref.real).tobytes(), [str(e) for e in comps]
+    assert traced >= 8 and {"^", "ln", "atan"} <= ops
+
+
+@pytest.mark.parametrize("op,a,b", [
+    ("^", 1.3, 3.0), ("^", -0.7, 3.0), ("^", 2.0, -2.0), ("^", 0.0, 0.0), ("^", 1.7, 0.5),
+    ("^", 3.0, 101.0), ("ln", 0.3, None), ("ln", 5.5, None), ("atan", 0.8, None),
+    ("atan", -3e10, None), ("exp", 700.0, None), ("sinh", -40.0, None), ("tanh", 0.4, None),
+    ("sqrt", 2.0, None), ("tan", 1.2, None), ("abs", -2.5, None), ("im", 1.5, None),
+])
+def test_float_ops_give_the_real_part_of_the_complex_ops(op, a, b):
+    args = (a,) if b is None else (a, b)
+    want = _backend.SCALAR_OPS[op](*(complex(v) for v in args))
+    got = _backend.FLOAT_OPS[op](*args)
+    assert type(got) is float and got == want.real and want.imag == 0
+
+
+@pytest.mark.parametrize("op,args", [
+    ("^", (-2.0, 0.5)), ("^", (0.0, -1.0)), ("^", (1e200, 2.0)), ("^", (float("inf"), 1.0)),
+    ("/", (1.0, 0.0)), ("/", (1.0, float("inf"))), ("ln", (-1.0,)), ("ln", (0.0,)),
+    ("sqrt", (-1.0,)), ("exp", (709.0,)), ("exp", (-float("inf"),)), ("cosh", (708.5,)),
+    ("tanh", (float("inf"),)), ("atan", (float("nan"),)), ("im", (float("inf"),)),
+])
+def test_float_ops_refuse_what_may_differ_on_complex(op, args):
+    with pytest.raises((OverflowError, ValueError, ZeroDivisionError)):
+        _backend.FLOAT_OPS[op](*args)
+
+
+def test_a_real_system_traces_on_floats_and_a_non_real_one_on_complex():
+    real = compile_system((parse("y"), parse("-sin(x)")), ("x", "y"), None)
+    rotating = compile_system((parse("i*x"),), ("x",), None)
+    trace = lambda tape, x0: _backend.rk4(tape.ops, tape.consts, tape.outs, x0, GUARD,
+                                          0.0, 0.1, 0.1, 1.0, 10)
+    ts, ys, status, reached = trace(real, [0.5, 0.0])
+    assert (ys.dtype, ys.shape, status, reached) == (np.float64, (11, 2), 0, 10)
+    assert ts[-1] == 1.0 and np.array_equal(ts[:-1], np.arange(10) * 0.1)
+    _, ys_c, _, _ = trace(real, [0.5, 1e-300j])     # a non-real start
+    assert ys_c.dtype == np.complex128
+    _, ys_r, status, _ = trace(rotating, [1.0])             # a non-real constant
+    assert ys_r.dtype == np.complex128 and status == 0
+    assert ys_r.tobytes() == reference_rk4(rotating, [1.0], 0.0, 0.1, 10).tobytes()
+    with pytest.raises(IntegrationError, match="imaginary part"):
+        integrate_rk4(AutonomousSystem(("x",), (parse("i*x"),)), [1.0], (0.0, 1.0), 0.1)
+
+
+def test_a_failing_float_trace_reruns_on_complex_with_the_same_failure():
+    root = compile_system((parse("sqrt(x)"),), ("x",), None)
+    _, ys, status, _ = _backend.rk4(root.ops, root.consts, root.outs, [-1.0], GUARD,
+                                    0.0, 0.01, 0.01, 1.0, 100)
+    assert ys.dtype == np.complex128 and status == 0     # sqrt(-1) leaves the reals
+    with pytest.raises(IntegrationError, match="imaginary part"):
+        integrate_rk4(AutonomousSystem(("x",), (parse("sqrt(x)"),)), [-1.0], (0.0, 1.0), 1e-2)
+    # 1/x through 0: a stage lands on x = 0 from 0.5, and passes near it from 0.55
+    pole = AutonomousSystem(("x", "y"), (parse("-1"), parse("1/x")))
+    for x0, t_last in ((0.5, 0.4), (0.55, 0.5)):
+        with pytest.raises(IntegrationError, match="blew up") as ex:
+            integrate_rk4(pole, [x0, 0.0], (0.0, 1.0), 0.1)
+        assert ex.value.t_last == t_last
 
 
 def test_overflow_inside_a_step_stops_like_a_non_finite_state():
@@ -216,8 +319,9 @@ def test_lowering_and_generated_steps_leave_no_reference_cycles():
             _lower((uxxx,), ("x", "t"))
         assert gc.collect() == 0
         tape = _lower((uxxx, u), ("x", "y", "t"))
-        _backend.rk4(tape.ops, tape.consts, tape.outs, [0.1, 0.2], 1e12, 0.0, 0.1, 0.1, 0.2, 2)
-        assert _backend._step_fn.cache_info().currsize >= 1
+        for start in ([0.1, 0.2], [0.1j, 0.2]):        # the float and the complex trace
+            _backend.rk4(tape.ops, tape.consts, tape.outs, start, 1e12, 0.0, 0.1, 0.1, 0.2, 2)
+        assert _backend._trace_fn.cache_info().currsize >= 2
         assert gc.collect() == 0
     finally:
         gc.enable()

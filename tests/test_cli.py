@@ -206,6 +206,15 @@ class TestCommandSurface:
                               "--v0", "1", "--t-target", "0.5"], capsys)
         assert code == 0 and abs(rep["values"]["x_end"] - exact) <= 1e-8
 
+    def test_energy_with_a_force_singular_at_x_ref_is_a_usage_error(self, capsys):
+        # F = 1/x has its pole at the default x_ref = 0, where U is anchored
+        code, rep = run_json(["energy", "--F", "1/x", "--m", "1", "--x0", "1",
+                              "--v0", "1", "--x-target", "2"], capsys)
+        assert code == 2 and "x_ref = 0.0" in rep["diagnostics"]["error"]
+        code, rep = run_json(["energy", "--F", "1/x", "--m", "1", "--x0", "1",
+                              "--v0", "1", "--x-target", "2", "--x-ref", "1"], capsys)
+        assert code == 0 and abs(rep["values"]["E"] - 0.5) <= 1e-12
+
     def test_energy_requires_one_target(self, capsys):
         code, rep = run_json(["energy", "--F", "2", "--m", "1", "--x0", "0",
                               "--v0", "1"], capsys)
