@@ -159,13 +159,14 @@ class HarmonicConjugate:
 
 
 def harmonic_conjugate(v, base, region: Region, grid: int = 41,
-                       laplace_tol: float = 1e-8, cr_tol: float = 1e-7,
-                       panels: int = 16) -> HarmonicConjugate:
+                       laplace_tol: float = 1e-8, cr_tol: float = 1e-7) -> HarmonicConjugate:
     """Reconstruct u with u_x = v_y, u_y = -v_x and u(base) = 0.
 
-    Refuses a non-harmonic v.  The returned CR report compares central
-    differences of the u grid against the symbolic partials of v, so its
-    residual carries an O(h^2) finite-difference floor.
+    Refuses a non-harmonic v.  The u grid is `potential_grid` of
+    (v_y, -v_x): one running integral along x at the base ordinate and one
+    along y per abscissa (`running_integrals`).  The returned CR report
+    compares central differences of the u grid against the symbolic
+    partials of v, so its residual carries an O(h^2) finite-difference floor.
     """
     from .realfield import VectorField, gradient_check, potential_grid
 
@@ -179,7 +180,7 @@ def harmonic_conjugate(v, base, region: Region, grid: int = 41,
 
     grad_field = VectorField(("x", "y"), (diff(v, "y"), -diff(v, "x")))
     x_axis, y_axis = region.axes(grid)
-    u_grid = potential_grid(grad_field, (x_axis, y_axis), base, panels=panels)
+    u_grid = potential_grid(grad_field, (x_axis, y_axis), base)
     cr_report = gradient_check(grad_field, (x_axis, y_axis), u_grid, cr_tol)
     return HarmonicConjugate(x_axis, y_axis, u_grid, lap_report, cr_report)
 

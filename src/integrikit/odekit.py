@@ -15,8 +15,8 @@ import numpy as np
 
 from .expr import EvalError, Expr, as_expr, as_real, diff, eval_many, evaluate
 from .odesys import Trajectory, _shown_point
-from .realfield import (CheckReport, Region, VectorField, gauss_nodes, integrate_rows,
-                        potential_reconstruct, residual_sweep)
+from .realfield import (CheckReport, Region, VectorField, gauss_nodes, potential_reconstruct,
+                        residual_sweep, running_integrals)
 
 __all__ = [
     "ExactODE", "ExactSolution", "EnergyProblem", "EnergySolution",
@@ -282,9 +282,9 @@ def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
     finite at x_ref, where U is anchored.
 
     U(x) = -(integral of F from x_ref to x), for every force and all
-    abscissas of a call at once: one Gauss-Legendre panel on each gap
-    between the sorted abscissas, x_ref and 65 even edges over their span,
-    each leg required to be real, summed outward from x_ref.  The elapsed
+    abscissas of a call at once, by `realfield.running_integrals`: one
+    Gauss-Legendre panel on each gap between the sorted abscissas, x_ref
+    and 65 even edges over their span, summed outward from x_ref.  The elapsed
     time at the samples is one composite rule of 1/|v| over the gaps
     between them, panels doubled from 8 until every running value meets
     `quad_tol`.  A t_target is found by Newton on t(x) with the exact
@@ -312,16 +312,7 @@ def energy_solve(problem: EnergyProblem, x_target: Optional[float] = None,
                          "choose another x_ref")
 
     def U_vec(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        span = np.linspace(min(xs.min(), x_ref), max(xs.max(), x_ref), 65)
-        edges, where = np.unique(np.concatenate([xs, [x_ref], span]), return_inverse=True)
-        legs = np.array([as_real(complex(v), 1e-12, "potential quadrature")
-                         for v in integrate_rows(problem.F, "x", edges[:-1], edges[1:], 1)])
-        r = where[len(xs)]
-        U = np.zeros(len(edges))
-        U[r + 1:] = -np.cumsum(legs[r:])
-        U[:r] = np.cumsum(legs[:r][::-1])[::-1]
-        return U[where[:len(xs)]]
+        return -running_integrals(problem.F, "x", x_ref, xs)[0]
 
     def U(x: float) -> float:
         return float(U_vec(np.array([x]))[0])

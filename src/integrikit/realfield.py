@@ -3,6 +3,9 @@
 Cross-partial residual checks, line integrals by composite Gauss-Legendre
 quadrature, path-independence probes, potential reconstruction along
 axis-parallel polylines, and conservative-force energy bookkeeping.
+`running_integrals` is the one rule for integrals from a base point to
+many abscissas: the `potential_grid` of `cplx.harmonic_conjugate` and U in
+`odekit.energy_solve`.
 
 Also home of the shared geometry types: VectorField, ParametricCurve,
 Region and CheckReport.
@@ -26,6 +29,7 @@ __all__ = [
     "NonConservativeError", "exactness_check", "line_integral",
     "path_independence_probe", "potential_reconstruct", "potential_grid",
     "gradient_check", "work_energy", "residual_sweep", "gauss_nodes",
+    "running_integrals",
 ]
 
 
@@ -74,14 +78,10 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned box with optional excluded points.
-
-    `simply_connected` is a user-supplied claim, never computed.
-    """
+    """Axis-aligned box with optional excluded points."""
     names: tuple
     bounds: tuple               # ((lo, hi), ...) per variable
     excluded: tuple = ()        # points (tuples) inside the box
-    simply_connected: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -267,9 +267,31 @@ def integrate_rows(e: Expr, param: str, t0, t1, panels: int, columns=None) -> np
     return out
 
 
-def integrate_expr(e: Expr, param: str, t0: float, t1: float, panels: int) -> complex:
-    """One-shot composite Gauss-Legendre integral of e(param) over [t0, t1]."""
-    return complex(integrate_rows(e, param, t0, t1, panels)[0])
+def running_integrals(e: Expr, param: str, ref: float, ends, columns=None) -> np.ndarray:
+    """Real integrals of e(param) from `ref` to each of `ends`, one row per
+    value of `columns` (one row without them).
+
+    One Gauss-Legendre panel lies on each gap between the sorted distinct
+    points of `ends`, `ref` and 65 even edges over their span; all rows are
+    one `integrate_rows` call, each gap's integral must be real, and the
+    gaps are summed outward from `ref`, so an end equal to `ref` gives 0.
+    """
+    ends = np.asarray(ends, dtype=float)
+    columns = {k: np.ravel(v) for k, v in (columns or {}).items()}
+    rows = len(next(iter(columns.values()))) if columns else 1
+    span = np.linspace(min(ends.min(), ref), max(ends.max(), ref), 65)
+    edges, where = np.unique(np.concatenate([ends, [ref], span]), return_inverse=True)
+    vals = integrate_rows(e, param, np.tile(edges[:-1], rows), np.tile(edges[1:], rows), 1,
+                          {k: np.repeat(v, len(edges) - 1) for k, v in columns.items()})
+    bad = np.abs(vals.imag) > 1e-12 * (1.0 + np.abs(vals.real))
+    if bad.any():  # as_real's test on every gap at once; it names the first failing one
+        as_real(complex(vals[np.argmax(bad)]), 1e-12, "potential quadrature")
+    legs = vals.real.reshape(rows, -1)
+    r = where[len(ends)]
+    out = np.zeros((rows, len(edges)))
+    out[:, r + 1:] = np.cumsum(legs[:, r:], axis=1)
+    out[:, :r] = -np.cumsum(legs[:, :r][:, ::-1], axis=1)[:, ::-1]
+    return out[:, where[:len(ends)]]
 
 
 def residual_sweep(exprs: Sequence[Expr], names, pts: np.ndarray):
@@ -340,16 +362,17 @@ def line_integral(F: VectorField, curve: ParametricCurve, panels: int = 64,
                   return_error: bool = False):
     """Line integral of F along the curve by composite Gauss-Legendre.
 
-    The reported error estimate is the change under panel doubling; the
-    returned value comes from the doubled panel count.
+    The returned value comes from 2 * `panels` panels; with `return_error`,
+    the error estimate is its change from `panels` panels.
     """
-    integrand = _pullback_integrand(F, curve)
-    coarse = integrate_expr(integrand, curve.param, curve.t_start, curve.t_end, panels)
-    fine = integrate_expr(integrand, curve.param, curve.t_start, curve.t_end, 2 * panels)
+    if panels < 1:
+        raise ValueError(f"panels must be at least 1, got {panels!r}")
+    quad = (_pullback_integrand(F, curve), curve.param, curve.t_start, curve.t_end)
+    coarse = complex(integrate_rows(*quad, panels)[0]) if return_error else None
+    fine = complex(integrate_rows(*quad, 2 * panels)[0])
     value = as_real(fine, 1e-12, "line integral")
-    err = abs(fine - coarse) + 1e-15 * (1.0 + abs(fine))
     if return_error:
-        return value, err
+        return value, abs(fine - coarse) + 1e-15 * (1.0 + abs(fine))
     return value
 
 
@@ -408,26 +431,13 @@ def potential_reconstruct(F: VectorField, base, target, panels: int = 64,
     return total
 
 
-def _legs(e: Expr, param: str, start: float, ends: np.ndarray, panels: int,
-          columns=None) -> np.ndarray:
-    """Real integrals of e(param) from `start` to each of `ends` (0 where an
-    end is `start`), with other variables bound per leg by `columns`."""
-    moving = ends != start
-    vals = integrate_rows(e, param, np.minimum(start, ends[moving]),
-                          np.maximum(start, ends[moving]), panels,
-                          {k: v[moving] for k, v in (columns or {}).items()})
-    out = np.zeros(len(ends))
-    out[moving] = np.where(ends[moving] > start, 1.0, -1.0) * np.array(
-        [as_real(complex(v), 1e-12, "potential leg") for v in vals])
-    return out
-
-
-def potential_grid(F: VectorField, axes, base, panels: int = 8) -> np.ndarray:
+def potential_grid(F: VectorField, axes, base) -> np.ndarray:
     """Reconstructed potential values u on a 2-D grid, with u(base) = 0.
 
     u at each node is the axis-parallel polyline reconstruction: the x-leg
-    at the base ordinate, then the y-leg at the node abscissa.  All x-legs
-    are integrated together, and so are all y-legs, binding x per leg.
+    at the base ordinate, then the y-leg at the node abscissa.  The x-legs
+    are one running integral of P(x, y_base), and the y-legs of all
+    abscissas are one running integral of Q with x bound per row.
     """
     if F.n != 2:
         raise ValueError("potential_grid supports 2-D fields")
@@ -435,10 +445,8 @@ def potential_grid(F: VectorField, axes, base, panels: int = 8) -> np.ndarray:
     bx, by = (float(base[0]), float(base[1]))
     x, y = F.names
     p_expr, q_expr = F.components
-    xs, ys = np.meshgrid(x_axis, y_axis, indexing="ij")
-    x_legs = _legs(p_expr.subs({y: by}), x, bx, x_axis, panels)
-    y_legs = _legs(q_expr, y, by, ys.ravel(), panels, {x: xs.ravel()})
-    return x_legs[:, None] + y_legs.reshape(xs.shape)
+    x_legs = running_integrals(p_expr, x, bx, x_axis, {y: [by]})[0]
+    return x_legs[:, None] + running_integrals(q_expr, y, by, y_axis, {x: x_axis})
 
 
 def gradient_check(F: VectorField, axes, u_grid: np.ndarray, tol: float) -> CheckReport:

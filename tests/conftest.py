@@ -69,19 +69,6 @@ def bounded_smooth_exprs(seed: int, count: int, names, bound: float = 100.0):
     return out
 
 
-def linspace_gl5_integral(e, param: str, t0: float, t1: float, panels: int) -> complex:
-    """Composite 5-point Gauss-Legendre integral of e(param) over [t0, t1]
-    with edges from np.linspace and one eval_many: the one-interval
-    quadrature that batched quadrature must reproduce bit for bit."""
-    x, w = np.polynomial.legendre.leggauss(5)
-    edges = np.linspace(t0, t1, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return complex(np.sum(weights * eval_many(e, (param,), nodes.reshape(-1, 1))))
-
-
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)

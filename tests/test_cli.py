@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from integrikit.cli import main
+from integrikit.realfield import gauss_nodes
 
 from conftest import child_env
 
@@ -214,6 +215,15 @@ class TestCommandSurface:
         code, rep = run_json(["energy", "--F", "1/x", "--m", "1", "--x0", "1",
                               "--v0", "1", "--x-target", "2", "--x-ref", "1"], capsys)
         assert code == 0 and abs(rep["values"]["E"] - 0.5) <= 1e-12
+
+    def test_energy_with_a_complex_potential_names_the_first_gap(self, capsys):
+        # sqrt(x) is complex left of 0: every gap from x_ref = -1 to 0 fails,
+        # and the message shows the first one, [-1, -1 + 1/32]
+        code, rep = run_json(["energy", "--F", "sqrt(x)", "--m", "1", "--x0", "1",
+                              "--v0", "1", "--x-target", "2", "--x-ref", "-1"], capsys)
+        assert code == 3
+        assert rep["diagnostics"]["error"] == (
+            "potential quadrature has non-negligible imaginary part 0.031004572670921503")
 
     def test_energy_requires_one_target(self, capsys):
         code, rep = run_json(["energy", "--F", "2", "--m", "1", "--x0", "0",
@@ -453,14 +463,17 @@ class TestCharacteristicErrors:
             f"RK4 would take {steps} steps, more than MAX_STEPS = 1000000")
 
     def test_pole_on_a_potential_leg_is_a_numeric_error(self, capsys):
-        # v is harmonic away from (0, 0.03125), which is no grid point but
-        # is a quadrature node of the y-leg from y = 0 to y = 1 at x = 0
-        code, rep = run_json(["conjugate", "--v", "x/(x^2+(y-0.03125)^2)", "--base", "0,0",
+        # v is harmonic away from (0, y_pole), which is no grid point but is
+        # a quadrature node of the y-legs at x = 0: their edges are the grid
+        # ordinates and 65 even edges over [0, 1], so the first gap is [0, 1/64]
+        edges = np.linspace(0.0, 1.0, 65)
+        y_pole = float(gauss_nodes(edges[0], edges[1], 1)[0][1])
+        code, rep = run_json(["conjugate", "--v", f"x/(x^2+(y-{y_pole!r})^2)", "--base", "0,0",
                               "--region", "0,1,0,1", "--grid", "5", "--laplace-tol", "1"],
                              capsys)
         assert code == 3
         assert rep["diagnostics"]["error"].startswith(
-            "division by zero at (y=0.03125, x=0.0) while evaluating")
+            f"division by zero at (y={y_pole!r}, x=0.0) while evaluating")
 
     def test_contour_through_a_pole_is_a_numeric_error(self, capsys):
         # the middle Gauss node of the one panel on t in [-1, 1] is z = 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from integrikit import _backend, cli, cplx, expr, realfield
-from integrikit.expr import EvalDomainError, parse
+from integrikit.expr import EvalDomainError, eval_many, parse
 from integrikit.realfield import (
     EndpointMismatchError, ExcludedPointError, NonConservativeError,
     ParametricCurve, Region, VectorField, exactness_check, gauss_nodes,
@@ -12,7 +12,7 @@ from integrikit.realfield import (
     potential_reconstruct, work_energy,
 )
 
-from conftest import bounded_smooth_exprs, linspace_gl5_integral
+from conftest import bounded_smooth_exprs
 
 SQUARE = Region(("x", "y"), ((-2, 2), (-2, 2)))
 
@@ -248,34 +248,52 @@ class TestBatchedQuadrature:
             assert weights[row].tobytes() == (half[:, None] * w).ravel().tobytes()
 
     @staticmethod
-    def leg_by_leg_grid(F, axes, base, panels):
-        """potential_grid one leg at a time: each x-leg on P(x, y_base) and
-        each y-leg on Q with the node abscissa substituted for x."""
-        def signed(e, param, a, b):
-            if a == b:
-                return 0.0
-            lo, hi, sign = (a, b, 1.0) if a < b else (b, a, -1.0)
-            return sign * linspace_gl5_integral(e, param, lo, hi, panels).real
+    def per_gap_running(e, param, ref, ends, name, values):
+        """running_integrals one gap at a time: one GL5 panel per gap of the
+        sorted edges, then summed outward from ref one gap at a time."""
+        x, w = np.polynomial.legendre.leggauss(5)
+        span = np.linspace(min(min(ends), ref), max(max(ends), ref), 65)
+        edges = sorted(set(ends) | {ref} | set(span.tolist()))
+        r = edges.index(ref)
+        out = np.empty((len(values), len(ends)))
+        for i, c in enumerate(values):
+            legs = []
+            for a, b in zip(edges[:-1], edges[1:]):
+                mid, half = 0.5 * (a + b), 0.5 * (b - a)
+                vals = eval_many(e, (param, name), [[mid + half * t, c] for t in x])
+                legs.append(np.add.reduce(half * w * vals).real)
+            for j, end in enumerate(ends):
+                k, acc = edges.index(end), 0.0
+                gaps = range(r, k) if k > r else range(r - 1, k - 1, -1)
+                for n, g in enumerate(gaps):
+                    acc = legs[g] if n == 0 else acc + legs[g]
+                out[i, j] = acc if k >= r else -acc
+        return out
 
-        (bx, by), (p, q) = base, F.components
-        u = np.empty((len(axes[0]), len(axes[1])))
-        for i, xv in enumerate(axes[0]):
-            leg = signed(p.subs({"y": by}), "x", bx, float(xv))
-            q_line = q.subs({"x": float(xv)})
-            for j, yv in enumerate(axes[1]):
-                u[i, j] = leg + signed(q_line, "y", by, float(yv))
-        return u
+    @pytest.mark.parametrize("ref", [0.25, -0.377], ids=["ref-on-an-end", "ref-off-the-ends"])
+    def test_running_integrals_match_gap_by_gap(self, ref):
+        exprs = bounded_smooth_exprs(seed=5, count=4, names=("x", "y"))
+        # ends on both sides of ref, repeated, and unsorted
+        ends = [0.9, -1.0, 0.25, -0.6, 0.25, 1.3, -1.0, 0.0]
+        # 25 rows of about 70 gaps of 5 nodes span two blocks of eval_many
+        rows = np.linspace(-1.2, 1.2, 25)
+        for e in exprs:
+            got = realfield.running_integrals(e, "x", ref, ends, {"y": rows})
+            want = self.per_gap_running(e, "x", ref, ends, "y", rows)
+            assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("on_node", [True, False], ids=["base-on-node", "base-off-node"])
-    def test_potential_grid_matches_leg_by_leg(self, on_node):
-        exprs = bounded_smooth_exprs(seed=5, count=6, names=("x", "y"))
+    def test_potential_grid_matches_a_polynomial_potential(self):
+        # u = x^3 y - 2 x y^2 + y^3 + x, whose legs GL5 integrates exactly
+        F = VectorField.of(("x", "y"), "3*x^2*y - 2*y^2 + 1", "x^3 - 4*x*y + 3*y^2")
         axes = (np.linspace(-1.0, 1.0, 15), np.linspace(-1.2, 0.8, 11))
-        base = (axes[0][4], axes[1][7]) if on_node else (0.1234, -0.377)
-        for p, q in zip(exprs[::2], exprs[1::2]):
-            F = VectorField(("x", "y"), (p, q))
-            # 165 y-legs of 80 nodes span two blocks of eval_many
-            u = potential_grid(F, axes, base, panels=16)
-            assert u.tobytes() == self.leg_by_leg_grid(F, axes, base, 16).tobytes()
+        base = (0.1234, -0.377)
+
+        def u(x, y):
+            return x ** 3 * y - 2 * x * y ** 2 + y ** 3 + x
+
+        xg, yg = np.meshgrid(*axes, indexing="ij")
+        got = potential_grid(F, axes, base)
+        assert np.max(np.abs(got - (u(xg, yg) - u(*base)))) <= 1e-13
 
     def test_conjugate_request_makes_few_eval_many_calls(self, monkeypatch, capsys):
         calls = []
@@ -291,8 +309,9 @@ class TestBatchedQuadrature:
                          "--region", "-1,1,-1,1", "--grid", "41"])
         capsys.readouterr()
         assert code == 0
-        # 1,681 y-legs of 80 nodes, in blocks that bound the memory of one call
-        assert 0 < len(calls) <= 30, len(calls)
+        # the y-legs are 41 rows of 96 gaps of 5 nodes, in blocks that bound
+        # the memory of one call
+        assert 0 < len(calls) <= 10, len(calls)
         assert max(calls) <= _backend.BLOCK
 
     def test_pole_on_a_leg_names_the_point_and_subtree(self):
