@@ -3,19 +3,25 @@
 A tape (:class:`integrikit.expr.Tape`) is plain data.  Registers start
 as the variables followed by the constants; each op appends one result
 and then drops the slots no later op reads.  :func:`_run` runs a tape
-on complex scalars with :data:`SCALAR_OPS` and on complex128 arrays with
-:data:`ARRAY_OPS`; :func:`eval_points` runs it on :data:`BLOCK` points at
-a time, so that live temporaries stay small.  :func:`rk4` is the only
-RK4 loop: one whole trace generated from the tape as straight-line source
-(:func:`_trace_fn`), with the stages inlined and the guard applied.  It
-runs on Python floats with :data:`FLOAT_OPS` when the system and the start
-are real, and reruns on complex scalars with :data:`SCALAR_OPS`, bit for
-bit as before, when the float trace fails.
+with one op table: on complex scalars with :data:`SCALAR_OPS`, on
+complex128 arrays with :data:`ARRAY_OPS` and on float64 arrays with
+:data:`REAL_ARRAY_OPS`.  :func:`eval_points` runs it on :data:`BLOCK`
+points at a time, so that live temporaries stay small; a real point set
+with real constants runs on float64, and a block whose float ops refuse
+(:class:`_LeavesReals`) reruns on complex128, bit for bit as a complex
+point set would.  :func:`rk4` is the only RK4 loop: one whole trace
+generated from the tape as straight-line source (:func:`_trace_fn`), with
+the stages inlined and the guard applied.  It runs on Python floats with
+:data:`FLOAT_OPS` when the system and the start are real, and reruns on
+complex scalars with :data:`SCALAR_OPS`, bit for bit as before, when the
+float trace fails.
 
-Domain failures never raise: division by 0, ln 0 and 0 raised to a
-negative or complex power give NaN, as do cmath overflow and domain
-errors in :func:`_run`.  Callers turn NaN into precise errors; :func:`rk4`
-fails a step that raises like one that leaves the domain or the guard.
+Domain failures never raise from the complex tables: division by 0, ln 0
+and 0 raised to a negative or complex power give NaN, as do cmath
+overflow and domain errors in :func:`_run`, and the array ops that could
+map a non-finite argument to a finite value give NaN there instead.
+Callers turn NaN into precise errors; :func:`rk4` fails a step that
+raises like one that leaves the domain or the guard.
 """
 
 from __future__ import annotations
@@ -65,19 +71,116 @@ def _nan_where(out, bad):
     return np.where(bad, _NAN, out) if np.any(bad) else out
 
 
+def _nan_unless_finite(fn):
+    """`fn`, NaN wherever its argument is not finite."""
+    return lambda z: _nan_where(fn(z), ~np.isfinite(z))
+
+
+# An overflow must reach the output as a non-finite value, as it stops the
+# tree walk: so every op that could map a non-finite argument to a finite
+# value (1/inf, inf^0, atan, tanh, exp(-inf), im, and re and tan of an
+# infinite imaginary part) gives NaN there.
 ARRAY_OPS = {
     "neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
-    "/": lambda a, b: _nan_where(np.divide(a, b), b == 0),
+    "/": lambda a, b: _nan_where(np.divide(a, b), (b == 0) | ~np.isfinite(b)),
     # np.power, not `**`: ndarray.__pow__ takes fast paths for some exponents
     "^": lambda a, b: _nan_where(np.power(a, b),
-                                 (a == 0) & ((b.real < 0) | (b.imag != 0))),
-    "sin": np.sin, "cos": np.cos, "tan": np.tan, "atan": np.arctan,
-    "exp": np.exp, "ln": lambda z: _nan_where(np.log(z), z == 0), "sqrt": np.sqrt,
-    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
+                                 (a == 0) & ((b.real < 0) | (b.imag != 0))
+                                 | ~np.isfinite(a) | ~np.isfinite(b)),
+    "sin": np.sin, "cos": np.cos, "tan": _nan_unless_finite(np.tan),
+    "atan": _nan_unless_finite(np.arctan),
+    "exp": _nan_unless_finite(np.exp), "ln": lambda z: _nan_where(np.log(z), z == 0),
+    "sqrt": np.sqrt, "sinh": np.sinh, "cosh": np.cosh, "tanh": _nan_unless_finite(np.tanh),
     "abs": lambda z: np.abs(z).astype(np.complex128),
-    "re": lambda z: z.real.astype(np.complex128),
-    "im": lambda z: z.imag.astype(np.complex128),
+    "re": _nan_unless_finite(lambda z: z.real.astype(np.complex128)),
+    "im": _nan_unless_finite(lambda z: z.imag.astype(np.complex128)),
     "conj": np.conj,
+}
+
+
+class _LeavesReals(Exception):
+    """A :data:`REAL_ARRAY_OPS` op met an argument on which its float
+    result could differ from the real part of :data:`ARRAY_OPS`'s.
+    :func:`_run` does not catch it; :func:`eval_points` reruns the block
+    on complex."""
+
+
+def _finite_only(fn):
+    def f(x):
+        if not np.isfinite(x).all():
+            raise _LeavesReals
+        return fn(x)
+    return f
+
+
+def _r_div(a, b):
+    if np.any(b == 0) or not np.isfinite(b).all():
+        raise _LeavesReals
+    return np.divide(a, b)
+
+
+def _powi(p, m: int):
+    """p to the whole power m >= 1 by binary powering: the products, in
+    order, of CPython's complex `**` and numpy's complex power."""
+    r = None
+    while True:
+        if m & 1:
+            r = p if r is None else r * p
+        m >>= 1
+        if not m:
+            return r
+        p = p * p
+
+
+def _r_pow(a, b):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise _LeavesReals
+    if np.ndim(b) == 0 and b == math.floor(b) and abs(b) < 100:
+        # a constant whole exponent below 100: numpy's complex power
+        # multiplies, by binary powering, and so does this
+        if b == 0:
+            return np.ones_like(a)
+        if b < 0 and np.any(a == 0):
+            raise _LeavesReals
+        r = _powi(a, int(abs(b)))
+        if b > 0:
+            return r
+        if not np.isfinite(r).all():   # 1/inf would hide the overflow
+            raise _LeavesReals
+        return np.divide(1.0, r)
+    # exp(b ln a) on complex: real for a positive base, or a whole exponent
+    # below 100 (where numpy multiplies) on a negative one
+    whole = (b == np.floor(b)) & (np.abs(b) < 100)
+    if np.any((a < 0) & ~whole) or np.any((a == 0) & (b < 0)):
+        raise _LeavesReals
+    return np.power(a, b)
+
+
+def _r_ln(x):
+    if np.any(x <= 0):
+        raise _LeavesReals
+    return np.log(x)
+
+
+def _r_sqrt(x):
+    if np.any(x < 0):
+        raise _LeavesReals
+    return np.sqrt(x)
+
+
+#: ARRAY_OPS for real operands on float64: each result is the real part of
+#: the complex op's to rounding, and non-finite exactly where that one is.
+#: An op whose result would leave the reals or be NaN there instead (a
+#: domain failure, or a non-finite argument to an op that could absorb it)
+#: raises :class:`_LeavesReals`.
+REAL_ARRAY_OPS = {
+    "neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
+    "/": _r_div, "^": _r_pow,
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "atan": _finite_only(np.arctan),
+    "exp": _finite_only(np.exp), "ln": _r_ln, "sqrt": _r_sqrt,
+    "sinh": np.sinh, "cosh": np.cosh, "tanh": _finite_only(np.tanh),
+    "abs": np.abs, "re": lambda x: x, "im": _finite_only(np.zeros_like),
+    "conj": lambda x: x,
 }
 
 
@@ -95,12 +198,26 @@ def _run(ops, table, regs: list) -> list:
 
 
 def eval_points(ops, consts, pts, out) -> np.ndarray:
-    """Slot `out` of the tape at every row of `pts`, as a new array."""
+    """Slot `out` of the tape at every row of `pts`, as a new complex128
+    array.  A float64 `pts` with real constants runs on
+    :data:`REAL_ARRAY_OPS`; a block where that refuses, and any complex
+    `pts`, run on :data:`ARRAY_OPS`."""
     npts, nvars = pts.shape
     result = np.empty(npts, dtype=np.complex128)
+    real = pts.dtype == np.float64 and not any(c.imag for c in consts)
+    real_consts = [c.real for c in consts]
     with np.errstate(all="ignore"):
         for lo in range(0, npts, BLOCK):
             block = pts[lo:lo + BLOCK]
+            if real:
+                try:
+                    regs = _run(ops, REAL_ARRAY_OPS,
+                                [block[:, j] for j in range(nvars)] + real_consts)
+                    result[lo:lo + BLOCK] = regs[out]
+                    continue
+                except _LeavesReals:
+                    pass
+            block = block.astype(np.complex128, copy=False)
             regs = _run(ops, ARRAY_OPS, [block[:, j] for j in range(nvars)] + list(consts))
             result[lo:lo + BLOCK] = regs[out]
     return result
@@ -132,13 +249,7 @@ def _f_pow(a, b):
         raise OverflowError
     if -100.0 <= b <= 100.0 and b == math.floor(b):
         # binary powering, then 1/r for b < 0: CPython's complex `**` (c_powi)
-        r, p, m = 1.0, a, int(abs(b))
-        while m:
-            if m & 1:
-                r = r * p
-            m >>= 1
-            if m:
-                p = p * p
+        r = _powi(a, int(abs(b))) if b else 1.0
         if r - r:                 # complex `**` raises on an infinite result
             raise OverflowError
         return 1.0 / r if b < 0 else r

@@ -842,10 +842,18 @@ def eval_many(e: Expr, names, points) -> np.ndarray:
     """Evaluate an expression at many points (rows of `points`).
 
     Non-finite results are turned into a precise EvalDomainError by
-    re-walking the tree at the first offending point.
+    re-walking the tree at the first offending point.  Real points (a real
+    dtype, or complex ones whose imaginary parts are all +0.0) stay
+    float64, so the backend can run them on floats; the result is complex128.
     """
     names = tuple(names)
-    pts = np.ascontiguousarray(points, dtype=np.complex128)
+    pts = np.asarray(points)
+    if pts.dtype.kind in "biuf":
+        pts = np.ascontiguousarray(pts, dtype=np.float64)
+    else:
+        pts = np.ascontiguousarray(pts, dtype=np.complex128)
+        if not pts.imag.view(np.uint64).any():   # -0.0 picks the other side of a branch cut
+            pts = np.ascontiguousarray(pts.real)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.shape[1] != len(names):

@@ -251,17 +251,18 @@ def integrate_rows(e: Expr, param: str, t0, t1, panels: int, columns=None) -> np
     One eval_many takes at most ``_backend.BLOCK`` points (at least one
     interval), so memory stays bounded however many intervals there are.
     """
-    columns = columns or {}
+    columns = {k: np.ravel(v) for k, v in (columns or {}).items()}
     names = (param, *columns)
     nodes, weights = gauss_nodes(np.ravel(t0), np.ravel(t1), panels)
+    dtype = np.result_type(nodes, *columns.values())
     out = np.empty(len(nodes), dtype=complex)
     step = max(1, _backend.BLOCK // nodes.shape[1])
     for lo in range(0, len(nodes), step):
         rows = slice(lo, lo + step)
-        pts = np.empty(nodes[rows].shape + (len(names),), dtype=complex)
+        pts = np.empty(nodes[rows].shape + (len(names),), dtype=dtype)
         pts[..., 0] = nodes[rows]
         for j, col in enumerate(columns.values(), 1):
-            pts[..., j] = np.ravel(col)[rows, None]
+            pts[..., j] = col[rows, None]
         vals = eval_many(e, names, pts.reshape(-1, len(names)))
         out[rows] = np.add.reduce(weights[rows] * vals.reshape(nodes[rows].shape), axis=1)
     return out

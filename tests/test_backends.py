@@ -1,10 +1,14 @@
 """The tape evaluator against the tree walk `evaluate`: values, domain
-failures, blocking and the RK4 driver built on it."""
+failures, blocking, the float and complex array paths, and the RK4 driver
+built on it."""
 
 import gc
+import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from integrikit import _backend
 from integrikit.expr import (
@@ -13,7 +17,7 @@ from integrikit.expr import (
 )
 from integrikit.odesys import GUARD, AutonomousSystem, IntegrationError, _run_rk4, integrate_rk4
 
-from conftest import bounded_smooth_exprs
+from conftest import bounded_smooth_exprs, random_smooth_expr
 
 MESSY = "sin(x*y) + exp(x/2)/(1 + y^2) - tanh(x - y)^3 + atan(x)*cos(y)"
 NAMES = ("x", "y")
@@ -107,6 +111,163 @@ def test_pow_and_log_guards():
         eval_many(parse("x^-1"), ("x",), np.array([[0.0]]))
     with pytest.raises(EvalDomainError, match="ln"):
         eval_many(parse("ln(x)"), ("x",), np.array([[0.0]]))
+
+
+# Overflow inside an op that maps infinities to finite values: the array
+# paths must not hide what the tree walk reports.
+ABSORBED = [
+    ("1/exp(1000*x)", "exp(1000*x)"),
+    ("atan(exp(1000*x))", "exp(1000*x)"),
+    ("tanh(cosh(1000*x))", "cosh(1000*x)"),
+    ("exp(-exp(1000*x))", "exp(1000*x)"),
+    ("im(exp(1000*x))", "exp(1000*x)"),
+    ("re(sqrt(-exp(1000*x)))", "exp(1000*x)"),
+    ("tan(sqrt(-exp(1000*x)))", "exp(1000*x)"),
+    ("(2e154*x)^-2", "(2e+154*x)^-2"),           # 1/inf after an overflowing square
+]
+
+
+@pytest.mark.parametrize("text,subtree", ABSORBED)
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_an_absorbed_overflow_fails_like_the_tree_walk(text, subtree, dtype):
+    e = parse(text)
+    with pytest.raises(EvalDomainError) as walk:
+        evaluate(e, {"x": 1.0})
+    assert str(walk.value.subtree) == subtree
+    xs = np.array([0.25, 0.5, 1.0, 2.0], dtype=dtype)
+    with pytest.raises(EvalDomainError) as batch:
+        eval_many(e, ("x",), xs)
+    assert batch.value.subtree == walk.value.subtree
+    assert batch.value.reason == f"{walk.value.reason} at (x=1.0)"
+
+
+def test_whole_powers_on_floats_are_the_complex_products_bit_for_bit(rng):
+    a = rng.uniform(0.5, 3, size=1000) * rng.choice([-1.0, 1.0], size=1000)   # no overflow
+    for n in range(-99, 100):
+        with np.errstate(all="ignore"):
+            got = _backend.REAL_ARRAY_OPS["^"](a, np.float64(n))
+            want = _backend.ARRAY_OPS["^"](a.astype(np.complex128), np.complex128(n))
+        assert got.dtype == np.float64 and not want.imag.any()
+        assert got.tobytes() == np.ascontiguousarray(want.real).tobytes(), n
+
+
+def real_run(e, names, pts):
+    """The float path alone: one run of the tape on float64 columns."""
+    tape = compile_expr(e, names)
+    with np.errstate(all="ignore"):
+        regs = _backend._run(tape.ops, _backend.REAL_ARRAY_OPS,
+                             [pts[:, j] for j in range(len(names))]
+                             + [c.real for c in tape.consts])
+    return np.broadcast_to(regs[tape.outs[0]], len(pts))
+
+
+def array_path(e, names, pts):
+    """`_backend.eval_points` on `pts` as given: float64 or complex128."""
+    tape = compile_expr(e, names)
+    return _backend.eval_points(tape.ops, tape.consts, pts, tape.outs[0])
+
+
+def walk_or_none(e, names, point):
+    try:
+        return evaluate(e, dict(zip(names, point)))
+    except EvalDomainError:
+        return None
+
+
+_IN_RANGE = st.floats(-2.0, 2.0)
+_EXTREME = st.sampled_from([1e155, -1e155, 1e300, -1e300, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       inner=st.lists(st.tuples(_IN_RANGE, _IN_RANGE), min_size=1, max_size=12),
+       outer=st.lists(st.tuples(_IN_RANGE | _EXTREME, _IN_RANGE | _EXTREME), max_size=6))
+def test_float_path_complex_path_and_tree_walk_agree(seed, inner, outer):
+    """Values agree within 1e-13 (1 + |v|) on [-2, 2]^2, where the float
+    path never refuses; with overflowing and non-finite points as well, all
+    three fail at the same points."""
+    e = random_smooth_expr(random.Random(seed), NAMES, depth=4)
+    pts = np.array(inner, dtype=np.float64)
+    flt = real_run(e, NAMES, pts)
+    cpx = array_path(e, NAMES, pts.astype(np.complex128))
+    for p, f, c in zip(pts, flt, cpx):
+        ref = walk_or_none(e, NAMES, p)
+        assert ref is not None and np.isfinite(f) and np.isfinite(c), (str(e), p)
+        bound = 1e-13 * (1 + abs(ref))
+        assert abs(f - ref) <= bound and abs(c - ref) <= bound, (str(e), p)
+    pts = np.array(inner + outer, dtype=np.float64)
+    flt = array_path(e, NAMES, pts)
+    cpx = array_path(e, NAMES, pts.astype(np.complex128))
+    walked = [walk_or_none(e, NAMES, p) is None for p in pts]
+    assert list(~np.isfinite(flt)) == list(~np.isfinite(cpx)) == walked, str(e)
+
+
+@pytest.mark.parametrize("text,bad", [
+    ("sqrt(x - 1)", 0.5), ("ln(x - 1)", 0.5), ("(x - 1)^1.5", 0.5), ("1/(x - 1)", 1.0),
+], ids=["sqrt", "ln", "pow", "div0"])
+@pytest.mark.parametrize("where", [_backend.BLOCK - 1, _backend.BLOCK], ids=["before", "after"])
+def test_only_the_block_that_leaves_the_reals_runs_on_complex(text, bad, where):
+    """Three blocks of real points, one of them with one point where the
+    float op refuses: that block is the complex path bit for bit, the
+    others are the float path bit for bit."""
+    e = parse(text)
+    xs = np.linspace(1.5, 3.0, 3 * _backend.BLOCK)
+    xs[where] = bad
+    pts = xs.reshape(-1, 1)
+    got = array_path(e, ("x",), pts)
+    whole = array_path(e, ("x",), pts.astype(np.complex128))
+    leaves = where // _backend.BLOCK
+    for k in range(3):
+        rows = slice(k * _backend.BLOCK, (k + 1) * _backend.BLOCK)
+        if k == leaves:
+            assert got[rows].tobytes() == whole[rows].tobytes()
+            assert got[where].imag != 0 or not np.isfinite(got[where])
+        else:
+            assert got[rows].tobytes() == real_run(e, ("x",), pts[rows]).astype(complex).tobytes()
+    if text == "1/(x - 1)":
+        with pytest.raises(EvalDomainError) as batch:
+            eval_many(e, ("x",), xs)
+        with pytest.raises(EvalDomainError) as walk:
+            evaluate(e, {"x": bad})
+        assert batch.value.subtree == walk.value.subtree
+        assert batch.value.reason == f"{walk.value.reason} at (x={bad!r})"
+    else:
+        assert eval_many(e, ("x",), xs).tobytes() == got.tobytes()
+
+
+def test_a_failure_in_a_later_block_names_the_tree_walks_point():
+    """The first block leaves the reals without failing; the third fails."""
+    e = parse("sqrt(x) + 1/(x - 2)")
+    xs = np.linspace(2.5, 3.0, 3 * _backend.BLOCK)
+    xs[3], xs[2 * _backend.BLOCK + 5] = -1.0, 2.0
+    with pytest.raises(EvalDomainError) as batch:
+        eval_many(e, ("x",), xs)
+    with pytest.raises(EvalDomainError) as walk:
+        evaluate(e, {"x": 2.0})
+    assert batch.value.subtree == walk.value.subtree and str(walk.value.subtree) == "1/(x - 2)"
+    assert batch.value.reason == f"{walk.value.reason} at (x=2.0)"
+
+
+@pytest.mark.parametrize("text,column", [
+    ("sin(x*y) + sqrt(x)", [0.5 + 1e-300j, -2.0]),   # a complex column
+    ("sqrt(x) + i*y", [0.5, -2.0]),                   # a complex constant
+    ("sqrt(x) + y", [complex(0.5, -0.0), complex(-2.0, -0.0)]),  # -0.0: the lower side of the cut
+], ids=["column", "constant", "negative-zero"])
+def test_complex_input_runs_the_complex_path_bit_for_bit(rng, text, column):
+    e = parse(text)
+    pts = np.empty((_backend.BLOCK + 3, 2), dtype=np.complex128)
+    pts[:, 0] = np.resize(np.array(column), len(pts))
+    pts[:, 1] = rng.uniform(-2, 2, size=len(pts))
+    tape = compile_expr(e, NAMES)
+    with np.errstate(all="ignore"):
+        ref = np.concatenate([
+            np.broadcast_to(_backend._run(tape.ops, _backend.ARRAY_OPS,
+                                          [block[:, 0], block[:, 1], *tape.consts])[tape.outs[0]],
+                            len(block))
+            for block in (pts[:_backend.BLOCK], pts[_backend.BLOCK:])])
+    got = eval_many(e, NAMES, pts)
+    assert got.tobytes() == ref.tobytes()
+    assert np.any(got.imag != 0)
 
 
 def test_kdv_residual_tape_is_smaller_than_its_tree(rng):

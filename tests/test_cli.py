@@ -78,11 +78,21 @@ class TestDeterminism:
         # hash randomization differs per process; output must not
         import subprocess
         import sys
-        argv = [sys.executable, "-m", "integrikit.cli", "eigen", "--A", "1,2;4,3"]
-        runs = [subprocess.run(argv, capture_output=True, check=False,
-                               env=child_env(PYTHONHASHSEED=seed)).stdout
-                for seed in ("0", "424242")]
-        assert runs[0] == runs[1] and runs[0]
+        commands = [
+            ["eigen", "--A", "1,2;4,3"],
+            # a 41^2 grid on the float path
+            ["exact-check", "--P", "cos(x)*cosh(y) + 2*x*y",
+             "--Q", "sin(x)*(exp(y) - exp(-y))/2 + x^2", "--region", "-2,2,-2,2", "--grid", "41"],
+            # sqrt(x) leaves the reals in the first of two blocks only
+            ["exact-check", "--P", "y*sqrt(x)", "--Q", "0", "--region", "-1,1,-1,1",
+             "--grid", "101"],
+        ]
+        for command in commands:
+            argv = [sys.executable, "-m", "integrikit.cli", *command]
+            runs = [subprocess.run(argv, capture_output=True, check=False,
+                                   env=child_env(PYTHONHASHSEED=seed)).stdout
+                    for seed in ("0", "424242")]
+            assert runs[0] == runs[1] and runs[0], command
 
 
 class TestThinAdapter:
