@@ -9,12 +9,13 @@ complex128 arrays with :data:`ARRAY_OPS` and on float64 arrays with
 points at a time, so that live temporaries stay small; a real point set
 with real constants runs on float64, and a block whose float ops refuse
 (:class:`_LeavesReals`) reruns on complex128, bit for bit as a complex
-point set would.  :func:`rk4` is the only RK4 loop: one whole trace
-generated from the tape as straight-line source (:func:`_trace_fn`), with
-the stages inlined and the guard applied.  It runs on Python floats with
-:data:`FLOAT_OPS` when the system and the start are real, and reruns on
-complex scalars with :data:`SCALAR_OPS`, bit for bit as before, when the
-float trace fails.
+point set would.  RK4 has one routine per system, generated from the
+tape as straight-line source (:func:`_trace_fn`), with the stages inlined
+and the guard applied; it runs a list of traces.  :func:`rk4` runs one
+trace on Python floats with :data:`FLOAT_OPS` when the system and the
+start are real, and reruns it on complex scalars with
+:data:`SCALAR_OPS`, bit for bit as before, when the float trace fails.
+:func:`fan` runs many traces on floats and stops at the first that fails.
 
 Domain failures never raise from the complex tables: division by 0, ln 0
 and 0 raised to a negative or complex power give NaN, as do cmath
@@ -113,8 +114,12 @@ def _finite_only(fn):
     return f
 
 
+# The refusal checks take one mask and one reduction per op where they
+# can, by ndarray methods: on point sets of a few dozen, as a
+# characteristic solve evaluates, the checks cost more than the ops.
+
 def _r_div(a, b):
-    if np.any(b == 0) or not np.isfinite(b).all():
+    if not (np.isfinite(b) & (b != 0.0)).all():
         raise _LeavesReals
     return np.divide(a, b)
 
@@ -133,37 +138,44 @@ def _powi(p, m: int):
 
 
 def _r_pow(a, b):
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise _LeavesReals
-    if np.ndim(b) == 0 and b == math.floor(b) and abs(b) < 100:
-        # a constant whole exponent below 100: numpy's complex power
-        # multiplies, by binary powering, and so does this
-        if b == 0:
-            return np.ones_like(a)
-        if b < 0 and np.any(a == 0):
+    if np.ndim(b) == 0:
+        # a constant exponent
+        if not (math.isfinite(b) and np.isfinite(a).all()):
             raise _LeavesReals
-        r = _powi(a, int(abs(b)))
-        if b > 0:
-            return r
-        if not np.isfinite(r).all():   # 1/inf would hide the overflow
+        if b == math.floor(b) and abs(b) < 100:
+            # a whole exponent below 100: numpy's complex power multiplies,
+            # by binary powering, and so does this
+            if b == 0:
+                return np.ones_like(a)
+            if b > 0:
+                return _powi(a, int(b))
+            if (a == 0.0).any():
+                raise _LeavesReals
+            r = _powi(a, int(-b))
+            if not np.isfinite(r).all():   # 1/inf would hide the overflow
+                raise _LeavesReals
+            return np.divide(1.0, r)
+        # exp(b ln a) on complex: real for a positive base, and 0^b for b >= 0
+        if (a <= 0.0).any() if b < 0 else (a < 0.0).any():
             raise _LeavesReals
-        return np.divide(1.0, r)
+        return np.power(a, b)
     # exp(b ln a) on complex: real for a positive base, or a whole exponent
     # below 100 (where numpy multiplies) on a negative one
     whole = (b == np.floor(b)) & (np.abs(b) < 100)
-    if np.any((a < 0) & ~whole) or np.any((a == 0) & (b < 0)):
+    if not (np.isfinite(a) & np.isfinite(b)
+            & ((a > 0.0) | (a < 0.0) & whole | (a == 0.0) & (b >= 0.0))).all():
         raise _LeavesReals
     return np.power(a, b)
 
 
 def _r_ln(x):
-    if np.any(x <= 0):
+    if (x <= 0.0).any():
         raise _LeavesReals
     return np.log(x)
 
 
 def _r_sqrt(x):
-    if np.any(x < 0):
+    if (x < 0.0).any():
         raise _LeavesReals
     return np.sqrt(x)
 
@@ -302,6 +314,13 @@ FLOAT_OPS = {
 }
 
 
+def times(t0, h, t_end, nsteps) -> np.ndarray:
+    """The times of a trace of `nsteps` steps of h from t0 that ends at t_end."""
+    ts = t0 + np.arange(nsteps + 1) * h
+    ts[0], ts[-1] = t0, t_end
+    return ts
+
+
 def rk4(ops, consts, outs, x0, guard, t0, h, hlast, t_end, nsteps):
     """Classical RK4 of the system whose derivatives are the tape slots
     `outs`, over variables (state..., time).  Takes `nsteps` steps of `h`
@@ -314,8 +333,7 @@ def rk4(ops, consts, outs, x0, guard, t0, h, hlast, t_end, nsteps):
     the trace runs on floats (:data:`FLOAT_OPS`) and ys is float64; if that
     trace fails, it reruns on complex from the start and ys is complex128.
     """
-    ts = t0 + np.arange(nsteps + 1) * h
-    ts[0], ts[-1] = t0, t_end
+    ts = times(t0, h, t_end, nsteps)
     y = [complex(v) for v in x0]
     if not any(v.imag for v in y) and not any(c.imag for c in consts):
         ys, status, reached = _trace(ops, consts, outs, [v.real for v in y], guard,
@@ -329,11 +347,33 @@ def rk4(ops, consts, outs, x0, guard, t0, h, hlast, t_end, nsteps):
 def _trace(ops, consts, outs, y, guard, t0, h, hlast, nsteps, real):
     """One generated trace from state `y`: ``(ys, status, reached)``, ys
     float64 when `real`, else complex128, one row per state."""
-    buf = array("d", y if real else [p for v in y for p in (v.real, v.imag)])
+    buf = array("d")
     trace = _trace_fn(ops, consts, outs, len(y), guard, real)
-    status, reached = trace(*y, t0, h, hlast, nsteps, buf.extend)
-    ys = np.frombuffer(buf, dtype=np.float64 if real else np.complex128)
-    return ys.reshape(-1, len(y)), status, reached
+    failed, reached = trace((y,), ((t0, h, hlast, nsteps),), 0, buf.extend)
+    ys = np.frombuffer(buf, dtype=np.float64 if real else np.complex128).reshape(-1, len(y))
+    return (ys, 0, nsteps) if failed < 0 else (ys, 1, reached)
+
+
+def fan(ops, consts, outs, starts, guard, legs, first, buf) -> int:
+    """RK4 traces on floats of the system from each of `starts` (rows of n
+    floats) over each of `legs` in turn, ``(t0, h, hlast, nsteps)`` as
+    :func:`rk4` takes them, row by row: trace k is row k // len(legs) over
+    leg k % len(legs).  Runs traces `first`, `first` + 1, ... in one
+    generated routine and appends each start and state to the ``array('d')``
+    `buf`.  Returns the index of the first trace that fails on floats, with
+    `buf` holding every trace before it, or -1 when none does.  A system
+    with a non-real constant runs nothing on floats: its next trace fails.
+    """
+    if first >= len(starts) * len(legs):
+        return -1
+    if any(c.imag for c in consts):
+        return first
+    n = len(starts[0])
+    trace = _trace_fn(ops, consts, outs, n, guard, True)
+    failed, reached = trace(starts, legs, first, buf.extend)
+    if failed >= 0:
+        del buf[len(buf) - (reached + 1) * n:]
+    return failed
 
 
 def _tuple(items) -> str:
@@ -364,12 +404,17 @@ def _powers(dst: str, x: str, m: int) -> list:
 
 @lru_cache(maxsize=32)
 def _trace_fn(ops, consts, outs, n, guard, real):
-    """A whole RK4 trace of the system tape as straight-line source:
-    ``trace(y0, ..., t0, h, hlast, nsteps, store)`` runs the step loop with
-    the four stages inlined (one local assignment per op), calls `store`
-    with each new state and returns ``(status, reached)``.  A step fails (status 1) when it raises, or unless every
-    component has ``abs(re) + abs(im) <= guard``, which with a finite guard
-    also rejects NaN and infinities.
+    """RK4 traces of the system tape as straight-line source, one routine
+    for one trace and for a fan of them: ``trace(starts, legs, first,
+    store)`` runs, for k = `first`, `first` + 1, ..., the trace of start
+    ``starts[k // len(legs)]`` over leg ``legs[k % len(legs)]`` = (t0, h,
+    hlast, nsteps): `nsteps` steps of h from t0, the last of length hlast.
+    The step loop has the four stages inlined (one local assignment per
+    op), and `store` takes each start and each new state.  Returns ``(-1,
+    0)``, or ``(k, reached)`` for the first trace k whose step `reached` + 1
+    fails: when it raises, or unless every component has ``abs(re) +
+    abs(im) <= guard``, which with a finite guard also rejects NaN and
+    infinities.
 
     With `real`, the same source runs on Python floats with
     :data:`FLOAT_OPS`; otherwise on complex with :data:`SCALAR_OPS`, time
@@ -422,21 +467,26 @@ def _trace_fn(ops, consts, outs, n, guard, real):
     else:
         bounded = " and ".join(f"abs(y{j}.real) + abs(y{j}.imag) <= guard" for j in range(n))
         stored = _tuple(f"y{j}.{part}" for j in range(n) for part in ("real", "imag"))
-    body += [f"if not ({bounded}):", "    return 1, s", f"store({stored})"]
+    body += [f"if not ({bounded}):", "    return k, s", f"store({stored})"]
 
     lines = [f"def _factory{_tuple([fname[op] for op in fns] + cname + ['guard', 'errors'])}:",
-             f"    def trace{_tuple(ys + ['t0', 'h', 'hlast', 'nsteps', 'store'])}:",
-             "        hs, hh, h6 = h, 0.5 * h, h / 6.0",
-             "        last = nsteps - 1",
-             "        s = 0",
-             "        try:",
-             "            for s in range(nsteps):",
-             "                if s == last:",
-             "                    hs, hh, h6 = hlast, 0.5 * hlast, hlast / 6.0"]
-    lines += ["                " + line for line in body]
-    lines += ["        except errors:",
-              "            return 1, s",
-              "        return 0, nsteps",
+             "    def trace(starts, legs, first, store):",
+             "        nlegs = len(legs)",
+             "        for k in range(first, len(starts) * nlegs):",
+             f"            {', '.join(ys)}, = starts[k // nlegs]",
+             "            t0, h, hlast, nsteps = legs[k % nlegs]",
+             f"            store({stored})",
+             "            hs, hh, h6 = h, 0.5 * h, h / 6.0",
+             "            last = nsteps - 1",
+             "            s = 0",
+             "            try:",
+             "                for s in range(nsteps):",
+             "                    if s == last:",
+             "                        hs, hh, h6 = hlast, 0.5 * hlast, hlast / 6.0"]
+    lines += ["                    " + line for line in body]
+    lines += ["            except errors:",
+              "                return k, s",
+              "        return -1, 0",
               "    return trace"]
     scope: dict = {}
     exec(compile("\n".join(lines), "<rk4 trace>", "exec"), scope)

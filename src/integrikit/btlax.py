@@ -14,7 +14,7 @@ import numpy as np
 
 from .expr import (Const, EvalDomainError, Expr, Var, as_expr, as_real, call,
                    diff, eval_many, evaluate)
-from .odesys import AutonomousSystem, _check_conditioned, _eval_matrix_grid, _run_rk4
+from .odesys import AutonomousSystem, RK4Traces, _check_conditioned, _eval_matrix_grid
 from .realfield import CheckReport, Region, residual_sweep
 
 __all__ = [
@@ -237,7 +237,7 @@ def lax_commuting_flow(u, lam: float, psi0: float, x0: float, t0: float,
         stages = np.column_stack([ss, ss + 0.5 * hs, ss + hs]).ravel()
         pts = np.column_stack([stages, np.full_like(stages, fixed)])
         _check_leg_field(fields, pts if along == "x" else pts[:, ::-1])
-        _, ys = _run_rk4(systems[along], state + (fixed,), s0, s1, h)
+        _, ys = RK4Traces(systems[along])(state + (fixed,), s0, s1, h)
         return tuple(float(v) for v in ys[-1, :2])
 
     dx, dt = float(delta[0]), float(delta[1])

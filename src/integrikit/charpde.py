@@ -11,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, Var, as_expr, as_real, diff, eval_many, evaluate
-from .odesys import AutonomousSystem, Trajectory, _run_rk4
+from .expr import Expr, NumericError, Var, as_expr, as_real, diff, eval_many, evaluate
+from .odesys import AutonomousSystem, RK4Traces, Trajectory
 from .realfield import CheckReport, Region, VectorField, exactness_check, residual_sweep
 
 __all__ = [
@@ -22,15 +22,15 @@ __all__ = [
 ]
 
 
-class TransversalityError(ValueError):
+class TransversalityError(ValueError, NumericError):
     pass
 
 
-class CharacteristicFanError(RuntimeError):
+class CharacteristicFanError(RuntimeError, NumericError):
     pass
 
 
-class NotPotentialError(RuntimeError):
+class NotPotentialError(RuntimeError, NumericError):
     def __init__(self, report: CheckReport):
         super().__init__(f"field is not potential: curl residual {report.max_residual:.3e} "
                          f"> tol {report.tolerance:.3e}")
@@ -102,18 +102,7 @@ def characteristic_trace(pde: QuasilinearPDE, start, t_span, h: float) -> Trajec
     Raises IntegrationError with the last good t if the state blows up.
     A zero-length span takes no step but checks start, span and step alike.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 >= t0:
-        raise ValueError("t_span must be nondegenerate and increasing")
-    if h <= 0:
-        raise ValueError("step must be positive")
-    return Trajectory(*_run_rk4(pde.characteristic_system, start, t0, t1, h))
-
-
-def _trace(system: AutonomousSystem, start, t: float, h: float):
-    """``(ts, states)`` of the characteristic of `system` from `start` at
-    time 0 to time t, by steps of h, or of -h when t < 0."""
-    return _run_rk4(system, start, 0.0, t, h if t >= 0 else -h)
+    return RK4Traces(pde.characteristic_system).trajectory(start, t_span, h, empty=True)
 
 
 def _query(q) -> np.ndarray:
@@ -161,7 +150,8 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
     The initial guess is the nearest point of a coarse fan: the
     characteristics of the 3-state system from `fan_rows` curve points,
     each traced once forward to t_max and once backward to -t_max, with
-    every RK4 state (s, t) a fan point.  Both systems are built once.
+    every RK4 state (s, t) a fan point; the whole fan is one call of
+    `RK4Traces.fan`.  Each system's traces are built once per solve.
     """
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")
@@ -175,13 +165,10 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
     curve = (ic.x0, ic.y0, ic.z0)
     curve += tuple(diff(c, ic.param) for c in curve)
     s_fan = np.linspace(ic.s_start, ic.s_end, fan_rows)
-    fan_st, fan_xy = [], []
-    for s, start in zip(s_fan, ic.points(s_fan)):
-        for t_end in (t_max, -t_max):
-            ts, states = _trace(system, start, t_end, h)
-            fan_st += [(s, t) for t in ts]
-            fan_xy.append(states[:, :2])
-    fan_st, fan_xy = np.array(fan_st), np.concatenate(fan_xy)
+    ts, states = RK4Traces(system).fan(ic.points(s_fan), t_max, h)
+    fan_st = np.column_stack([np.repeat(s_fan, len(ts)), np.tile(ts, fan_rows)])
+    fan_xy = states[:, :2]
+    newton = RK4Traces(variational)
     span = ic.s_end - ic.s_start
     s_lo, s_hi = ic.s_start - 0.5 * span, ic.s_end + 0.5 * span
 
@@ -192,7 +179,7 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
         res = float("inf")
         for used in range(1, max_iter + 1):
             start = [as_real(evaluate(c, {ic.param: s}), 1e-12, "initial curve") for c in curve]
-            endpoint = _trace(variational, start, t, h)[1][-1]
+            endpoint = newton(start, 0.0, t, h if t >= 0 else -h)[1][-1]
             g = endpoint[:2] - q
             res = float(np.max(np.abs(g)))
             if res <= newton_tol * (1 + np.max(np.abs(q))):

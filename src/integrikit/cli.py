@@ -19,26 +19,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .expr import (EvalError, NonDifferentiableError, ParseError, parse,
-                   render)
-from .realfield import (CheckReport, ParametricCurve, Region, VectorField,
-                        EndpointMismatchError, ExcludedPointError,
-                        NonConservativeError, exactness_check, line_integral,
-                        path_independence_probe, potential_reconstruct)
-from . import btlax, charpde, cplx, flow, odekit, odesys
+from .expr import NonDifferentiableError, NumericError, ParseError, parse, render
+from .realfield import (CheckReport, ParametricCurve, Region, VectorField, exactness_check,
+                        line_integral, path_independence_probe, potential_reconstruct)
 
 USAGE_ERROR, NUMERIC_ERROR = 2, 3
-
-#: Errors that mean "the numbers went wrong", not "the request was malformed".
-_NUMERIC_ERRORS = (
-    EvalError, NonConservativeError, ExcludedPointError,
-    EndpointMismatchError, odekit.NonExactError, odekit.TurningPointError,
-    odesys.IntegrationError, odesys.SingularMatrixSampleError,
-    cplx.NotHarmonicError, cplx.WindingError, charpde.TransversalityError,
-    charpde.CharacteristicFanError, charpde.NotPotentialError,
-    flow.EquilibriumError, flow.LieSeriesOverflowError,
-    np.linalg.LinAlgError, ZeroDivisionError, RuntimeError,
-)
 
 
 class UsageError(Exception):
@@ -187,6 +172,7 @@ def _parse_path(text: str) -> ParametricCurve:
 
 
 def _parse_system(args) -> odesys.AutonomousSystem:
+    from . import odesys
     names = tuple(args.vars.split(","))
     comps = tuple(parse(p) for p in args.f.split(";"))
     return odesys.AutonomousSystem(names, comps, getattr(args, "time_var", None))
@@ -208,6 +194,7 @@ def _from_check(rep: CheckReport):
 
 # --------------------------------------------------------------------------
 # Command handlers: each returns (status, max_residual, tol, values, diagnostics)
+# and imports the modules it runs, so that a process imports those alone
 # --------------------------------------------------------------------------
 
 def _cmd_exact_check(args):
@@ -241,12 +228,14 @@ def _cmd_path_probe(args):
 
 
 def _cmd_cr_check(args):
+    from . import cplx
     f = cplx.ComplexFunction.from_uv(parse(args.u), parse(args.v))
     region = _parse_region(args.region, ("x", "y"))
     return _from_check(cplx.cr_residual(f, region, args.tol, args.grid))
 
 
 def _contour_from_args(args) -> cplx.Contour:
+    from . import cplx
     if args.circle:
         cx, cy, r = _floats(args.circle, "circle")
         return cplx.Contour.circle(complex(cx, cy), r, args.orient)
@@ -260,18 +249,21 @@ def _contour_from_args(args) -> cplx.Contour:
 
 
 def _cmd_contour(args):
+    from . import cplx
     contour = _contour_from_args(args)
     value = cplx.contour_integral(parse(args.f), contour, args.nodes)
     return "pass", None, None, {"integral": value}, {}
 
 
 def _cmd_cauchy(args):
+    from . import cplx
     contour = _contour_from_args(args)
     value = cplx.cauchy_value(parse(args.f), _parse_complex(args.z0), contour, args.nodes)
     return "pass", None, None, {"value": value}, {}
 
 
 def _cmd_laurent(args):
+    from . import cplx
     coeffs = cplx.laurent_coeffs(parse(args.f), _parse_complex(args.z0), args.rho,
                                  (args.nmin, args.nmax), args.nodes)
     values = {f"a_{n}": coeffs[n] for n in sorted(coeffs)}
@@ -279,6 +271,7 @@ def _cmd_laurent(args):
 
 
 def _cmd_conjugate(args):
+    from . import cplx
     region = _parse_region(args.region, ("x", "y"))
     out = cplx.harmonic_conjugate(parse(args.v), _floats(args.base, "base"), region,
                                   grid=args.grid, laplace_tol=args.laplace_tol,
@@ -297,6 +290,7 @@ def _cmd_conjugate(args):
 
 
 def _cmd_ode_exact(args):
+    from . import odekit
     ode = odekit.ExactODE(parse(args.M), parse(args.N))
     region = _parse_region(args.region, ("x", "y")) if args.region else None
     base = _floats(args.base, "base") if args.base else None
@@ -305,6 +299,7 @@ def _cmd_ode_exact(args):
 
 
 def _cmd_ode_mu(args):
+    from . import odekit
     ode = odekit.ExactODE(parse(args.M), parse(args.N))
     region = _parse_region(args.region, ("x", "y"))
     rep, transformed = odekit.integrating_factor_apply(ode, parse(args.mu), region,
@@ -316,6 +311,7 @@ def _cmd_ode_mu(args):
 
 
 def _cmd_energy(args):
+    from . import odekit
     problem = odekit.EnergyProblem(parse(args.F), args.m, args.x0, args.v0,
                                    t0=args.t0, x_ref=args.x_ref)
     if (args.x_target is None) == (args.t_target is None):
@@ -329,6 +325,7 @@ def _cmd_energy(args):
 
 
 def _cmd_rk4(args):
+    from . import odesys
     sys_ = _parse_system(args)
     t0, t1 = _floats(args.t_span, "t-span")
     traj = odesys.integrate_rk4(sys_, _floats(args.x0, "x0"), (t0, t1), args.h)
@@ -339,6 +336,7 @@ def _cmd_rk4(args):
 
 
 def _cmd_drift(args):
+    from . import odesys
     sys_ = _parse_system(args)
     rep = odesys.first_integral_drift(parse(args.phi), sys_, _floats(args.x0, "x0"),
                                       args.T, args.h, args.tol)
@@ -346,6 +344,7 @@ def _cmd_drift(args):
 
 
 def _cmd_eigen(args):
+    from . import odesys
     pairs = odesys.eigen_solve(_parse_matrix(args.A))
     values = {
         "eigenvalues": [p.value for p in pairs],
@@ -357,6 +356,7 @@ def _cmd_eigen(args):
 
 
 def _cmd_linsolve(args):
+    from . import odesys
     A = _parse_matrix(args.A)
     if np.iscomplexobj(A):
         raise UsageError("linsolve takes a real matrix")
@@ -374,17 +374,20 @@ def _cmd_linsolve(args):
 
 
 def _cmd_matexp(args):
+    from . import odesys
     E = odesys.matrix_exp(_parse_matrix(args.A), args.t)
     return "pass", None, None, {"matrix": [list(row) for row in E]}, {}
 
 
 def _cmd_lie(args):
+    from . import flow
     V = VectorField(tuple(args.vars.split(",")), tuple(parse(p) for p in args.V.split(";")))
     value = flow.lie_derivative(V, parse(args.f), _floats(args.point, "point"))
     return "pass", None, None, {"lie_derivative": value}, {}
 
 
 def _cmd_flow(args):
+    from . import flow
     V = VectorField(tuple(args.vars.split(",")), tuple(parse(p) for p in args.V.split(";")))
     cfg = flow.LieSeriesConfig(order=args.order)
     point = flow.lie_series_flow(V, _floats(args.x0, "x0"), args.t, cfg)
@@ -392,16 +395,19 @@ def _cmd_flow(args):
 
 
 def _cmd_equilibrium(args):
+    from . import flow
     V = VectorField(tuple(args.vars.split(",")), tuple(parse(p) for p in args.V.split(";")))
     point = flow.equilibrium_find(V, _floats(args.seed, "seed"), args.tol)
     return "pass", None, None, {"point": list(point)}, {}
 
 
 def _pde_from_args(args) -> charpde.QuasilinearPDE:
+    from . import charpde
     return charpde.QuasilinearPDE(parse(args.P), parse(args.Q), parse(args.R))
 
 
 def _cmd_pde_char(args):
+    from . import charpde
     pde = _pde_from_args(args)
     t0, t1 = _floats(args.t_span, "t-span")
     traj = charpde.characteristic_trace(pde, _floats(args.start, "start"), (t0, t1), args.h)
@@ -411,6 +417,7 @@ def _cmd_pde_char(args):
 
 
 def _cmd_pde_solve(args):
+    from . import charpde
     pde = _pde_from_args(args)
     parts = args.ic.split(";")
     if len(parts) != 5:
@@ -426,6 +433,7 @@ def _cmd_pde_solve(args):
 
 
 def _cmd_pde_residual(args):
+    from . import charpde
     pde = _pde_from_args(args)
     region = _parse_region(args.region, ("x", "y"))
     rep = charpde.pde_residual(pde, parse(args.z), region, args.tol, args.grid)
@@ -433,6 +441,7 @@ def _cmd_pde_residual(args):
 
 
 def _cmd_bt_check(args):
+    from . import btlax
     indep = tuple(args.vars.split(","))
     bt = btlax.BTSystem(parse(args.B1), parse(args.B2), parse(args.Pu),
                         parse(args.Qv), indep=indep)
@@ -443,6 +452,7 @@ def _cmd_bt_check(args):
 
 
 def _cmd_sg_kink(args):
+    from . import btlax
     u = btlax.sine_gordon_kink(args.a, args.C)
     region = Region(("x", "t"), ((-2.0, 2.0), (-2.0, 2.0)))
     bt_rep = btlax.bt_residual(btlax.sine_gordon_bt(args.a), u, parse("0"),
@@ -454,6 +464,7 @@ def _cmd_sg_kink(args):
 
 
 def _cmd_kdv_lax(args):
+    from . import btlax
     dev = btlax.lax_commuting_flow(parse(args.u), args.lam, args.psi0,
                                    args.x0, args.t0,
                                    _floats(args.delta, "delta"), args.steps,
@@ -462,6 +473,7 @@ def _cmd_kdv_lax(args):
 
 
 def _cmd_maxwell_wave(args):
+    from . import btlax
     wave, E, B = btlax.maxwell_plane_wave(
         _floats(args.k_dir, "k-dir"), args.E0, alpha=args.alpha,
         omega=args.omega, wavelength=args.wavelength, eps0mu0=args.eps0mu0,
@@ -473,6 +485,7 @@ def _cmd_maxwell_wave(args):
 
 
 def _cmd_maxwell_check(args):
+    from . import btlax
     region = _parse_region(args.region, ("x", "y", "z", "t"))
     E = tuple(parse(p) for p in args.E.split(";"))
     B = tuple(parse(p) for p in args.B.split(";"))
@@ -736,7 +749,7 @@ def main(argv=None) -> int:
     except (UsageError, ParseError, NonDifferentiableError) as ex:
         _emit(_report(command, inputs, "error", diagnostics={"error": str(ex)}), pretty)
         return USAGE_ERROR
-    except _NUMERIC_ERRORS as ex:
+    except (NumericError, np.linalg.LinAlgError, ZeroDivisionError, RuntimeError) as ex:
         _emit(_report(command, inputs, "error", diagnostics={"error": str(ex)}), pretty)
         return NUMERIC_ERROR
     except (ValueError, TypeError) as ex:

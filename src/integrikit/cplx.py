@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Const, Expr, as_expr, diff, eval_many
+from .expr import Const, Expr, NumericError, as_expr, diff, eval_many
 from .realfield import (CheckReport, ParametricCurve, Region, gauss_nodes,
                         residual_sweep)
 
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-class NotHarmonicError(RuntimeError):
+class NotHarmonicError(RuntimeError, NumericError):
     def __init__(self, max_residual: float, tolerance: float):
         super().__init__(f"Laplacian residual {max_residual:.3e} exceeds {tolerance:.3e}; "
                          "the given part is not harmonic on the grid")
@@ -33,7 +33,7 @@ class NotHarmonicError(RuntimeError):
         self.tolerance = tolerance
 
 
-class WindingError(ValueError):
+class WindingError(ValueError, NumericError):
     pass
 
 

@@ -54,6 +54,11 @@ CONSTANTS: Mapping[str, complex] = {
 }
 
 
+class NumericError(Exception):
+    """Marks an error that means the numbers went wrong, not that the
+    request was malformed: the CLI exits 3 on it."""
+
+
 class ExprError(Exception):
     """Base class for expression-layer errors."""
 
@@ -68,7 +73,7 @@ class UnknownFunctionError(ParseError):
     pass
 
 
-class EvalError(ExprError):
+class EvalError(ExprError, NumericError):
     """Base class for evaluation failures."""
 
 

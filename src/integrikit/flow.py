@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Expr, as_expr, as_real, diff, evaluate
+from .expr import Expr, NumericError, as_expr, as_real, diff, evaluate
 from .odesys import AutonomousSystem, drift_along, integrate_rk4
 from .realfield import CheckReport, VectorField
 
@@ -24,14 +24,14 @@ __all__ = [
 OperatorField = VectorField
 
 
-class LieSeriesOverflowError(RuntimeError):
+class LieSeriesOverflowError(RuntimeError, NumericError):
     def __init__(self, order: int, size: int, cap: int):
         super().__init__(
             f"Lie-series term of order {order} grew to {size} nodes (cap {cap}); "
             "use the RK4 integrator instead")
 
 
-class EquilibriumError(RuntimeError):
+class EquilibriumError(RuntimeError, NumericError):
     pass
 
 

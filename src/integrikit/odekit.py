@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import EvalError, Expr, as_expr, as_real, diff, eval_many, evaluate
+from .expr import EvalError, Expr, NumericError, as_expr, as_real, diff, eval_many, evaluate
 from .odesys import Trajectory, _shown_point
 from .realfield import (CheckReport, Region, VectorField, gauss_nodes, potential_reconstruct,
                         residual_sweep, running_integrals)
@@ -25,14 +25,14 @@ __all__ = [
 ]
 
 
-class NonExactError(RuntimeError):
+class NonExactError(RuntimeError, NumericError):
     def __init__(self, report: CheckReport):
         super().__init__(f"ODE is not exact: max residual {report.max_residual:.3e} "
                          f"> tol {report.tolerance:.3e}")
         self.report = report
 
 
-class TurningPointError(RuntimeError):
+class TurningPointError(RuntimeError, NumericError):
     def __init__(self, x_turn: float):
         super().__init__(f"turning point near x = {x_turn!r}: E - U(x) vanishes; "
                          "integrate each monotone part separately")

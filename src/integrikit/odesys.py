@@ -5,26 +5,28 @@ exponentials, and matrix-calculus identity checks.
 
 from __future__ import annotations
 
+import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _backend
-from .expr import Expr, as_expr, compile_system, diff, eval_many
+from .expr import Expr, NumericError, as_expr, compile_system, diff, eval_many
 from .realfield import CheckReport, Region
 
 __all__ = [
     "AutonomousSystem", "Trajectory", "IntegrationError", "EigenPair",
-    "DependenceReport", "LinearSolveResult", "ModeFit",
+    "DependenceReport", "LinearSolveResult", "ModeFit", "RK4Traces",
     "integrate_rk4", "first_integral_drift", "dependent_integral_check",
     "char_poly", "eigen_solve", "matrix_exp", "linear_solve",
     "commutator_flow", "matrix_identity_check",
 ]
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(RuntimeError, NumericError):
     def __init__(self, message: str, t_last: float):
         super().__init__(f"{message} (last good t = {t_last!r})")
         self.t_last = t_last
@@ -90,18 +92,9 @@ GUARD = 1e12
 MAX_STEPS = 10 ** 6
 
 
-def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float):
-    """RK4 of one state x0 (n,) from t0 to t1 in steps of h (h < 0 runs
-    backward; t0 == t1 takes no step); returns ts and the real (len(ts), n)
-    states.  Raises ValueError when that takes more than MAX_STEPS steps,
-    and IntegrationError on a blow-up past GUARD, a domain failure or a
-    non-negligible imaginary part."""
-    tape = compile_system(sys.components, sys.names, sys.time_var)
-    x0c = np.asarray(x0, dtype=np.complex128)
-    if x0c.shape != (sys.n,):
-        raise ValueError(f"x0 must have {sys.n} components")
-    if not np.all(np.isfinite(x0c)):
-        raise ValueError(f"x0 must be finite, got {[float(v.real) for v in x0c]}")
+def _steps(t0, t1, h):
+    """``(nsteps, hlast)`` of an RK4 trace from t0 to t1 by steps of h, the
+    last one shortened to land on t1; no step when t0 == t1."""
     for name, v in (("start time", t0), ("end time", t1), ("step", h)):
         if not math.isfinite(v):
             raise ValueError(f"RK4 {name} must be finite, got {v!r}")
@@ -110,29 +103,87 @@ def _run_rk4(sys: AutonomousSystem, x0, t0: float, t1: float, h: float):
     if steps > MAX_STEPS:
         raise ValueError(f"RK4 would take {steps:.6g} steps, more than MAX_STEPS = {MAX_STEPS}")
     nsteps = max(1, math.ceil(steps)) if span else 0
-    hlast = span - (nsteps - 1) * h
-    ts, ys, status, reached = _backend.rk4(
-        tape.ops, tape.consts, tape.outs, x0c, GUARD,
-        float(t0), float(h), float(hlast), float(t1), nsteps)
-    if status != 0:
-        raise IntegrationError("state blew up or left the evaluation domain",
-                               float(ts[reached]))
-    if ys.dtype == np.float64:          # the float trace: real by construction
-        return ts, ys
-    if np.max(np.abs(ys.imag)) > 1e-9 * (np.max(np.abs(ys.real)) + 1.0):
-        raise IntegrationError("trajectory acquired a non-negligible imaginary part",
-                               float(ts[-1]))
-    return ts, ys.real.copy()
+    return nsteps, float(span - (nsteps - 1) * h)
+
+
+class RK4Traces:
+    """RK4 traces of one system.  Its tape is compiled once, when this is
+    built, and `_backend` caches the trace routines generated from it; each
+    trace then passes only its start and its span.  Calling it is the one
+    checked entry to :func:`_backend.rk4`."""
+
+    def __init__(self, sys: AutonomousSystem):
+        tape = compile_system(sys.components, sys.names, sys.time_var)
+        self.n = sys.n
+        self._tape = (tape.ops, tape.consts, tape.outs)
+
+    def __call__(self, x0, t0: float, t1: float, h: float):
+        """RK4 of one state x0 (n,) from t0 to t1 in steps of h (h < 0 runs
+        backward; t0 == t1 takes no step); returns ts and the real
+        (len(ts), n) states.  Raises ValueError when that takes more than
+        MAX_STEPS steps, and IntegrationError on a blow-up past GUARD, a
+        domain failure or a non-negligible imaginary part."""
+        x0c = np.asarray(x0, dtype=np.complex128)
+        if x0c.shape != (self.n,):
+            raise ValueError(f"x0 must have {self.n} components")
+        y = x0c.tolist()
+        if not all(map(cmath.isfinite, y)):
+            raise ValueError(f"x0 must be finite, got {[v.real for v in y]}")
+        nsteps, hlast = _steps(t0, t1, h)
+        ops, consts, outs = self._tape
+        ts, ys, status, reached = _backend.rk4(ops, consts, outs, y, GUARD, float(t0),
+                                               float(h), hlast, float(t1), nsteps)
+        if status != 0:
+            raise IntegrationError("state blew up or left the evaluation domain",
+                                   float(ts[reached]))
+        if ys.dtype == np.float64:          # the float trace: real by construction
+            return ts, ys
+        if np.max(np.abs(ys.imag)) > 1e-9 * (np.max(np.abs(ys.real)) + 1.0):
+            raise IntegrationError("trajectory acquired a non-negligible imaginary part",
+                                   float(ts[-1]))
+        return ts, ys.real.copy()
+
+    def trajectory(self, x0, t_span, h: float, empty: bool = False) -> Trajectory:
+        """The trace from x0 over t_span = (t0, t1), t1 > t0, or t1 >= t0
+        when `empty`, by a positive step h."""
+        t0, t1 = float(t_span[0]), float(t_span[1])
+        if not (t1 >= t0 if empty else t1 > t0):
+            raise ValueError("t_span must be nondegenerate and increasing")
+        if h <= 0:
+            raise ValueError("step must be positive")
+        return Trajectory(*self(x0, t0, t1, h))
+
+    def fan(self, starts, t_end: float, h: float):
+        """Each row of `starts` (real, (m, n)) traced from time 0 to t_end
+        by steps of h and from 0 to -t_end by steps of -h, row by row:
+        returns ts, the times of one row's states (forward, then backward),
+        and the (m * len(ts), n) states.  The traces run on floats in one
+        generated routine (:func:`_backend.fan`); a trace that fails there
+        reruns as a single trace through this object's call, which falls
+        back to complex and raises as it would for that start alone."""
+        starts = np.asarray(starts, dtype=np.float64)
+        if starts.ndim != 2 or starts.shape[1] != self.n:
+            raise ValueError(f"x0 must have {self.n} components")
+        finite = np.isfinite(starts).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"x0 must be finite, got {starts[np.argmin(finite)].tolist()}")
+        ends = ((float(t_end), float(h)), (-float(t_end), -float(h)))
+        legs, ts = [], []
+        for t1, step in ends:
+            nsteps, hlast = _steps(0.0, t1, step)
+            legs.append((0.0, step, hlast, nsteps))
+            ts.append(_backend.times(0.0, step, t1, nsteps))
+        rows, buf, k = starts.tolist(), array("d"), 0
+        while (k := _backend.fan(*self._tape, rows, GUARD, legs, k, buf)) >= 0:
+            row, leg = divmod(k, len(legs))
+            buf.extend(self(rows[row], 0.0, *ends[leg])[1].ravel().tolist())
+            k += 1
+        return np.concatenate(ts), np.frombuffer(buf).reshape(-1, self.n)
 
 
 def integrate_rk4(sys: AutonomousSystem, x0, t_span, h: float) -> Trajectory:
     """Classical fixed-step RK4; the final step is shortened to land on t_end."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError("t_span must be nondegenerate and increasing")
-    if h <= 0:
-        raise ValueError("step must be positive")
-    return Trajectory(*_run_rk4(sys, x0, t0, t1, h))
+    return RK4Traces(sys).trajectory(x0, t_span, h)
 
 
 def drift_along(phi: Expr, sys: AutonomousSystem, traj: Trajectory):
@@ -543,7 +594,7 @@ def commutator_flow(A, u0, t: float) -> np.ndarray:
 # Matrix-calculus identities for expression-valued matrices
 # --------------------------------------------------------------------------
 
-class SingularMatrixSampleError(RuntimeError):
+class SingularMatrixSampleError(RuntimeError, NumericError):
     pass
 
 

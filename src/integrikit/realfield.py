@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _backend
-from .expr import Expr, as_expr, as_real, diff, eval_many
+from .expr import Expr, NumericError, as_expr, as_real, diff, eval_many
 
 __all__ = [
     "CheckReport", "Region", "VectorField", "ParametricCurve",
@@ -33,15 +33,15 @@ __all__ = [
 ]
 
 
-class EndpointMismatchError(ValueError):
+class EndpointMismatchError(ValueError, NumericError):
     pass
 
 
-class ExcludedPointError(ValueError):
+class ExcludedPointError(ValueError, NumericError):
     pass
 
 
-class NonConservativeError(RuntimeError):
+class NonConservativeError(RuntimeError, NumericError):
     def __init__(self, report: "CheckReport"):
         super().__init__(
             f"field failed the exactness check (max residual {report.max_residual:.3e} "

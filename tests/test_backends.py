@@ -15,7 +15,7 @@ from integrikit.expr import (
     Const, EvalDomainError, _lower, add, call, compile_expr, compile_system, diff, eval_many,
     evaluate, mul, neg, node_count, parse, pow_,
 )
-from integrikit.odesys import GUARD, AutonomousSystem, IntegrationError, _run_rk4, integrate_rk4
+from integrikit.odesys import GUARD, AutonomousSystem, IntegrationError, RK4Traces, integrate_rk4
 
 from conftest import bounded_smooth_exprs, random_smooth_expr
 
@@ -496,8 +496,8 @@ def test_negative_step_is_the_negated_system_bit_for_bit(rng):
         forward = AutonomousSystem(names, tuple(exprs[k::3]))
         negated = AutonomousSystem(names, tuple(neg(e) for e in exprs[k::3]))
         x0 = rng.uniform(-0.5, 0.5, size=3)
-        ts, states = _run_rk4(forward, x0, 0.0, -0.537, -0.01)
-        ref_ts, ref_states = _run_rk4(negated, x0, 0.0, 0.537, 0.01)
+        ts, states = RK4Traces(forward)(x0, 0.0, -0.537, -0.01)
+        ref_ts, ref_states = RK4Traces(negated)(x0, 0.0, 0.537, 0.01)
         assert len(ts) == 55 and ts[-1] == -0.537
         assert np.array_equal(ts, -ref_ts)
         assert states.tobytes() == ref_states.tobytes(), [str(e) for e in exprs[k::3]]
@@ -520,8 +520,8 @@ def test_the_generated_step_keeps_a_state_at_the_guard_and_fails_the_next_float(
 
 def test_a_state_past_the_guard_is_a_blow_up_at_its_last_good_time():
     drift = AutonomousSystem(("x",), (Const(-1.0),))     # x grows by 0.5 per step back
-    _, states = _run_rk4(drift, [GUARD - 1.0], 0.0, -1.0, -0.5)
+    _, states = RK4Traces(drift)([GUARD - 1.0], 0.0, -1.0, -0.5)
     assert states[-1, 0] == GUARD
     with pytest.raises(IntegrationError, match="blew up") as ex:
-        _run_rk4(drift, [GUARD - 1.0], 0.0, -1.5, -0.5)
+        RK4Traces(drift)([GUARD - 1.0], 0.0, -1.5, -0.5)
     assert ex.value.t_last == -1.0

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from integrikit import charpde
+from integrikit import _backend
 from integrikit.charpde import (
     CharacteristicFanError, InitialCurve, NotPotentialError, QuasilinearPDE,
     TransversalityError, characteristic_trace, homogeneous_solution_check,
     normal_surface_check, pde_residual, solve_cauchy,
 )
 from integrikit.expr import compile_system, eval_many, parse
-from integrikit.odesys import _run_rk4
+from integrikit.odesys import AutonomousSystem, IntegrationError, RK4Traces
 from integrikit.realfield import Region, VectorField
 
 SQUARE = Region(("x", "y"), ((-2, 2), (-2, 2)))
@@ -121,20 +121,36 @@ class TestCharacteristicFan:
 
     @pytest.fixture
     def traces(self, monkeypatch):
-        """Every ``(ts, states)`` solve_cauchy gets from _run_rk4, in order."""
+        """Every ``(ts, states)`` trace solve_cauchy makes, in order: each fan
+        row forward and then backward, then each Newton trace."""
         made = []
+        fan, call = RK4Traces.fan, RK4Traces.__call__
 
-        def recording(*args, **kwargs):
-            made.append(_run_rk4(*args, **kwargs))
+        def recording_fan(self, starts, t_end, h):
+            ts, states = fan(self, starts, t_end, h)
+            back = int(np.flatnonzero(ts == 0.0)[1])      # where the backward leg starts
+            for rows in states.reshape(len(starts), len(ts), self.n):
+                made.extend([(ts[:back], rows[:back]), (ts[back:], rows[back:])])
+            return ts, states
+
+        def recording_call(self, *args):
+            made.append(call(self, *args))
             return made[-1]
 
-        monkeypatch.setattr(charpde, "_run_rk4", recording)
+        monkeypatch.setattr(RK4Traces, "fan", recording_fan)
+        monkeypatch.setattr(RK4Traces, "__call__", recording_call)
         return made
 
     @pytest.mark.parametrize("fan_rows", [5, 21])
     def test_trace_count(self, traces, fan_rows):
         sol = solve_cauchy(self.PDE, self.IC, self.QUERIES, fan_rows=fan_rows)
         assert len(traces) == 2 * fan_rows + sum(sol.iterations)
+        starts = self.IC.points(np.linspace(-3.0, 3.0, fan_rows))
+        for k, (ts, states) in enumerate(traces[:2 * fan_rows]):
+            assert np.array_equal(states[0], starts[k // 2])
+            assert (ts[0], ts[-1]) == (0.0, 5.0 if k % 2 == 0 else -5.0)
+        for ts, states in traces[2 * fan_rows:]:
+            assert states.shape[1] == 6 and ts[0] == 0.0
 
     @pytest.mark.parametrize("query", QUERIES, ids=["forward", "backward"])
     def test_newton_starts_at_the_nearest_fan_point(self, traces, query):
@@ -155,10 +171,61 @@ class TestCharacteristicFan:
         ts, states = traces[-1]
         (s, _), t = sol.params[0], ts[-1]
         ds = 1e-6 * (1 + abs(s))
-        plus, minus = (charpde._trace(pde.characteristic_system, p, t, 0.01)[1][-1]
+        characteristic = RK4Traces(pde.characteristic_system)
+        plus, minus = (characteristic(p, 0.0, t, 0.01 if t >= 0 else -0.01)[1][-1]
                        for p in ic.points([s + ds, s - ds]))
         column = (plus - minus) / (2 * ds)
         assert np.max(np.abs(states[-1][3:] - column)) <= 1e-6 * np.max(np.abs(column))
+
+    @pytest.mark.parametrize("P, Q, R", [
+        ("1", "1", "1"), ("z", "1", "0"), ("-y", "x", "0"), ("x", "y", "z"),
+        ("sin(z) + 0.5", "cos(x*y)", "atan(z)^3 - x^2"),
+    ])
+    def test_fan_points_are_the_row_traces_bit_for_bit(self, P, Q, R):
+        traces = RK4Traces(QuasilinearPDE(P, Q, R).characteristic_system)
+        starts = InitialCurve("s", "s", "0.5*s", "sin(s)", -1.0, 1.0).points(
+            np.linspace(-1.0, 1.0, 7))
+        ts, states = traces.fan(starts, 0.55, 0.05)
+        rows = []
+        for start in starts:
+            for t_end, h in ((0.55, 0.05), (-0.55, -0.05)):
+                rows.append(traces(start, 0.0, t_end, h))
+        assert ts.tobytes() == np.concatenate([t for t, _ in rows[:2]]).tobytes()
+        assert states.tobytes() == np.concatenate([x for _, x in rows]).tobytes()
+
+    def test_a_fan_row_that_fails_on_floats_reruns_on_complex(self):
+        # cosh above 708 is left to the complex trace, where it stays real
+        system = AutonomousSystem(("x", "y"), (parse("1e-300*cosh(y)"), parse("0")))
+        tape = compile_system(system.components, system.names, None)
+        starts = [(0.0, 1.0), (0.0, 708.5), (0.0, -2.0), (0.0, 709.0), (0.0, 3.0)]
+        traces = RK4Traces(system)
+        ts, states = traces.fan(starts, 0.3, 0.1)
+        rows, dtypes = [], []
+        for start in starts:
+            for t_end, h in ((0.3, 0.1), (-0.3, -0.1)):
+                rows.append(traces(start, 0.0, t_end, h)[1])
+                dtypes.append(_backend.rk4(tape.ops, tape.consts, tape.outs, start, 1e12,
+                                           0.0, h, h, t_end, 3)[1].dtype)
+        assert dtypes.count(np.complex128) == 4 and dtypes.count(np.float64) == 6
+        assert states.tobytes() == np.concatenate(rows).tobytes()
+
+    @pytest.mark.parametrize("Q, R, curve, query, t_max, message", [
+        # the first fan row blows up backward
+        ("0.5", "z^2", ("s", "0", "s", -1.0, 1.0), (0.2, 0.1), 2.0,
+         "state blew up or left the evaluation domain (last good t = -1.0)"),
+        # the first fan row leaves the reals backward, and its complex rerun too
+        ("1", "sqrt(z)", ("s", "0", "s", 0.1, 0.5), (0.3, 0.2), 1.0,
+         "trajectory acquired a non-negligible imaginary part (last good t = -1.0)"),
+        # the fan passes, and a Newton trace blows up
+        ("1", "z^2", ("s", "0", "s", 0.1, 0.5), (2.4, 1.8), 1.9,
+         "state blew up or left the evaluation domain (last good t = 1.7000000000000002)"),
+    ], ids=["fan-blow-up", "fan-imaginary", "newton-blow-up"])
+    def test_a_failing_trace_names_its_last_good_time(self, Q, R, curve, query, t_max,
+                                                      message):
+        with pytest.raises(IntegrationError) as ex:
+            solve_cauchy(QuasilinearPDE("1", Q, R), InitialCurve("s", *curve), [query],
+                         h=0.1, t_max=t_max)
+        assert str(ex.value) == message
 
 
 class TestCharacteristicSystem:
@@ -169,9 +236,10 @@ class TestCharacteristicSystem:
         before = compile_system.cache_info().misses
         solve_cauchy(pde, ic, queries, h=0.05, t_max=1.0, fan_rows=5)
         assert compile_system.cache_info().misses - before == 2
-        before = compile_system.cache_info().misses
+        before = compile_system.cache_info().misses, _backend._trace_fn.cache_info().misses
         solve_cauchy(pde, ic, queries, h=0.05, t_max=1.0, fan_rows=5)
-        assert compile_system.cache_info().misses == before
+        assert (compile_system.cache_info().misses,
+                _backend._trace_fn.cache_info().misses) == before
 
 
 class TestPDEResidual:

@@ -5,10 +5,23 @@ import sys
 import numpy as np
 import pytest
 
+from integrikit import cli
 from integrikit.cli import main
+from integrikit.expr import NumericError
 from integrikit.realfield import gauss_nodes
 
 from conftest import child_env
+
+
+def numeric_errors() -> list:
+    """Every class that inherits NumericError, from every module."""
+    from integrikit import btlax, charpde, cplx, flow, odekit, odesys  # noqa: F401
+    found, todo = set(), [NumericError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub)
+            todo.append(sub)
+    return sorted(found, key=lambda c: (c.__module__, c.__name__))
 
 
 def run_cli(argv, capsys):
@@ -53,6 +66,26 @@ class TestExitCodes:
         code, rep = run_json(["frobnicate"], capsys)
         assert code == 2
 
+    # every error the CLI reported with exit 3 before NumericError marked them
+    NUMERIC = ["EvalError", "NonConservativeError", "ExcludedPointError",
+               "EndpointMismatchError", "NonExactError", "TurningPointError",
+               "IntegrationError", "SingularMatrixSampleError", "NotHarmonicError",
+               "WindingError", "TransversalityError", "CharacteristicFanError",
+               "NotPotentialError", "EquilibriumError", "LieSeriesOverflowError"]
+
+    def test_every_numeric_error_is_marked(self):
+        assert set(self.NUMERIC) <= {c.__name__ for c in numeric_errors()}
+
+    @pytest.mark.parametrize("error", numeric_errors() + [
+        np.linalg.LinAlgError, ZeroDivisionError, RuntimeError],
+        ids=lambda c: c.__name__)
+    def test_a_numeric_error_in_a_handler_is_three(self, error, monkeypatch, capsys):
+        def handler(args):
+            raise error.__new__(error)
+        monkeypatch.setitem(cli.COMMANDS, "eigen", (handler, cli.COMMANDS["eigen"][1]))
+        code, rep = run_json(["eigen", "--A", "1"], capsys)
+        assert code == 3 and rep["status"] == "error"
+
 
 class TestDeterminism:
     CASES = [
@@ -86,6 +119,9 @@ class TestDeterminism:
             # sqrt(x) leaves the reals in the first of two blocks only
             ["exact-check", "--P", "y*sqrt(x)", "--Q", "0", "--region", "-1,1,-1,1",
              "--grid", "101"],
+            # the fan, and a query reached backward in t
+            ["pde-solve", "--P", "1", "--Q", "1", "--R", "1", "--ic", "s;0;sin(s);-3;3",
+             "--query", "1.0,0.3", "--query", "-0.4,-1.2"],
         ]
         for command in commands:
             argv = [sys.executable, "-m", "integrikit.cli", *command]
@@ -93,6 +129,24 @@ class TestDeterminism:
                                    env=child_env(PYTHONHASHSEED=seed)).stdout
                     for seed in ("0", "424242")]
             assert runs[0] == runs[1] and runs[0], command
+
+
+class TestImports:
+    def test_a_command_imports_only_the_modules_it_runs(self):
+        import subprocess
+        script = (
+            "import json, sys\n"
+            "from integrikit import _backend, cli\n"
+            "built = _backend._trace_fn.cache_info().currsize\n"
+            "code = cli.main(['pde-solve', '--P', '1', '--Q', '1', '--R', 'z',"
+            " '--ic', 's;0;s;-1;1', '--query', '0.2,0.3'])\n"
+            "print(json.dumps([built, code, sorted(sys.modules)]))\n")
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             check=True, env=child_env())
+        built, code, loaded = json.loads(run.stdout.splitlines()[-1])
+        assert built == 0 and code == 0
+        assert {"integrikit.charpde", "integrikit.odesys"} <= set(loaded)
+        assert not {f"integrikit.{m}" for m in ("btlax", "cplx", "flow", "odekit")} & set(loaded)
 
 
 class TestThinAdapter:
