@@ -1,11 +1,12 @@
 """Set-up time of two checkouts, side by side.
 
-    python scripts/setup_ab.py PARENT CHANGE [--runs N] [--workloads a,b,...]
+    python scripts/setup_ab.py PARENT CHANGE [--runs N]
 
 Runs `perfbench/run.py --setup-probe --workload W` in fresh interpreters
 from each checkout, in pairs that alternate which side goes first, `--runs`
-pairs per workload.  A probe imports the CLI and sends the workload's
-warm-up requests, as each of the benchmark's `setup_s` probes does.
+pairs for each of the benchmark's workloads.  A probe imports the CLI and
+sends the workload's warm-up requests, as each of the benchmark's `setup_s`
+probes does.
 
 Python compiles a module whose cached bytecode is missing or stale, and with
 PYTHONDONTWRITEBYTECODE=1 it writes none, so every probe pays that again.
@@ -66,7 +67,6 @@ def main(argv=None) -> int:
     ap.add_argument("parent", help="checkout measured first in even pairs")
     ap.add_argument("change", help="checkout measured first in odd pairs")
     ap.add_argument("--runs", type=int, default=9, help="pairs per workload and state")
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     args = ap.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     for root in sides.values():
@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     for state, prepare in (("compiled", compile_src), ("no_bytecode", clear_src)):
         for root in sides.values():
             prepare(root)
-        for workload in args.workloads.split(","):
+        for workload in WORKLOADS:
             times = {"parent": [], "change": []}
             for k in range(args.runs):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")

@@ -116,7 +116,8 @@ def _finite_only(fn):
 
 # The refusal checks take one mask and one reduction per op where they
 # can, by ndarray methods: on point sets of a few dozen, as a
-# characteristic solve evaluates, the checks cost more than the ops.
+# characteristic solve evaluates, each numpy call costs more in fixed
+# overhead than in arithmetic.
 
 def _r_div(a, b):
     if not (np.isfinite(b) & (b != 0.0)).all():
@@ -138,27 +139,21 @@ def _powi(p, m: int):
 
 
 def _r_pow(a, b):
-    if np.ndim(b) == 0:
-        # a constant exponent
-        if not (math.isfinite(b) and np.isfinite(a).all()):
+    if np.ndim(b) == 0 and math.isfinite(b) and b == math.floor(b) and abs(b) < 100:
+        # a constant whole exponent below 100: numpy's complex power
+        # multiplies, by binary powering, and so does this
+        if not np.isfinite(a).all():
             raise _LeavesReals
-        if b == math.floor(b) and abs(b) < 100:
-            # a whole exponent below 100: numpy's complex power multiplies,
-            # by binary powering, and so does this
-            if b == 0:
-                return np.ones_like(a)
-            if b > 0:
-                return _powi(a, int(b))
-            if (a == 0.0).any():
-                raise _LeavesReals
-            r = _powi(a, int(-b))
-            if not np.isfinite(r).all():   # 1/inf would hide the overflow
-                raise _LeavesReals
-            return np.divide(1.0, r)
-        # exp(b ln a) on complex: real for a positive base, and 0^b for b >= 0
-        if (a <= 0.0).any() if b < 0 else (a < 0.0).any():
+        if b == 0:
+            return np.ones_like(a)
+        if b > 0:
+            return _powi(a, int(b))
+        if (a == 0.0).any():
             raise _LeavesReals
-        return np.power(a, b)
+        r = _powi(a, int(-b))
+        if not np.isfinite(r).all():   # 1/inf would hide the overflow
+            raise _LeavesReals
+        return np.divide(1.0, r)
     # exp(b ln a) on complex: real for a positive base, or a whole exponent
     # below 100 (where numpy multiplies) on a negative one
     whole = (b == np.floor(b)) & (np.abs(b) < 100)
