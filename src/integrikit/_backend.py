@@ -5,13 +5,14 @@ as the variables followed by the constants; each op appends one result
 and then drops the slots no later op reads.  :func:`_run` runs a tape
 with one op table: on complex scalars with :data:`SCALAR_OPS`, on
 complex128 arrays with :data:`ARRAY_OPS` and on float64 arrays with
-:data:`REAL_ARRAY_OPS`.  :func:`eval_points` runs it on :data:`BLOCK`
-points at a time, so that live temporaries stay small; a real point set
-with real constants runs on float64, and a block whose float ops refuse
-(:class:`_LeavesReals`) reruns on complex128, bit for bit as a complex
-point set would.  RK4 has one routine per system, generated from the
-tape as straight-line source (:func:`_trace_fn`), with the stages inlined
-and the guard applied; it runs a list of traces.  :func:`rk4` runs one
+:data:`REAL_ARRAY_OPS`.  :func:`eval_points` runs it on rows of points
+and :func:`eval_grid` on the product grid of some axes, about
+:data:`BLOCK` points at a time, so that live temporaries stay small.  A
+real block with real constants runs on float64, and the outputs whose
+float ops refuse (:class:`_LeavesReals`) rerun on complex128, bit for bit
+as a complex block would give them.  RK4 has one routine per system,
+generated from the tape as straight-line source (:func:`_trace_fn`), with
+the stages inlined and the guard applied; it runs a list of traces.  :func:`rk4` runs one
 trace on Python floats with :data:`FLOAT_OPS` when the system and the
 start are real, and reruns it on complex scalars with
 :data:`SCALAR_OPS`, bit for bit as before, when the float trace fails.
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-#: Points per array pass of :func:`eval_points`.
+#: Points per array pass of :func:`eval_points` and :func:`eval_grid`.
 BLOCK = 8192
 
 _NAN = complex(float("nan"), float("nan"))
@@ -102,7 +103,7 @@ ARRAY_OPS = {
 class _LeavesReals(Exception):
     """A :data:`REAL_ARRAY_OPS` op met an argument on which its float
     result could differ from the real part of :data:`ARRAY_OPS`'s.
-    :func:`_run` does not catch it; :func:`eval_points` reruns the block
+    :func:`_run` leaves None for it, and the outputs that read it rerun
     on complex."""
 
 
@@ -192,42 +193,76 @@ REAL_ARRAY_OPS = {
 
 
 def _run(ops, table, regs: list) -> list:
-    """Execute a tape over `regs` (variables, then constants) in place."""
+    """Execute a tape over `regs` (variables, then constants) in place.
+    An op that refuses (:class:`_LeavesReals`), or that reads the result
+    of one that did, leaves None in its slot; the others run on."""
     for op, a, b, dead in ops:
-        f = table[op]
-        try:
-            regs.append(f(regs[a]) if b < 0 else f(regs[a], regs[b]))
-        except (OverflowError, ValueError, ZeroDivisionError):
-            regs.append(_NAN)
+        x = regs[a]
+        y = regs[b] if b >= 0 else x
+        if x is None or y is None:
+            regs.append(None)
+        else:
+            f = table[op]
+            try:
+                regs.append(f(x) if b < 0 else f(x, y))
+            except (OverflowError, ValueError, ZeroDivisionError):
+                regs.append(_NAN)
+            except _LeavesReals:
+                regs.append(None)
         for d in dead:
             regs[d] = None
     return regs
 
 
+def _outputs(ops, consts, cols, outs, real) -> list:
+    """Slots `outs` of the tape on one block of variable columns.  With
+    `real` (float64 columns, real constants) the block runs on
+    :data:`REAL_ARRAY_OPS` first, and only the outputs whose float ops
+    refused rerun on :data:`ARRAY_OPS`, bit for bit as a complex block
+    would give them."""
+    with np.errstate(all="ignore"):
+        values = [None] * len(outs)
+        if real:
+            regs = _run(ops, REAL_ARRAY_OPS, list(cols) + [c.real for c in consts])
+            values = [regs[o] for o in outs]
+        if any(v is None for v in values):
+            regs = _run(ops, ARRAY_OPS, [c.astype(np.complex128, copy=False) for c in cols]
+                        + list(consts))
+            values = [regs[o] if v is None else v for v, o in zip(values, outs)]
+    return values
+
+
 def eval_points(ops, consts, pts, out) -> np.ndarray:
     """Slot `out` of the tape at every row of `pts`, as a new complex128
-    array.  A float64 `pts` with real constants runs on
-    :data:`REAL_ARRAY_OPS`; a block where that refuses, and any complex
-    `pts`, run on :data:`ARRAY_OPS`."""
+    array, :data:`BLOCK` rows at a time.  A float64 `pts` with real
+    constants runs on :data:`REAL_ARRAY_OPS`; a block where that refuses,
+    and any complex `pts`, run on :data:`ARRAY_OPS`."""
     npts, nvars = pts.shape
     result = np.empty(npts, dtype=np.complex128)
     real = pts.dtype == np.float64 and not any(c.imag for c in consts)
-    real_consts = [c.real for c in consts]
-    with np.errstate(all="ignore"):
-        for lo in range(0, npts, BLOCK):
-            block = pts[lo:lo + BLOCK]
-            if real:
-                try:
-                    regs = _run(ops, REAL_ARRAY_OPS,
-                                [block[:, j] for j in range(nvars)] + real_consts)
-                    result[lo:lo + BLOCK] = regs[out]
-                    continue
-                except _LeavesReals:
-                    pass
-            block = block.astype(np.complex128, copy=False)
-            regs = _run(ops, ARRAY_OPS, [block[:, j] for j in range(nvars)] + list(consts))
-            result[lo:lo + BLOCK] = regs[out]
+    for lo in range(0, npts, BLOCK):
+        block = pts[lo:lo + BLOCK]
+        result[lo:lo + BLOCK] = _outputs(ops, consts, [block[:, j] for j in range(nvars)],
+                                         (out,), real)[0]
     return result
+
+
+def eval_grid(ops, consts, axes, outs):
+    """Slots `outs` of the tape on the product grid of `axes` (one float64
+    axis per variable), in blocks of whole rows along the first axis that
+    hold about :data:`BLOCK` points.  Axis j enters as a column shaped to
+    broadcast (-1 at position j, 1 elsewhere), so an op on some of the axes
+    runs on their points only.  Yields ``(lo, hi, values)`` for rows lo..hi
+    of the first axis, each value shaped to broadcast to the block (a
+    scalar for a constant); float64 first, as in :func:`eval_points`."""
+    d = len(axes)
+    cols = [np.asarray(a, dtype=np.float64).reshape([-1 if i == j else 1 for i in range(d)])
+            for j, a in enumerate(axes)]
+    step = max(1, BLOCK // math.prod(len(a) for a in axes[1:]))
+    real = not any(c.imag for c in consts)
+    for lo in range(0, len(axes[0]), step):
+        block = [cols[0][lo:lo + step], *cols[1:]]
+        yield lo, lo + len(block[0]), _outputs(ops, consts, block, outs, real)
 
 
 # The float table.  An overflow inside a step gives an infinity on floats

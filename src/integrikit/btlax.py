@@ -14,7 +14,8 @@ import numpy as np
 
 from .expr import (Const, EvalDomainError, Expr, Var, as_expr, as_real, call,
                    diff, eval_many, evaluate)
-from .odesys import AutonomousSystem, RK4Traces, _check_conditioned, _eval_matrix_grid
+from .odesys import (AutonomousSystem, RK4Traces, _check_conditioned, _eval_matrix_grid,
+                     _grid_rows)
 from .realfield import CheckReport, Region, residual_sweep
 
 __all__ = [
@@ -97,11 +98,10 @@ def bt_residual(bt: BTSystem, u, v, region: Region, tol: float = 1e-9,
     if tuple(region.names) != tuple(bt.indep):
         raise ValueError(f"region must be over {bt.indep}")
     table = _derivative_table(bt, u, v)
-    pts = region.grid_points(grid)
     residuals = [getattr(bt, attr).subs(table) for attr in ("B1", "B2", "Pu", "Qv")]
-    max_res, worst, per = residual_sweep(residuals, bt.indep, pts)
+    max_res, worst, per, samples = residual_sweep(residuals, region, grid)
     details = dict(zip(("B1", "B2", "Pu", "Qv"), per))
-    return CheckReport.from_residual(max_res, tol, worst, len(pts), details)
+    return CheckReport.from_residual(max_res, tol, worst, samples, details)
 
 
 def sine_gordon_bt(a: float) -> BTSystem:
@@ -153,8 +153,7 @@ def sine_gordon_kink(a: float, C: float, verify_region: Optional[Region] = None,
     u = Const(4.0) * call("atan", Const(float(C)) * call("exp", Const(float(a)) * x + t / Const(float(a))))
     region = verify_region or Region(("x", "t"), ((-2.0, 2.0), (-2.0, 2.0)))
     residual = diff(diff(u, "x"), "t") - call("sin", u)
-    pts = region.grid_points(41)
-    max_res, _, _ = residual_sweep([residual], ("x", "t"), pts)
+    max_res = residual_sweep([residual], region, 41)[0]
     if max_res > verify_tol:
         raise RuntimeError(f"kink construction failed self-check: residual {max_res:.3e}")
     return u
@@ -171,9 +170,8 @@ def kdv_residual(u, region: Region, tol: float = 1e-9, grid=41) -> CheckReport:
         raise ValueError("region must be over (x, t)")
     ux = diff(u, "x")
     residual = diff(u, "t") - Const(6.0) * u * ux + diff(diff(ux, "x"), "x")
-    pts = region.grid_points(grid)
-    max_res, worst, _ = residual_sweep([residual], ("x", "t"), pts)
-    return CheckReport.from_residual(max_res, tol, worst, len(pts))
+    max_res, worst, _, samples = residual_sweep([residual], region, grid)
+    return CheckReport.from_residual(max_res, tol, worst, samples)
 
 
 @dataclass(frozen=True)
@@ -267,7 +265,7 @@ def chiral_residual(entries, region: Region, tol: float = 1e-9, grid=21) -> Chec
     gx = [[diff(e, "x") for e in row] for row in entries]
     gt = [[diff(e, "t") for e in row] for row in entries]
     gxt = [[diff(e, "t") for e in row] for row in gx]
-    pts = region.grid_points(grid)
+    pts = _grid_rows(region, grid)
     G = _eval_matrix_grid(entries, ("x", "t"), pts)
     _check_conditioned(G, pts, "g")
     Gx = _eval_matrix_grid(gx, ("x", "t"), pts)
@@ -400,16 +398,15 @@ def maxwell_residual(E, B, eps0mu0: float, region: Region, tol: float = 1e-9,
     div_b = diff(B[0], "x") + diff(B[1], "y") + diff(B[2], "z")
     faraday = [c + diff(b, "t") for c, b in zip(curl(E), B)]
     ampere = [c - Const(float(eps0mu0)) * diff(e, "t") for c, e in zip(curl(B), E)]
-    pts = region.grid_points(grid)
-    r_div_e, w1, _ = residual_sweep([div_e], _SPACETIME, pts)
-    r_div_b, w2, _ = residual_sweep([div_b], _SPACETIME, pts)
-    r_far, w3, _ = residual_sweep(faraday, _SPACETIME, pts)
-    r_amp, w4, _ = residual_sweep(ampere, _SPACETIME, pts)
+    r_div_e, w1, _, samples = residual_sweep([div_e], region, grid)
+    r_div_b, w2, _, _ = residual_sweep([div_b], region, grid)
+    r_far, w3, _, _ = residual_sweep(faraday, region, grid)
+    r_amp, w4, _, _ = residual_sweep(ampere, region, grid)
     details = {"div_E": r_div_e, "div_B": r_div_b,
                "faraday": r_far, "ampere": r_amp}
     worst = max(zip((r_div_e, r_div_b, r_far, r_amp), (w1, w2, w3, w4)))[1]
     return CheckReport.from_residual(max(details.values()), tol, worst,
-                                     len(pts), details)
+                                     samples, details)
 
 
 def wave_equation_residual(A, eps0mu0: float, region: Region, tol: float = 1e-9,
@@ -422,7 +419,6 @@ def wave_equation_residual(A, eps0mu0: float, region: Region, tol: float = 1e-9,
         lap = (diff(diff(comp, "x"), "x") + diff(diff(comp, "y"), "y")
                + diff(diff(comp, "z"), "z"))
         residuals.append(lap - Const(float(eps0mu0)) * diff(diff(comp, "t"), "t"))
-    pts = region.grid_points(grid)
-    max_res, worst, per = residual_sweep(residuals, _SPACETIME, pts)
+    max_res, worst, per, samples = residual_sweep(residuals, region, grid)
     details = {f"component_{i}": v for i, v in enumerate(per)}
-    return CheckReport.from_residual(max_res, tol, worst, len(pts), details)
+    return CheckReport.from_residual(max_res, tol, worst, samples, details)

@@ -223,9 +223,8 @@ def pde_residual(pde: QuasilinearPDE, z, region: Region, tol: float = 1e-9,
     residual = (pde.P.subs(sub) * diff(z, "x")
                 + pde.Q.subs(sub) * diff(z, "y")
                 - pde.R.subs(sub))
-    pts = region.grid_points(grid)
-    max_res, worst, _ = residual_sweep([residual], ("x", "y"), pts)
-    return CheckReport.from_residual(max_res, tol, worst, len(pts))
+    max_res, worst, _, samples = residual_sweep([residual], region, grid)
+    return CheckReport.from_residual(max_res, tol, worst, samples)
 
 
 def homogeneous_solution_check(pde: QuasilinearPDE, psi, G, region: Region,
@@ -252,7 +251,6 @@ def normal_surface_check(V: VectorField, U, region: Region, tol: float = 1e-9,
     if not curl_report.passed:
         raise NotPotentialError(curl_report)
     residuals = [diff(U, name) - comp for name, comp in zip(V.names, V.components)]
-    pts = region.grid_points(grid)
-    max_res, worst, per = residual_sweep(residuals, V.names, pts)
+    max_res, worst, per, samples = residual_sweep(residuals, region, grid)
     details = {f"dU/d{name}": val for name, val in zip(V.names, per)}
-    return CheckReport.from_residual(max_res, tol, worst, len(pts), details)
+    return CheckReport.from_residual(max_res, tol, worst, samples, details)

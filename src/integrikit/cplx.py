@@ -143,9 +143,8 @@ def cr_residual(f: ComplexFunction, region: Region, tol: float, grid=41) -> Chec
         raise ValueError("region must be over (x, y)")
     u, v = f.u_expr, f.v_expr
     residuals = [diff(u, "x") - diff(v, "y"), diff(u, "y") + diff(v, "x")]
-    pts = region.grid_points(grid)
-    max_res, worst, per = residual_sweep(residuals, ("x", "y"), pts)
-    return CheckReport.from_residual(max_res, tol, worst, len(pts),
+    max_res, worst, per, samples = residual_sweep(residuals, region, grid)
+    return CheckReport.from_residual(max_res, tol, worst, samples,
                                      {"ux-vy": per[0], "uy+vx": per[1]})
 
 
@@ -172,9 +171,8 @@ def harmonic_conjugate(v, base, region: Region, grid: int = 41,
 
     v = as_expr(v)
     lap = diff(diff(v, "x"), "x") + diff(diff(v, "y"), "y")
-    pts = region.grid_points(grid)
-    max_res, worst, _ = residual_sweep([lap], ("x", "y"), pts)
-    lap_report = CheckReport.from_residual(max_res, laplace_tol, worst, len(pts))
+    max_res, worst, _, samples = residual_sweep([lap], region, grid)
+    lap_report = CheckReport.from_residual(max_res, laplace_tol, worst, samples)
     if not lap_report.passed:
         raise NotHarmonicError(max_res, laplace_tol)
 

@@ -634,6 +634,17 @@ def as_real(z: complex, tol: float = 1e-12, context: str = "value") -> float:
     return z.real
 
 
+def real_parts(values, tol: float = 1e-12, context: str = "value") -> np.ndarray:
+    """:func:`as_real` on every value of an array at once: the real parts,
+    as a new float64 array, or as_real's error for the first value that
+    fails its test."""
+    values = np.ravel(values)
+    bad = np.abs(values.imag) > tol * (1.0 + np.abs(values.real))
+    if bad.any():
+        as_real(complex(values[np.argmax(bad)]), tol, context)
+    return values.real.copy()
+
+
 # --------------------------------------------------------------------------
 # Differentiation
 # --------------------------------------------------------------------------
@@ -838,9 +849,10 @@ def _lower(exprs, names: tuple) -> Tape:
 
 
 @lru_cache(maxsize=1024)
-def compile_expr(e: Expr, names: tuple) -> Tape:
-    """Compile an Expr to a Tape evaluating over variables `names`."""
-    return _lower((e,), tuple(names))
+def compile_expr(e, names: tuple) -> Tape:
+    """Compile an Expr, or a tuple of them (one output each, sharing their
+    common subterms), to a Tape evaluating over variables `names`."""
+    return _lower(e if isinstance(e, tuple) else (e,), tuple(names))
 
 
 def eval_many(e: Expr, names, points) -> np.ndarray:
@@ -868,14 +880,19 @@ def eval_many(e: Expr, names, points) -> np.ndarray:
     bad = ~np.isfinite(out)
     if bad.any():
         idx = int(np.argmax(bad))
-        bindings = {n: pts[idx, j] for j, n in enumerate(names)}
-        where = ", ".join(f"{n}={_fmt_point(v)}" for n, v in bindings.items())
-        try:
-            evaluate(e, bindings)
-        except EvalDomainError as ex:
-            raise EvalDomainError(ex.subtree, f"{ex.reason} at ({where})") from None
-        raise EvalError(f"non-finite batch value at ({where})")
+        fail_at(e, {n: pts[idx, j] for j, n in enumerate(names)})
     return out
+
+
+def fail_at(e: Expr, bindings: Bindings):
+    """Raise the error for `e` at `bindings`, a point where a batch value is
+    not finite: the tree walk's domain error there, with the point."""
+    where = ", ".join(f"{n}={_fmt_point(v)}" for n, v in bindings.items())
+    try:
+        evaluate(e, bindings)
+    except EvalDomainError as ex:
+        raise EvalDomainError(ex.subtree, f"{ex.reason} at ({where})") from None
+    raise EvalError(f"non-finite batch value at ({where})")
 
 
 def _fmt_point(v) -> str:

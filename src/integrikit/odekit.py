@@ -13,10 +13,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expr import EvalError, Expr, NumericError, as_expr, as_real, diff, eval_many, evaluate
+from .expr import EvalError, Expr, NumericError, as_expr, as_real, diff, evaluate
 from .odesys import Trajectory, _shown_point
-from .realfield import (CheckReport, Region, VectorField, gauss_nodes, potential_reconstruct,
-                        residual_sweep, running_integrals)
+from .realfield import (CheckReport, Region, VectorField, gauss_nodes, grid_blocks,
+                        potential_reconstruct, residual_sweep, running_integrals)
 
 __all__ = [
     "ExactODE", "ExactSolution", "EnergyProblem", "EnergySolution",
@@ -142,14 +142,16 @@ def integrating_factor_apply(ode: ExactODE, mu, region: Region, tol: float = 1e-
                              grid=41):
     """Exactness check of (mu*M, mu*N); returns (report, transformed ODE)."""
     mu = as_expr(mu)
-    pts = region.grid_points(grid)
-    vals = np.abs(eval_many(mu, ("x", "y"), pts))
-    scale = float(vals.max()) if len(vals) else 0.0
+    axes = region.axes(grid)
+    blocks = [(offset, vals) for offset, (vals,) in grid_blocks((mu,), region, axes)]
+    scale = max(0.0, *(float(vals.max()) for _, vals in blocks))
     if scale < 1e-12:
         raise ValueError("integrating factor is identically ~0 on the grid")
-    near_zero = pts[vals < 1e-8 * (1 + scale)]
+    near_zero = np.concatenate([offset + np.flatnonzero((vals >= 0.0) & (vals < 1e-8 * (1 + scale)))
+                                for offset, vals in blocks])
     if len(near_zero):
-        shown = ", ".join(str(_shown_point(p)) for p in near_zero[:5])
+        where = np.unravel_index(near_zero[:5], [len(a) for a in axes])
+        shown = ", ".join(str(_shown_point(p)) for p in zip(*(a[i] for a, i in zip(axes, where))))
         warnings.warn(f"integrating factor nearly vanishes at {len(near_zero)} "
                       f"grid points (e.g. {shown})", stacklevel=2)
     transformed = ExactODE(mu * ode.M, mu * ode.N)
@@ -190,10 +192,9 @@ def reduction_residual(phi, candidate, x_interval, tol: float = 1e-9,
         sub[name] = d
     g = phi.subs(sub)
     dg = diff(g, "x")
-    a, b = float(x_interval[0]), float(x_interval[1])
-    xs = np.linspace(a, b, samples).reshape(-1, 1)
-    max_res, worst, _ = residual_sweep([dg], ("x",), xs)
-    return CheckReport.from_residual(max_res, tol, worst, samples)
+    interval = Region(("x",), ((x_interval[0], x_interval[1]),))
+    max_res, worst, _, used = residual_sweep([dg], interval, samples)
+    return CheckReport.from_residual(max_res, tol, worst, used)
 
 
 # --------------------------------------------------------------------------

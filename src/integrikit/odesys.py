@@ -614,6 +614,14 @@ def _check_conditioned(mats, pts, what: str):
         raise SingularMatrixSampleError(f"{what} is near-singular at {_shown_point(pts[k])}")
 
 
+def _grid_rows(region, grid) -> np.ndarray:
+    """The region's sample grid as (npts, n) rows in grid order, excluded
+    points dropped, for the checks that take matrices point by point."""
+    axes = region.axes(grid)
+    rows = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return np.delete(rows, region.excluded_flat(axes), axis=0)
+
+
 def _eval_matrix_grid(entries, names, pts) -> np.ndarray:
     n = len(entries)
     out = np.empty((len(pts), n, n), dtype=np.complex128)
@@ -647,7 +655,7 @@ def matrix_identity_check(entries, region: Region, tol: float = 1e-8,
     dxy = [[diff(e, y) for e in row] for row in dx]
     dyx = [[diff(e, x) for e in row] for row in dy]
 
-    pts = region.grid_points(grid)
+    pts = _grid_rows(region, grid)
     Av = _eval_matrix_grid(entries, names, pts)
     _check_conditioned(Av, pts, "matrix")
     Ax = _eval_matrix_grid(dx, names, pts)

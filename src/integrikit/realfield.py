@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _backend
-from .expr import Expr, NumericError, as_expr, as_real, diff, eval_many
+from .expr import Expr, NumericError, as_expr, as_real, compile_expr, diff, eval_many, fail_at
 
 __all__ = [
     "CheckReport", "Region", "VectorField", "ParametricCurve",
@@ -114,17 +114,17 @@ class Region:
             raise ValueError("need at least 2 samples per axis")
         return [np.linspace(lo, hi, c) for (lo, hi), c in zip(self.bounds, counts)]
 
-    def grid_points(self, per_axis) -> np.ndarray:
-        """Full grid as (npts, n) rows, excluded points dropped."""
-        axes = self.axes(per_axis)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        if self.excluded:
-            keep = np.ones(len(pts), dtype=bool)
-            for p in self.excluded:
-                keep &= np.linalg.norm(pts - np.asarray(p), axis=1) > 1e-9
-            pts = pts[keep]
-        return pts
+    def excluded_flat(self, axes) -> np.ndarray:
+        """Flat indices, in grid order, of the points of the grid of `axes`
+        within 1e-9 of an excluded point."""
+        hits = set()
+        for p in self.excluded:
+            near = [np.flatnonzero(np.abs(a - c) <= 2e-9) for a, c in zip(axes, p)]
+            idx = np.stack(np.meshgrid(*near, indexing="ij"), axis=-1).reshape(-1, self.n)
+            pts = np.stack([a[i] for a, i in zip(axes, idx.T)], axis=-1)
+            inside = np.linalg.norm(pts - np.asarray(p), axis=1) <= 1e-9
+            hits.update(np.ravel_multi_index(tuple(idx[inside].T), [len(a) for a in axes]).tolist())
+        return np.array(sorted(hits), dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -295,23 +295,61 @@ def running_integrals(e: Expr, param: str, ref: float, ends, columns=None) -> np
     return out[:, where[:len(ends)]]
 
 
-def residual_sweep(exprs: Sequence[Expr], names, pts: np.ndarray):
-    """Max |expr| over rows of pts for several expressions.
+def grid_blocks(exprs: Sequence[Expr], region: Region, axes):
+    """|e| for each of `exprs` on the region's grid of `axes`, in grid
+    order: one tape for all of them, run by `_backend.eval_grid` block by
+    block.  Yields ``(offset, values)``: values[k] holds |exprs[k]| at flat
+    grid indices offset, offset + 1, ..., with -1 at excluded points.
 
-    Returns (max_residual, worst_point, per_expr_max).
+    After the last block, an expression that is not finite at a point kept
+    raises: the first such expression in order, at its first such point in
+    grid order, with the tree walk's error (`fail_at`)."""
+    exprs = tuple(exprs)
+    shape = tuple(len(a) for a in axes)
+    inner = math.prod(shape[1:])
+    excluded = region.excluded_flat(axes)
+    tape = compile_expr(exprs, region.names)
+    failed = [None] * len(exprs)
+    for lo, hi, outs in _backend.eval_grid(tape.ops, tape.consts, axes, tape.outs):
+        offset, size = lo * inner, (hi - lo) * inner
+        drop = excluded[(excluded >= offset) & (excluded < offset + size)] - offset
+        values = []
+        for k, v in enumerate(outs):
+            a = np.empty(size)
+            np.abs(v, out=a.reshape((hi - lo,) + shape[1:]))
+            a[drop] = -1.0
+            if failed[k] is None and not math.isfinite(a.max()):
+                failed[k] = offset + int(np.argmax(~np.isfinite(a)))
+            values.append(a)
+        yield offset, values
+    for e, index in zip(exprs, failed):
+        if index is not None:
+            point = np.unravel_index(index, shape)
+            fail_at(e, {n: a[i] for n, a, i in zip(region.names, axes, point)})
+
+
+def residual_sweep(exprs: Sequence[Expr], region: Region, grid):
+    """Max |e| over the region's sample grid (`Region.axes` of `grid`) for
+    several expressions, excluded points left out.
+
+    Returns (max_residual, worst_point, per_expr_max, samples_used).
     """
-    best = -1.0
-    worst = tuple(np.real(pts[0])) if len(pts) else ()
-    per_expr = []
-    for e in exprs:
-        vals = np.abs(eval_many(e, names, pts))
-        per_expr.append(float(vals.max()) if len(vals) else 0.0)
-        if len(vals):
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best = float(vals[k])
-                worst = tuple(float(x) for x in np.real(pts[k]))
-    return max(best, 0.0), worst, per_expr
+    axes = region.axes(grid)
+    per = [0.0] * len(exprs)
+    firsts = [None] * len(exprs)
+    for offset, values in grid_blocks(exprs, region, axes):
+        for k, a in enumerate(values):
+            j = int(np.argmax(a))
+            if a[j] > per[k] or firsts[k] is None and a[j] >= 0:
+                per[k], firsts[k] = float(a[j]), offset + j
+    best, worst = -1.0, 0
+    for m, f in zip(per, firsts):
+        if f is not None and m > best:
+            best, worst = m, f
+    shape = tuple(len(a) for a in axes)
+    samples = math.prod(shape) - len(region.excluded_flat(axes))
+    point = tuple(float(a[i]) for a, i in zip(axes, np.unravel_index(worst, shape))) if samples else ()
+    return max(best, 0.0), point, per, samples
 
 
 # --------------------------------------------------------------------------
@@ -338,13 +376,11 @@ def exactness_check(F: VectorField, region: Region, grid=41, tol: float = 1e-9) 
         raise ValueError("exactness check requires a 2-D or 3-D field")
     if tuple(region.names) != tuple(F.names):
         raise ValueError("region variables must match field variables")
-    residuals = _cross_partial_residuals(F)
-    pts = region.grid_points(grid)
-    max_res, worst, per = residual_sweep(residuals, F.names, pts)
+    max_res, worst, per, samples = residual_sweep(_cross_partial_residuals(F), region, grid)
     details = {}
     if F.n == 3:
         details = {"dPdy-dQdx": per[0], "dPdz-dRdx": per[1], "dQdz-dRdy": per[2]}
-    return CheckReport.from_residual(max_res, tol, worst, len(pts), details)
+    return CheckReport.from_residual(max_res, tol, worst, samples, details)
 
 
 def _pullback_integrand(F: VectorField, curve: ParametricCurve) -> Expr:

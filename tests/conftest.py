@@ -16,6 +16,18 @@ def child_env(**extra: str) -> dict:
     return {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src), **extra}
 
 
+def grid_rows(region, per_axis) -> np.ndarray:
+    """The region's sample grid as (npts, n) rows in grid order, the points
+    within 1e-9 of an excluded point dropped: the full point array that
+    the grid checks once built, kept here as a test oracle."""
+    axes = region.axes(per_axis)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    keep = np.ones(len(pts), dtype=bool)
+    for p in region.excluded:
+        keep &= np.linalg.norm(pts - np.asarray(p), axis=1) > 1e-9
+    return pts[keep]
+
+
 # Function pool for random smooth expressions: everywhere-differentiable,
 # with arguments tamed so values and partials stay bounded.
 _SMOOTH_FNS = ("sin", "cos", "atan", "tanh")

@@ -12,7 +12,7 @@ from integrikit.expr import Const, diff, eval_many, parse
 from integrikit.realfield import (ParametricCurve, Region, VectorField,
                                   line_integral, path_independence_probe)
 
-from conftest import bounded_smooth_exprs
+from conftest import bounded_smooth_exprs, grid_rows
 
 
 def report(num, ok, label):
@@ -195,7 +195,7 @@ def test_criterion_13_sine_gordon():
         u = btlax.sine_gordon_kink(a, 1.0)
         from integrikit.expr import call
         residual = diff(diff(u, "x"), "t") - call("sin", u)
-        pts = region.grid_points(41)
+        pts = grid_rows(region, 41)
         ok &= float(np.max(np.abs(eval_many(residual, ("x", "t"), pts)))) <= 1e-10
         rep = btlax.bt_residual(btlax.sine_gordon_bt(a), u, "0", region, tol=1e-9)
         ok &= rep.details["B1"] <= 1e-9 and rep.details["B2"] <= 1e-9

@@ -12,6 +12,8 @@ from integrikit.flow import (
 from integrikit.odesys import AutonomousSystem, integrate_rk4
 from integrikit.realfield import Region, VectorField
 
+from conftest import grid_rows
+
 ROTATION = VectorField.of(("x", "y"), "y", "-x")
 SCALE_SHIFT = VectorField.of(("x", "y"), "x", "2")  # alpha=1, beta=2
 
@@ -155,7 +157,7 @@ class TestLevelSurface:
             from integrikit.expr import diff
             term = comp * diff(phi, name)
             residual = term if residual is None else residual + term
-        pts = Region(("x", "y"), ((-2, 2), (-2, 2))).grid_points(41)
+        pts = grid_rows(Region(("x", "y"), ((-2, 2), (-2, 2))), 41)
         assert np.max(np.abs(eval_many(residual, ("x", "y"), pts))) == 0.0
         sys_ = AutonomousSystem(V.names, V.components)
         for _ in range(10):

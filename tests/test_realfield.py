@@ -46,9 +46,13 @@ class TestTypes:
 
     def test_region_excluded_points_removed(self):
         reg = Region(("x", "y"), ((-1, 1), (-1, 1)), excluded=((0.0, 0.0),))
-        pts = reg.grid_points(3)
-        assert len(pts) == 8
-        assert not any(np.allclose(p, (0, 0)) for p in pts)
+        axes = reg.axes(3)
+        assert reg.excluded_flat(axes).tolist() == [4]
+        # 1/(x^2 + y^2) has its pole at the excluded origin: the sweep
+        # leaves that point out and counts the other 8
+        max_res, worst, per, samples = realfield.residual_sweep([parse("1/(x^2 + y^2)")], reg, 3)
+        assert samples == 8
+        assert max_res == per[0] == 1.0 and worst == (-1.0, 0.0)
 
     @pytest.mark.parametrize("bounds,message", [
         (((0, 1), (float("-inf"), 1)), "lower bound of y must be finite, got -inf"),
