@@ -247,22 +247,41 @@ def eval_points(ops, consts, pts, out) -> np.ndarray:
     return result
 
 
-def eval_grid(ops, consts, axes, outs):
+def eval_grid(ops, consts, axes, outs, skip):
     """Slots `outs` of the tape on the product grid of `axes` (one float64
     axis per variable), in blocks of whole rows along the first axis that
     hold about :data:`BLOCK` points.  Axis j enters as a column shaped to
     broadcast (-1 at position j, 1 elsewhere), so an op on some of the axes
     runs on their points only.  Yields ``(lo, hi, values)`` for rows lo..hi
     of the first axis, each value shaped to broadcast to the block (a
-    scalar for a constant); float64 first, as in :func:`eval_points`."""
-    d = len(axes)
-    cols = [np.asarray(a, dtype=np.float64).reshape([-1 if i == j else 1 for i in range(d)])
+    scalar for a constant); float64 first, as in :func:`eval_points`.
+
+    A block that holds some of the points `skip` (sorted flat indices into
+    the grid) runs on the rows of its other points instead, so that a
+    skipped point takes no part in the choice between float64 and
+    complex128; its values are NaN at the skipped points."""
+    shape = [len(a) for a in axes]
+    cols = [np.asarray(a, dtype=np.float64).reshape([-1 if i == j else 1 for i in range(len(axes))])
             for j, a in enumerate(axes)]
-    step = max(1, BLOCK // math.prod(len(a) for a in axes[1:]))
+    inner = math.prod(shape[1:])
+    step = max(1, BLOCK // inner)
     real = not any(c.imag for c in consts)
-    for lo in range(0, len(axes[0]), step):
+    for lo in range(0, shape[0], step):
         block = [cols[0][lo:lo + step], *cols[1:]]
-        yield lo, lo + len(block[0]), _outputs(ops, consts, block, outs, real)
+        hi = lo + len(block[0])
+        gone = skip[(skip >= lo * inner) & (skip < hi * inner)] - lo * inner
+        if not len(gone):
+            yield lo, hi, _outputs(ops, consts, block, outs, real)
+            continue
+        bshape = (hi - lo, *shape[1:])
+        kept = np.unravel_index(np.delete(np.arange((hi - lo) * inner), gone), bshape)
+        values = []
+        for v in _outputs(ops, consts, [np.broadcast_to(c, bshape)[kept] for c in block],
+                          outs, real):
+            full = np.full(bshape, np.nan, dtype=np.asarray(v).dtype)
+            full[kept] = v
+            values.append(full)
+        yield lo, hi, values
 
 
 # The float table.  An overflow inside a step gives an infinity on floats

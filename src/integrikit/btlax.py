@@ -398,15 +398,11 @@ def maxwell_residual(E, B, eps0mu0: float, region: Region, tol: float = 1e-9,
     div_b = diff(B[0], "x") + diff(B[1], "y") + diff(B[2], "z")
     faraday = [c + diff(b, "t") for c, b in zip(curl(E), B)]
     ampere = [c - Const(float(eps0mu0)) * diff(e, "t") for c, e in zip(curl(B), E)]
-    r_div_e, w1, _, samples = residual_sweep([div_e], region, grid)
-    r_div_b, w2, _, _ = residual_sweep([div_b], region, grid)
-    r_far, w3, _, _ = residual_sweep(faraday, region, grid)
-    r_amp, w4, _, _ = residual_sweep(ampere, region, grid)
-    details = {"div_E": r_div_e, "div_B": r_div_b,
-               "faraday": r_far, "ampere": r_amp}
-    worst = max(zip((r_div_e, r_div_b, r_far, r_amp), (w1, w2, w3, w4)))[1]
-    return CheckReport.from_residual(max(details.values()), tol, worst,
-                                     samples, details)
+    max_res, worst, per, samples = residual_sweep([div_e, div_b, *faraday, *ampere],
+                                                  region, grid)
+    details = {"div_E": per[0], "div_B": per[1],
+               "faraday": max(per[2:5]), "ampere": max(per[5:])}
+    return CheckReport.from_residual(max_res, tol, worst, samples, details)
 
 
 def wave_equation_residual(A, eps0mu0: float, region: Region, tol: float = 1e-9,

@@ -11,7 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, NumericError, Var, as_expr, as_real, diff, eval_many, evaluate
+from .expr import (Expr, NumericError, Var, as_expr, as_real, diff, eval_many, evaluate,
+                   real_parts)
 from .odesys import AutonomousSystem, RK4Traces, Trajectory
 from .realfield import CheckReport, Region, VectorField, exactness_check, residual_sweep
 
@@ -93,7 +94,7 @@ class InitialCurve:
 
 def _real_values(e: Expr, names, pts, context: str) -> np.ndarray:
     """`e` at the rows of `pts` by one eval_many; each value must be real."""
-    return np.array([as_real(complex(v), 1e-12, context) for v in eval_many(e, names, pts)])
+    return real_parts(eval_many(e, names, pts), 1e-12, context)
 
 
 def characteristic_trace(pde: QuasilinearPDE, start, t_span, h: float) -> Trajectory:

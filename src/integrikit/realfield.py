@@ -13,6 +13,7 @@ Region and CheckReport.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -21,7 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _backend
-from .expr import Expr, NumericError, as_expr, as_real, compile_expr, diff, eval_many, fail_at
+from .expr import (Expr, NumericError, as_expr, as_real, compile_expr, diff, eval_many, fail_at,
+                   real_parts)
 
 __all__ = [
     "CheckReport", "Region", "VectorField", "ParametricCurve",
@@ -284,15 +286,47 @@ def running_integrals(e: Expr, param: str, ref: float, ends, columns=None) -> np
     edges, where = np.unique(np.concatenate([ends, [ref], span]), return_inverse=True)
     vals = integrate_rows(e, param, np.tile(edges[:-1], rows), np.tile(edges[1:], rows), 1,
                           {k: np.repeat(v, len(edges) - 1) for k, v in columns.items()})
-    bad = np.abs(vals.imag) > 1e-12 * (1.0 + np.abs(vals.real))
-    if bad.any():  # as_real's test on every gap at once; it names the first failing one
-        as_real(complex(vals[np.argmax(bad)]), 1e-12, "potential quadrature")
-    legs = vals.real.reshape(rows, -1)
+    legs = real_parts(vals, 1e-12, "potential quadrature").reshape(rows, -1)
     r = where[len(ends)]
     out = np.zeros((rows, len(edges)))
     out[:, r + 1:] = np.cumsum(legs[:, r:], axis=1)
     out[:, :r] = -np.cumsum(legs[:, :r][:, ::-1], axis=1)[:, ::-1]
     return out[:, where[:len(ends)]]
+
+
+#: Values within this relative distance of the maximum tie with it.  A
+#: report names the first tied point in grid order, so that a change at
+#: the level of rounding does not move its `worst_point` across the grid.
+TIE = 1e-12
+
+
+class _Peak:
+    """The maximum of values fed in grid order, block by block, and the
+    first point within a relative :data:`TIE` of it.  Keeps the points
+    that raised the running maximum and are still within TIE of it."""
+
+    def __init__(self):
+        self.value = -1.0          # below every |residual|
+        self._records = []         # (value, flat index), both increasing
+
+    def add(self, offset: int, values: np.ndarray):
+        top = values.max()
+        if not top > self.value:   # nothing new here, or a NaN
+            return
+        low = top - TIE * top
+        idx = np.flatnonzero((values > self.value) & (values >= low))
+        run = values[idx]
+        rises = np.ones(len(run), dtype=bool)
+        rises[1:] = run[1:] > np.maximum.accumulate(run)[:-1]
+        self._records = [r for r in self._records if r[0] >= low]
+        self._records += zip(run[rises].tolist(), (idx[rises] + offset).tolist())
+        self.value = float(top)
+
+    @property
+    def index(self) -> int:
+        """Flat index of the first point within TIE of the maximum; 0 when
+        nothing was fed."""
+        return self._records[0][1] if self._records else 0
 
 
 def grid_blocks(exprs: Sequence[Expr], region: Region, axes):
@@ -310,7 +344,7 @@ def grid_blocks(exprs: Sequence[Expr], region: Region, axes):
     excluded = region.excluded_flat(axes)
     tape = compile_expr(exprs, region.names)
     failed = [None] * len(exprs)
-    for lo, hi, outs in _backend.eval_grid(tape.ops, tape.consts, axes, tape.outs):
+    for lo, hi, outs in _backend.eval_grid(tape.ops, tape.consts, axes, tape.outs, excluded):
         offset, size = lo * inner, (hi - lo) * inner
         drop = excluded[(excluded >= offset) & (excluded < offset + size)] - offset
         values = []
@@ -330,26 +364,22 @@ def grid_blocks(exprs: Sequence[Expr], region: Region, axes):
 
 def residual_sweep(exprs: Sequence[Expr], region: Region, grid):
     """Max |e| over the region's sample grid (`Region.axes` of `grid`) for
-    several expressions, excluded points left out.
+    several expressions, excluded points left out.  The worst point is the
+    first in grid order where some |e| lies within :data:`TIE` of the max.
 
     Returns (max_residual, worst_point, per_expr_max, samples_used).
     """
     axes = region.axes(grid)
     per = [0.0] * len(exprs)
-    firsts = [None] * len(exprs)
+    peak = _Peak()
     for offset, values in grid_blocks(exprs, region, axes):
-        for k, a in enumerate(values):
-            j = int(np.argmax(a))
-            if a[j] > per[k] or firsts[k] is None and a[j] >= 0:
-                per[k], firsts[k] = float(a[j]), offset + j
-    best, worst = -1.0, 0
-    for m, f in zip(per, firsts):
-        if f is not None and m > best:
-            best, worst = m, f
+        per = [max(m, float(a.max())) for m, a in zip(per, values)]
+        peak.add(offset, functools.reduce(np.maximum, values))
     shape = tuple(len(a) for a in axes)
     samples = math.prod(shape) - len(region.excluded_flat(axes))
-    point = tuple(float(a[i]) for a, i in zip(axes, np.unravel_index(worst, shape))) if samples else ()
-    return max(best, 0.0), point, per, samples
+    worst = np.unravel_index(peak.index, shape)
+    point = tuple(float(a[i]) for a, i in zip(axes, worst)) if samples else ()
+    return max(peak.value, 0.0), point, per, samples
 
 
 # --------------------------------------------------------------------------
@@ -505,8 +535,9 @@ def gradient_check(F: VectorField, axes, u_grid: np.ndarray, tol: float) -> Chec
     p_vals = eval_many(F.components[0], F.names, pts).real.reshape(xm.shape)
     q_vals = eval_many(F.components[1], F.names, pts).real.reshape(xm.shape)
     dev = np.maximum(np.abs(du_dx - p_vals), np.abs(du_dy - q_vals))
-    k = int(np.argmax(dev))
-    worst = (float(xm.ravel()[k]), float(ym.ravel()[k]))
+    peak = _Peak()
+    peak.add(0, dev.ravel())
+    worst = (float(xm.ravel()[peak.index]), float(ym.ravel()[peak.index]))
     return CheckReport.from_residual(float(dev.max()), tol, worst, dev.size)
 
 

@@ -9,7 +9,7 @@ from integrikit.charpde import (
     TransversalityError, characteristic_trace, homogeneous_solution_check,
     normal_surface_check, pde_residual, solve_cauchy,
 )
-from integrikit.expr import compile_system, eval_many, parse
+from integrikit.expr import EvalError, compile_system, eval_many, parse
 from integrikit.odesys import AutonomousSystem, IntegrationError, RK4Traces
 from integrikit.realfield import Region, VectorField
 
@@ -104,6 +104,20 @@ class TestSolveCauchy:
         along_characteristic = InitialCurve("s", "s", "s", "0", 0.0, 1.0)
         with pytest.raises(TransversalityError):
             solve_cauchy(pde, along_characteristic, [(1.0, 0.3)])
+
+    # sqrt(0.5 - v) on the 33 samples of [-1, 1] first leaves the reals at
+    # v = 0.5625, where its imaginary part is 0.25; later samples give more
+    @pytest.mark.parametrize("pde,curve,message", [
+        (("1", "1", "0"), ("s", "0", "sqrt(0.5 - s)"),
+         "initial curve has non-negligible imaginary part 0.25"),
+        (("sqrt(0.5 - x)", "1", "0"), ("s", "0", "0"),
+         "P has non-negligible imaginary part 0.25"),
+    ], ids=["initial-curve", "P"])
+    def test_a_value_that_leaves_the_reals_is_named_at_its_first_point(self, pde, curve,
+                                                                        message):
+        with pytest.raises(EvalError) as err:
+            solve_cauchy(QuasilinearPDE(*pde), InitialCurve("s", *curve, -1.0, 1.0), [(0.1, 0.5)])
+        assert str(err.value) == message
 
     def test_unreachable_query(self):
         pde = QuasilinearPDE("-y", "x", "0")

@@ -111,6 +111,7 @@ class TestDeterminism:
         # hash randomization differs per process; output must not
         import subprocess
         import sys
+        phase = "0.6*x - 0.8*y + 0.5*z - 1.118033988749895*t"    # |k| = sqrt(1.25)
         commands = [
             ["eigen", "--A", "1,2;4,3"],
             # a 41^2 grid on the float path
@@ -119,6 +120,14 @@ class TestDeterminism:
             # sqrt(x) leaves the reals in the first of two blocks only
             ["exact-check", "--P", "y*sqrt(x)", "--Q", "0", "--region", "-1,1,-1,1",
              "--grid", "101"],
+            # eight Maxwell residuals in one tape on a 4-D grid
+            ["maxwell-check",
+             "--E", ";".join(f"{a}*1.118033988749895*cos({phase})" for a in (0.8, 0.6, 0)),
+             "--B", ";".join(f"{a}*cos({phase})" for a in (-0.3, 0.4, 1.0)),
+             "--region", "-1,1,-1,1,-1,1,0,2", "--grid", "7"],
+            # a pole at the excluded point, in one of several blocks
+            ["exact-check", "--P", "-y/(x^2+y^2)", "--Q", "x/(x^2+y^2)",
+             "--region", "-2,2,-2,2", "--exclude", "0,0", "--grid", "201"],
             # the fan, and a query reached backward in t
             ["pde-solve", "--P", "1", "--Q", "1", "--R", "1", "--ic", "s;0;sin(s);-3;3",
              "--query", "1.0,0.3", "--query", "-0.4,-1.2"],
