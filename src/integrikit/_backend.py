@@ -261,7 +261,7 @@ def eval_grid(ops, consts, axes, outs, skip):
     skipped point takes no part in the choice between float64 and
     complex128; its values are NaN at the skipped points."""
     shape = [len(a) for a in axes]
-    cols = [np.asarray(a, dtype=np.float64).reshape([-1 if i == j else 1 for i in range(len(axes))])
+    cols = [np.reshape(a, [-1 if i == j else 1 for i in range(len(shape))])
             for j, a in enumerate(axes)]
     inner = math.prod(shape[1:])
     step = max(1, BLOCK // inner)

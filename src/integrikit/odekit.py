@@ -15,7 +15,7 @@ import numpy as np
 
 from .expr import EvalError, Expr, NumericError, as_expr, as_real, diff, evaluate
 from .odesys import Trajectory, _shown_point
-from .realfield import (CheckReport, Region, VectorField, gauss_nodes, grid_blocks,
+from .realfield import (CheckReport, Region, VectorField, gauss_nodes, grid_sweep,
                         potential_reconstruct, residual_sweep, running_integrals)
 
 __all__ = [
@@ -143,12 +143,10 @@ def integrating_factor_apply(ode: ExactODE, mu, region: Region, tol: float = 1e-
     """Exactness check of (mu*M, mu*N); returns (report, transformed ODE)."""
     mu = as_expr(mu)
     axes = region.axes(grid)
-    blocks = [(offset, vals) for offset, (vals,) in grid_blocks((mu,), region, axes)]
-    scale = max(0.0, *(float(vals.max()) for _, vals in blocks))
+    (scale,), vals = grid_sweep((mu,), region, axes)
     if scale < 1e-12:
         raise ValueError("integrating factor is identically ~0 on the grid")
-    near_zero = np.concatenate([offset + np.flatnonzero((vals >= 0.0) & (vals < 1e-8 * (1 + scale)))
-                                for offset, vals in blocks])
+    near_zero = np.flatnonzero((vals >= 0.0) & (vals < 1e-8 * (1 + scale)))
     if len(near_zero):
         where = np.unravel_index(near_zero[:5], [len(a) for a in axes])
         shown = ", ".join(str(_shown_point(p)) for p in zip(*(a[i] for a, i in zip(axes, where))))

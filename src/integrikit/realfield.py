@@ -13,7 +13,6 @@ Region and CheckReport.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -119,13 +118,15 @@ class Region:
     def excluded_flat(self, axes) -> np.ndarray:
         """Flat indices, in grid order, of the points of the grid of `axes`
         within 1e-9 of an excluded point."""
+        shape = [len(a) for a in axes]
         hits = set()
         for p in self.excluded:
-            near = [np.flatnonzero(np.abs(a - c) <= 2e-9) for a, c in zip(axes, p)]
+            # such a point has every coordinate within 1e-9 of p's
+            near = [np.flatnonzero(np.abs(a - c) <= 1e-9) for a, c in zip(axes, p)]
             idx = np.stack(np.meshgrid(*near, indexing="ij"), axis=-1).reshape(-1, self.n)
             pts = np.stack([a[i] for a, i in zip(axes, idx.T)], axis=-1)
             inside = np.linalg.norm(pts - np.asarray(p), axis=1) <= 1e-9
-            hits.update(np.ravel_multi_index(tuple(idx[inside].T), [len(a) for a in axes]).tolist())
+            hits.update(np.ravel_multi_index(tuple(idx[inside].T), shape).tolist())
         return np.array(sorted(hits), dtype=np.intp)
 
 
@@ -300,66 +301,51 @@ def running_integrals(e: Expr, param: str, ref: float, ends, columns=None) -> np
 TIE = 1e-12
 
 
-class _Peak:
-    """The maximum of values fed in grid order, block by block, and the
-    first point within a relative :data:`TIE` of it.  Keeps the points
-    that raised the running maximum and are still within TIE of it."""
-
-    def __init__(self):
-        self.value = -1.0          # below every |residual|
-        self._records = []         # (value, flat index), both increasing
-
-    def add(self, offset: int, values: np.ndarray):
-        top = values.max()
-        if not top > self.value:   # nothing new here, or a NaN
-            return
-        low = top - TIE * top
-        idx = np.flatnonzero((values > self.value) & (values >= low))
-        run = values[idx]
-        rises = np.ones(len(run), dtype=bool)
-        rises[1:] = run[1:] > np.maximum.accumulate(run)[:-1]
-        self._records = [r for r in self._records if r[0] >= low]
-        self._records += zip(run[rises].tolist(), (idx[rises] + offset).tolist())
-        self.value = float(top)
-
-    @property
-    def index(self) -> int:
-        """Flat index of the first point within TIE of the maximum; 0 when
-        nothing was fed."""
-        return self._records[0][1] if self._records else 0
+def _first_near_max(values: np.ndarray) -> int:
+    """Index of the first of `values` within :data:`TIE` of their maximum."""
+    top = values.max()
+    return int(np.argmax(values >= top - TIE * top))
 
 
-def grid_blocks(exprs: Sequence[Expr], region: Region, axes):
-    """|e| for each of `exprs` on the region's grid of `axes`, in grid
-    order: one tape for all of them, run by `_backend.eval_grid` block by
-    block.  Yields ``(offset, values)``: values[k] holds |exprs[k]| at flat
-    grid indices offset, offset + 1, ..., with -1 at excluded points.
+def grid_sweep(exprs: Sequence[Expr], region: Region, axes):
+    """|e| for each of `exprs` on the region's grid of `axes`, excluded
+    points left out, from one tape run block by block by
+    `_backend.eval_grid`.  Returns the max of each |e| (0.0 when no point
+    is kept) and the max over `exprs` at each point, flat in grid order,
+    -1 at excluded points.
 
-    After the last block, an expression that is not finite at a point kept
-    raises: the first such expression in order, at its first such point in
-    grid order, with the tree walk's error (`fail_at`)."""
+    An expression that is not finite at a point kept raises the tree
+    walk's error (`fail_at`): the first such expression in order, at its
+    first such point in grid order."""
     exprs = tuple(exprs)
     shape = tuple(len(a) for a in axes)
     inner = math.prod(shape[1:])
     excluded = region.excluded_flat(axes)
     tape = compile_expr(exprs, region.names)
+    per = [0.0] * len(exprs)
     failed = [None] * len(exprs)
+    pointwise = np.empty(math.prod(shape))
     for lo, hi, outs in _backend.eval_grid(tape.ops, tape.consts, axes, tape.outs, excluded):
         offset, size = lo * inner, (hi - lo) * inner
         drop = excluded[(excluded >= offset) & (excluded < offset + size)] - offset
-        values = []
+        block = pointwise[offset:offset + size]
         for k, v in enumerate(outs):
             a = np.empty(size)
             np.abs(v, out=a.reshape((hi - lo,) + shape[1:]))
             a[drop] = -1.0
-            if failed[k] is None and not math.isfinite(a.max()):
+            top = float(a.max())
+            if not math.isfinite(top) and failed[k] is None:
                 failed[k] = offset + int(np.argmax(~np.isfinite(a)))
-            values.append(a)
-        yield offset, values
+            per[k] = max(per[k], top)
+            if k:
+                np.maximum(block, a, out=block)
+            else:
+                block[:] = a
     for e, index in zip(exprs, failed):
         if index is not None:
             point = np.unravel_index(index, shape)
             fail_at(e, {n: a[i] for n, a, i in zip(region.names, axes, point)})
+    return per, pointwise
 
 
 def residual_sweep(exprs: Sequence[Expr], region: Region, grid):
@@ -370,16 +356,13 @@ def residual_sweep(exprs: Sequence[Expr], region: Region, grid):
     Returns (max_residual, worst_point, per_expr_max, samples_used).
     """
     axes = region.axes(grid)
-    per = [0.0] * len(exprs)
-    peak = _Peak()
-    for offset, values in grid_blocks(exprs, region, axes):
-        per = [max(m, float(a.max())) for m, a in zip(per, values)]
-        peak.add(offset, functools.reduce(np.maximum, values))
     shape = tuple(len(a) for a in axes)
-    samples = math.prod(shape) - len(region.excluded_flat(axes))
-    worst = np.unravel_index(peak.index, shape)
-    point = tuple(float(a[i]) for a, i in zip(axes, worst)) if samples else ()
-    return max(peak.value, 0.0), point, per, samples
+    per, pointwise = grid_sweep(exprs, region, axes)
+    samples = len(pointwise) - len(region.excluded_flat(axes))
+    if not samples:
+        return 0.0, (), per, 0
+    at = np.unravel_index(_first_near_max(pointwise), shape)
+    return max(per), tuple(float(a[i]) for a, i in zip(axes, at)), per, samples
 
 
 # --------------------------------------------------------------------------
@@ -535,9 +518,8 @@ def gradient_check(F: VectorField, axes, u_grid: np.ndarray, tol: float) -> Chec
     p_vals = eval_many(F.components[0], F.names, pts).real.reshape(xm.shape)
     q_vals = eval_many(F.components[1], F.names, pts).real.reshape(xm.shape)
     dev = np.maximum(np.abs(du_dx - p_vals), np.abs(du_dy - q_vals))
-    peak = _Peak()
-    peak.add(0, dev.ravel())
-    worst = (float(xm.ravel()[peak.index]), float(ym.ravel()[peak.index]))
+    k = _first_near_max(dev.ravel())
+    worst = (float(xm.ravel()[k]), float(ym.ravel()[k]))
     return CheckReport.from_residual(float(dev.max()), tol, worst, dev.size)
 
 

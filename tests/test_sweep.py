@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 from integrikit import _backend
 from integrikit.expr import (Const, EvalDomainError, EvalError, Var, call, div, eval_many, parse,
                             pow_, sub)
-from integrikit.realfield import (TIE, Region, VectorField, _Peak, gradient_check,
-                                  residual_sweep)
+from integrikit.realfield import TIE, Region, VectorField, gradient_check, residual_sweep
 
 from conftest import grid_rows, random_smooth_expr
 
@@ -148,25 +147,6 @@ def test_gradient_check_names_the_first_point_of_a_tie():
     rep = gradient_check(F, axes, X * Y + 0.01 * X, tol=1e-9)
     assert abs(rep.max_residual - 0.01) <= 1e-14
     assert rep.worst_point == (axes[0][1], axes[1][1])
-
-
-_TIED = [-1.0, 0.0, 0.5, 1.0 - 2e-12, 1.0 - 0.5e-12, 1.0, float(np.nextafter(1.0, 2.0)),
-         1.0 + 0.5e-12, 1.0 + 1e-12, 1.0 + 1.5e-12, 1.0 + 3e-12]
-
-
-@settings(max_examples=300, deadline=None)
-@given(blocks=st.lists(st.lists(st.sampled_from(_TIED), min_size=1, max_size=12),
-                       min_size=1, max_size=6))
-def test_peak_fed_by_blocks_finds_the_first_point_within_tie(blocks):
-    peak = _Peak()
-    offset = 0
-    for b in blocks:
-        peak.add(offset, np.array(b))
-        offset += len(b)
-    flat = np.concatenate(blocks)
-    top = flat.max()
-    assert peak.value == top
-    assert peak.index == int(np.argmax(flat >= top - TIE * top))
 
 
 def test_a_sweep_holds_no_full_grid_array_per_residual():
