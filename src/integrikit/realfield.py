@@ -5,7 +5,8 @@ quadrature, path-independence probes, potential reconstruction along
 axis-parallel polylines, and conservative-force energy bookkeeping.
 `running_integrals` is the one rule for integrals from a base point to
 many abscissas: the `potential_grid` of `cplx.harmonic_conjugate` and U in
-`odekit.energy_solve`.
+`odekit.energy_solve`.  `grid_sweep` is the one rule for residuals on a
+region's sample grid: every grid check goes through `residual_sweep`.
 
 Also home of the shared geometry types: VectorField, ParametricCurve,
 Region and CheckReport.
@@ -29,7 +30,7 @@ __all__ = [
     "WorkEnergyReport", "EndpointMismatchError", "ExcludedPointError",
     "NonConservativeError", "exactness_check", "line_integral",
     "path_independence_probe", "potential_reconstruct", "potential_grid",
-    "gradient_check", "work_energy", "residual_sweep", "gauss_nodes",
+    "gradient_check", "work_energy", "residual_sweep", "grid_sweep", "gauss_nodes",
     "running_integrals",
 ]
 
