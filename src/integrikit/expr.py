@@ -849,10 +849,16 @@ def _lower(exprs, names: tuple) -> Tape:
 
 
 @lru_cache(maxsize=1024)
-def compile_expr(e, names: tuple) -> Tape:
-    """Compile an Expr, or a tuple of them (one output each, sharing their
-    common subterms), to a Tape evaluating over variables `names`."""
-    return _lower(e if isinstance(e, tuple) else (e,), tuple(names))
+def compile_expr(e: Expr, names: tuple) -> Tape:
+    """Compile an Expr to a Tape evaluating over variables `names`."""
+    return _lower((e,), tuple(names))
+
+
+def compile_exprs(exprs, names) -> Tape:
+    """Compile several expressions to one Tape over variables `names`, one
+    output each, sharing their common subterms.  Not cached: a grid check
+    compiles its residuals once, and a cache would only keep them alive."""
+    return _lower(tuple(exprs), tuple(names))
 
 
 def eval_many(e: Expr, names, points) -> np.ndarray:

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _backend
-from .expr import (Expr, NumericError, as_expr, as_real, compile_expr, diff, eval_many, fail_at,
-                   real_parts)
+from .expr import (Expr, NumericError, as_expr, as_real, compile_exprs, diff, eval_many,
+                   fail_at, real_parts)
 
 __all__ = [
     "CheckReport", "Region", "VectorField", "ParametricCurve",
@@ -322,7 +322,7 @@ def grid_sweep(exprs: Sequence[Expr], region: Region, axes):
     shape = tuple(len(a) for a in axes)
     inner = math.prod(shape[1:])
     excluded = region.excluded_flat(axes)
-    tape = compile_expr(exprs, region.names)
+    tape = compile_exprs(exprs, region.names)
     per = [0.0] * len(exprs)
     failed = [None] * len(exprs)
     pointwise = np.empty(math.prod(shape))
