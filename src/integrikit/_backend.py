@@ -12,9 +12,9 @@ real block with real constants runs on float64, and the outputs whose
 float ops refuse (:class:`_LeavesReals`) rerun on complex128, bit for bit
 as a complex block would give them.  RK4 has one routine per system,
 generated from the tape as straight-line source (:func:`_trace_fn`), with
-the stages inlined and the guard applied; it runs a list of traces.  :func:`rk4` runs one
-trace on Python floats with :data:`FLOAT_OPS` when the system and the
-start are real, and reruns it on complex scalars with
+the stages inlined and the guard applied; it runs a list of traces.
+:func:`rk4` runs one trace on Python floats with :data:`FLOAT_OPS` when
+the system and the start are real, and reruns it on complex scalars with
 :data:`SCALAR_OPS`, bit for bit as before, when the float trace fails.
 :func:`fan` runs many traces on floats and stops at the first that fails.
 
@@ -236,14 +236,25 @@ def eval_points(ops, consts, pts, out) -> np.ndarray:
     """Slot `out` of the tape at every row of `pts`, as a new complex128
     array, :data:`BLOCK` rows at a time.  A float64 `pts` with real
     constants runs on :data:`REAL_ARRAY_OPS`; a block where that refuses,
-    and any complex `pts`, run on :data:`ARRAY_OPS`."""
+    and any complex `pts`, run on :data:`ARRAY_OPS`.  The one-output case
+    of :func:`_outputs`, kept apart: on a few dozen points, as a
+    characteristic solve evaluates, its lists cost more than the ops."""
     npts, nvars = pts.shape
     result = np.empty(npts, dtype=np.complex128)
     real = pts.dtype == np.float64 and not any(c.imag for c in consts)
-    for lo in range(0, npts, BLOCK):
-        block = pts[lo:lo + BLOCK]
-        result[lo:lo + BLOCK] = _outputs(ops, consts, [block[:, j] for j in range(nvars)],
-                                         (out,), real)[0]
+    real_consts = [c.real for c in consts]
+    with np.errstate(all="ignore"):
+        for lo in range(0, npts, BLOCK):
+            block = pts[lo:lo + BLOCK]
+            value = None
+            if real:
+                value = _run(ops, REAL_ARRAY_OPS,
+                             [block[:, j] for j in range(nvars)] + real_consts)[out]
+            if value is None:
+                block = block.astype(np.complex128, copy=False)
+                value = _run(ops, ARRAY_OPS,
+                             [block[:, j] for j in range(nvars)] + list(consts))[out]
+            result[lo:lo + BLOCK] = value
     return result
 
 
