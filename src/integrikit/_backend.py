@@ -236,25 +236,14 @@ def eval_points(ops, consts, pts, out) -> np.ndarray:
     """Slot `out` of the tape at every row of `pts`, as a new complex128
     array, :data:`BLOCK` rows at a time.  A float64 `pts` with real
     constants runs on :data:`REAL_ARRAY_OPS`; a block where that refuses,
-    and any complex `pts`, run on :data:`ARRAY_OPS`.  The one-output case
-    of :func:`_outputs`, kept apart: on a few dozen points, as a
-    characteristic solve evaluates, its lists cost more than the ops."""
+    and any complex `pts`, run on :data:`ARRAY_OPS`."""
     npts, nvars = pts.shape
     result = np.empty(npts, dtype=np.complex128)
     real = pts.dtype == np.float64 and not any(c.imag for c in consts)
-    real_consts = [c.real for c in consts]
-    with np.errstate(all="ignore"):
-        for lo in range(0, npts, BLOCK):
-            block = pts[lo:lo + BLOCK]
-            value = None
-            if real:
-                value = _run(ops, REAL_ARRAY_OPS,
-                             [block[:, j] for j in range(nvars)] + real_consts)[out]
-            if value is None:
-                block = block.astype(np.complex128, copy=False)
-                value = _run(ops, ARRAY_OPS,
-                             [block[:, j] for j in range(nvars)] + list(consts))[out]
-            result[lo:lo + BLOCK] = value
+    for lo in range(0, npts, BLOCK):
+        block = pts[lo:lo + BLOCK]
+        result[lo:lo + BLOCK] = _outputs(ops, consts, [block[:, j] for j in range(nvars)],
+                                         (out,), real)[0]
     return result
 
 
@@ -267,32 +256,27 @@ def eval_grid(ops, consts, axes, outs, skip):
     of the first axis, each value shaped to broadcast to the block (a
     scalar for a constant); float64 first, as in :func:`eval_points`.
 
-    A block that holds some of the points `skip` (sorted flat indices into
-    the grid) runs on the rows of its other points instead, so that a
-    skipped point takes no part in the choice between float64 and
-    complex128; its values are NaN at the skipped points."""
-    shape = [len(a) for a in axes]
-    cols = [np.reshape(a, [-1 if i == j else 1 for i in range(len(shape))])
-            for j, a in enumerate(axes)]
-    inner = math.prod(shape[1:])
-    step = max(1, BLOCK // inner)
+    A block that holds some of the points where the boolean grid `skip` is
+    set runs on its other points instead, so that a skipped point takes no
+    part in the choice between float64 and complex128; its values are NaN
+    at the skipped points."""
+    cols = np.ix_(*axes)
+    step = max(1, BLOCK // math.prod(skip.shape[1:]))
     real = not any(c.imag for c in consts)
-    for lo in range(0, shape[0], step):
+    for lo in range(0, skip.shape[0], step):
         block = [cols[0][lo:lo + step], *cols[1:]]
-        hi = lo + len(block[0])
-        gone = skip[(skip >= lo * inner) & (skip < hi * inner)] - lo * inner
-        if not len(gone):
-            yield lo, hi, _outputs(ops, consts, block, outs, real)
+        gone = skip[lo:lo + step]
+        if not gone.any():
+            yield lo, lo + len(gone), _outputs(ops, consts, block, outs, real)
             continue
-        bshape = (hi - lo, *shape[1:])
-        kept = np.unravel_index(np.delete(np.arange((hi - lo) * inner), gone), bshape)
+        kept = ~gone
         values = []
-        for v in _outputs(ops, consts, [np.broadcast_to(c, bshape)[kept] for c in block],
+        for v in _outputs(ops, consts, [np.broadcast_to(c, gone.shape)[kept] for c in block],
                           outs, real):
-            full = np.full(bshape, np.nan, dtype=np.asarray(v).dtype)
+            full = np.full(gone.shape, np.nan, dtype=np.asarray(v).dtype)
             full[kept] = v
             values.append(full)
-        yield lo, hi, values
+        yield lo, lo + len(gone), values
 
 
 # The float table.  An overflow inside a step gives an infinity on floats

@@ -14,9 +14,8 @@ import numpy as np
 
 from .expr import (Const, EvalDomainError, Expr, Var, as_expr, as_real, call,
                    diff, eval_many, evaluate)
-from .odesys import (AutonomousSystem, RK4Traces, _check_conditioned, _eval_matrix_grid,
-                     _grid_rows)
-from .realfield import CheckReport, Region, residual_sweep
+from .odesys import AutonomousSystem, RK4Traces, _check_conditioned, _eval_matrix_grid
+from .realfield import CheckReport, Region, _grid_rows, residual_sweep
 
 __all__ = [
     "BTSystem", "PlaneWave", "LaxDeviation", "bt_residual",

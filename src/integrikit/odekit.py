@@ -15,8 +15,8 @@ import numpy as np
 
 from .expr import EvalError, Expr, NumericError, as_expr, as_real, diff, evaluate
 from .odesys import Trajectory, _shown_point
-from .realfield import (CheckReport, Region, VectorField, gauss_nodes, grid_sweep,
-                        potential_reconstruct, residual_sweep, running_integrals)
+from .realfield import (CheckReport, Region, VectorField, _first_near_max, gauss_nodes,
+                        grid_sweep, potential_reconstruct, running_integrals)
 
 __all__ = [
     "ExactODE", "ExactSolution", "EnergyProblem", "EnergySolution",
@@ -143,13 +143,13 @@ def integrating_factor_apply(ode: ExactODE, mu, region: Region, tol: float = 1e-
     """Exactness check of (mu*M, mu*N); returns (report, transformed ODE)."""
     mu = as_expr(mu)
     axes = region.axes(grid)
-    (scale,), vals = grid_sweep((mu,), region, axes)
+    (scale,), vals = grid_sweep((mu,), region.names, axes, region.excluded_mask(axes))
     if scale < 1e-12:
         raise ValueError("integrating factor is identically ~0 on the grid")
-    near_zero = np.flatnonzero((vals >= 0.0) & (vals < 1e-8 * (1 + scale)))
+    near_zero = np.argwhere(vals < 1e-8 * (1 + scale))
     if len(near_zero):
-        where = np.unravel_index(near_zero[:5], [len(a) for a in axes])
-        shown = ", ".join(str(_shown_point(p)) for p in zip(*(a[i] for a, i in zip(axes, where))))
+        shown = ", ".join(str(_shown_point([a[i] for a, i in zip(axes, p)]))
+                          for p in near_zero[:5])
         warnings.warn(f"integrating factor nearly vanishes at {len(near_zero)} "
                       f"grid points (e.g. {shown})", stacklevel=2)
     transformed = ExactODE(mu * ode.M, mu * ode.N)
@@ -190,9 +190,10 @@ def reduction_residual(phi, candidate, x_interval, tol: float = 1e-9,
         sub[name] = d
     g = phi.subs(sub)
     dg = diff(g, "x")
-    interval = Region(("x",), ((x_interval[0], x_interval[1]),))
-    max_res, worst, _, used = residual_sweep([dg], interval, samples)
-    return CheckReport.from_residual(max_res, tol, worst, used)
+    xs = np.linspace(float(x_interval[0]), float(x_interval[1]), samples)
+    (max_res,), vals = grid_sweep([dg], ("x",), [xs], np.zeros(len(xs), dtype=bool))
+    worst = (float(xs[_first_near_max(vals)]),) if samples else ()
+    return CheckReport.from_residual(max_res, tol, worst, samples)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _backend
 from .expr import Expr, NumericError, as_expr, compile_system, diff, eval_many
-from .realfield import CheckReport, Region
+from .realfield import CheckReport, Region, _grid_rows
 
 __all__ = [
     "AutonomousSystem", "Trajectory", "IntegrationError", "EigenPair",
@@ -612,14 +612,6 @@ def _check_conditioned(mats, pts, what: str):
     if np.max(conds) >= 1e8:
         k = int(np.argmax(conds))
         raise SingularMatrixSampleError(f"{what} is near-singular at {_shown_point(pts[k])}")
-
-
-def _grid_rows(region, grid) -> np.ndarray:
-    """The region's sample grid as (npts, n) rows in grid order, excluded
-    points dropped, for the checks that take matrices point by point."""
-    axes = region.axes(grid)
-    rows = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return np.delete(rows, region.excluded_flat(axes), axis=0)
 
 
 def _eval_matrix_grid(entries, names, pts) -> np.ndarray:

@@ -116,19 +116,21 @@ class Region:
             raise ValueError("need at least 2 samples per axis")
         return [np.linspace(lo, hi, c) for (lo, hi), c in zip(self.bounds, counts)]
 
-    def excluded_flat(self, axes) -> np.ndarray:
-        """Flat indices, in grid order, of the points of the grid of `axes`
-        within 1e-9 of an excluded point."""
-        shape = [len(a) for a in axes]
-        hits = set()
+    def excluded_mask(self, axes) -> np.ndarray:
+        """Boolean grid of `axes`, set at the points within 1e-9 of an
+        excluded point."""
+        near = np.zeros([len(a) for a in axes], dtype=bool)
         for p in self.excluded:
-            # such a point has every coordinate within 1e-9 of p's
-            near = [np.flatnonzero(np.abs(a - c) <= 1e-9) for a, c in zip(axes, p)]
-            idx = np.stack(np.meshgrid(*near, indexing="ij"), axis=-1).reshape(-1, self.n)
-            pts = np.stack([a[i] for a, i in zip(axes, idx.T)], axis=-1)
-            inside = np.linalg.norm(pts - np.asarray(p), axis=1) <= 1e-9
-            hits.update(np.ravel_multi_index(tuple(idx[inside].T), shape).tolist())
-        return np.array(sorted(hits), dtype=np.intp)
+            near |= np.sqrt(sum((c - x) ** 2 for c, x in zip(np.ix_(*axes), p))) <= 1e-9
+        return near
+
+
+def _grid_rows(region: Region, grid) -> np.ndarray:
+    """The region's sample grid as (npts, n) rows in grid order, excluded
+    points dropped, for the checks that take matrices point by point."""
+    axes = region.axes(grid)
+    rows = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return rows[~region.excluded_mask(axes).ravel()]
 
 
 @dataclass(frozen=True)
@@ -303,49 +305,42 @@ TIE = 1e-12
 
 
 def _first_near_max(values: np.ndarray) -> int:
-    """Index of the first of `values` within :data:`TIE` of their maximum."""
-    top = values.max()
+    """Index of the first of `values` within :data:`TIE` of their maximum,
+    NaN left out."""
+    top = np.nanmax(values)
     return int(np.argmax(values >= top - TIE * top))
 
 
-def grid_sweep(exprs: Sequence[Expr], region: Region, axes):
-    """|e| for each of `exprs` on the region's grid of `axes`, excluded
-    points left out, from one tape run block by block by
-    `_backend.eval_grid`.  Returns the max of each |e| (0.0 when no point
-    is kept) and the max over `exprs` at each point, flat in grid order,
-    -1 at excluded points.
+def grid_sweep(exprs: Sequence[Expr], names, axes, excluded: np.ndarray):
+    """|e| for each of `exprs` over variables `names` on the grid of `axes`,
+    from one tape run block by block by `_backend.eval_grid`, the points
+    where the boolean grid `excluded` is set left out.  Returns the max of
+    each |e| (0.0 when no point is kept) and, shaped as the grid, the max
+    over `exprs` at each point, NaN at excluded points.
 
     An expression that is not finite at a point kept raises the tree
     walk's error (`fail_at`): the first such expression in order, at its
     first such point in grid order."""
-    exprs = tuple(exprs)
-    shape = tuple(len(a) for a in axes)
-    inner = math.prod(shape[1:])
-    excluded = region.excluded_flat(axes)
-    tape = compile_exprs(exprs, region.names)
-    per = [0.0] * len(exprs)
-    failed = [None] * len(exprs)
-    pointwise = np.empty(math.prod(shape))
+    inner = math.prod(excluded.shape[1:])
+    tape = compile_exprs(exprs, names)
+    per = [0.0] * len(tape.outs)
+    failed = [None] * len(tape.outs)
+    pointwise = np.full(excluded.shape, -np.inf)
     for lo, hi, outs in _backend.eval_grid(tape.ops, tape.consts, axes, tape.outs, excluded):
-        offset, size = lo * inner, (hi - lo) * inner
-        drop = excluded[(excluded >= offset) & (excluded < offset + size)] - offset
-        block = pointwise[offset:offset + size]
+        block = pointwise[lo:hi]
         for k, v in enumerate(outs):
-            a = np.empty(size)
-            np.abs(v, out=a.reshape((hi - lo,) + shape[1:]))
-            a[drop] = -1.0
+            a = np.abs(np.broadcast_to(v, block.shape))
+            a[excluded[lo:hi]] = -1.0
             top = float(a.max())
             if not math.isfinite(top) and failed[k] is None:
-                failed[k] = offset + int(np.argmax(~np.isfinite(a)))
+                failed[k] = lo * inner + int(np.argmax(~np.isfinite(a)))
             per[k] = max(per[k], top)
-            if k:
-                np.maximum(block, a, out=block)
-            else:
-                block[:] = a
+            np.maximum(block, a, out=block)
     for e, index in zip(exprs, failed):
         if index is not None:
-            point = np.unravel_index(index, shape)
-            fail_at(e, {n: a[i] for n, a, i in zip(region.names, axes, point)})
+            point = np.unravel_index(index, excluded.shape)
+            fail_at(e, {n: a[i] for n, a, i in zip(names, axes, point)})
+    pointwise[excluded] = np.nan
     return per, pointwise
 
 
@@ -357,12 +352,12 @@ def residual_sweep(exprs: Sequence[Expr], region: Region, grid):
     Returns (max_residual, worst_point, per_expr_max, samples_used).
     """
     axes = region.axes(grid)
-    shape = tuple(len(a) for a in axes)
-    per, pointwise = grid_sweep(exprs, region, axes)
-    samples = len(pointwise) - len(region.excluded_flat(axes))
+    excluded = region.excluded_mask(axes)
+    per, pointwise = grid_sweep(exprs, region.names, axes, excluded)
+    samples = excluded.size - int(np.count_nonzero(excluded))
     if not samples:
         return 0.0, (), per, 0
-    at = np.unravel_index(_first_near_max(pointwise), shape)
+    at = np.unravel_index(_first_near_max(pointwise.ravel()), pointwise.shape)
     return max(per), tuple(float(a[i]) for a, i in zip(axes, at)), per, samples
 
 

@@ -120,6 +120,20 @@ class TestReductionResidual:
         with pytest.raises(ValueError, match="unknown symbol"):
             reduction_residual("y*w", "x", (0.0, 1.0))
 
+    @pytest.mark.parametrize("interval,samples,worst", [
+        ((2.0, 0.0), 7, (2.0,)),        # reversed: sampled from 2.0 down
+        ((0.5, 0.5), 5, (0.5,)),        # one point, sampled 5 times
+        ((0.0, 1.0), 1, (0.0,)),
+        ((0.0, 1.0), 0, ()),
+    ])
+    def test_samples_linspace_of_any_interval(self, interval, samples, worst):
+        """x is sampled as np.linspace(a, b, samples), which takes a reversed
+        or empty interval and fewer than 2 samples; every point ties on the
+        residual 1 of Phi = y1 - x, so the worst point is the first."""
+        rep =reduction_residual("y1 - x", "x^2", interval, tol=1e-9, samples=samples)
+        assert rep.max_residual == (1.0 if samples else 0.0)
+        assert rep.worst_point == worst and rep.samples_used == samples
+
 
 class TestEnergySolve:
     def test_constant_force_closed_form(self):

@@ -47,7 +47,7 @@ class TestTypes:
     def test_region_excluded_points_removed(self):
         reg = Region(("x", "y"), ((-1, 1), (-1, 1)), excluded=((0.0, 0.0),))
         axes = reg.axes(3)
-        assert reg.excluded_flat(axes).tolist() == [4]
+        assert np.flatnonzero(reg.excluded_mask(axes)).tolist() == [4]
         # 1/(x^2 + y^2) has its pole at the excluded origin: the sweep
         # leaves that point out and counts the other 8
         max_res, worst, per, samples = realfield.residual_sweep([parse("1/(x^2 + y^2)")], reg, 3)
