@@ -307,7 +307,7 @@ TIE = 1e-12
 def _first_near_max(values: np.ndarray) -> int:
     """Index of the first of `values` within :data:`TIE` of their maximum,
     NaN left out."""
-    top = np.nanmax(values)
+    top = np.fmax.reduce(values)
     return int(np.argmax(values >= top - TIE * top))
 
 
@@ -329,7 +329,8 @@ def grid_sweep(exprs: Sequence[Expr], names, axes, excluded: np.ndarray):
     for lo, hi, outs in _backend.eval_grid(tape.ops, tape.consts, axes, tape.outs, excluded):
         block = pointwise[lo:hi]
         for k, v in enumerate(outs):
-            a = np.abs(np.broadcast_to(v, block.shape))
+            a = np.empty(block.shape)
+            np.abs(v, out=a)
             a[excluded[lo:hi]] = -1.0
             top = float(a.max())
             if not math.isfinite(top) and failed[k] is None:
