@@ -5,18 +5,20 @@ as the variables followed by the constants; each op appends one result
 and then drops the slots no later op reads.  :func:`_run` runs a tape
 with one op table: on complex scalars with :data:`SCALAR_OPS`, on
 complex128 arrays with :data:`ARRAY_OPS` and on float64 arrays with
-:data:`REAL_ARRAY_OPS`.  :func:`eval_points` runs it on rows of points
-and :func:`eval_grid` on the product grid of some axes, about
+:data:`REAL_ARRAY_OPS`.  :func:`eval_grid` is the one array loop: it runs
+a tape on variable columns that broadcast to one shape (rows of points,
+the axes of a grid, quadrature nodes beside per-interval values), about
 :data:`BLOCK` points at a time, so that live temporaries stay small.  A
-real block with real constants runs on float64, and the outputs whose
-float ops refuse (:class:`_LeavesReals`) rerun on complex128, bit for bit
-as a complex block would give them.  RK4 has one routine per system,
-generated from the tape as straight-line source (:func:`_trace_fn`), with
-the stages inlined and the guard applied; it runs a list of traces.
-:func:`rk4` runs one trace on Python floats with :data:`FLOAT_OPS` when
-the system and the start are real, and reruns it on complex scalars with
-:data:`SCALAR_OPS`, bit for bit as before, when the float trace fails.
-:func:`fan` runs many traces on floats and stops at the first that fails.
+block of float64 columns runs on float64, and the outputs whose float ops
+refuse (:class:`_LeavesReals`) or read a non-real constant rerun on
+complex128, bit for bit as a complex block would give them.  RK4 has one
+routine per system, generated from the tape as straight-line source
+(:func:`_trace_fn`), with the stages inlined and the guard applied; it
+runs a list of traces.  :func:`rk4` runs one trace on Python floats with
+:data:`FLOAT_OPS` when the system and the start are real, and reruns it
+on complex scalars with :data:`SCALAR_OPS`, bit for bit as before, when
+the float trace fails.  :func:`fan` runs many traces on floats and stops
+at the first that fails.
 
 Domain failures never raise from the complex tables: division by 0, ln 0
 and 0 raised to a negative or complex power give NaN, as do cmath
@@ -36,7 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-#: Points per array pass of :func:`eval_points` and :func:`eval_grid`.
+#: Points per block of :func:`eval_grid`: whole rows along the first axis,
+#: at least one, that hold about this many points.
 BLOCK = 8192
 
 _NAN = complex(float("nan"), float("nan"))
@@ -216,14 +219,15 @@ def _run(ops, table, regs: list) -> list:
 
 def _outputs(ops, consts, cols, outs, real) -> list:
     """Slots `outs` of the tape on one block of variable columns.  With
-    `real` (float64 columns, real constants) the block runs on
-    :data:`REAL_ARRAY_OPS` first, and only the outputs whose float ops
-    refused rerun on :data:`ARRAY_OPS`, bit for bit as a complex block
-    would give them."""
+    `real` (float64 columns) the block runs on :data:`REAL_ARRAY_OPS`
+    first, a non-real constant refusing like an op, and only the outputs
+    whose float ops refused rerun on :data:`ARRAY_OPS`, bit for bit as a
+    complex block would give them."""
     with np.errstate(all="ignore"):
         values = [None] * len(outs)
         if real:
-            regs = _run(ops, REAL_ARRAY_OPS, list(cols) + [c.real for c in consts])
+            regs = _run(ops, REAL_ARRAY_OPS,
+                        list(cols) + [None if c.imag else c.real for c in consts])
             values = [regs[o] for o in outs]
         if any(v is None for v in values):
             regs = _run(ops, ARRAY_OPS, [c.astype(np.complex128, copy=False) for c in cols]
@@ -232,42 +236,29 @@ def _outputs(ops, consts, cols, outs, real) -> list:
     return values
 
 
-def eval_points(ops, consts, pts, out) -> np.ndarray:
-    """Slot `out` of the tape at every row of `pts`, as a new complex128
-    array, :data:`BLOCK` rows at a time.  A float64 `pts` with real
-    constants runs on :data:`REAL_ARRAY_OPS`; a block where that refuses,
-    and any complex `pts`, run on :data:`ARRAY_OPS`."""
-    npts, nvars = pts.shape
-    result = np.empty(npts, dtype=np.complex128)
-    real = pts.dtype == np.float64 and not any(c.imag for c in consts)
-    for lo in range(0, npts, BLOCK):
-        block = pts[lo:lo + BLOCK]
-        result[lo:lo + BLOCK] = _outputs(ops, consts, [block[:, j] for j in range(nvars)],
-                                         (out,), real)[0]
-    return result
+def eval_grid(ops, consts, cols, shape, outs, skip=None):
+    """Slots `outs` of the tape at every point of `shape`, variable j taking
+    the column ``cols[j]``: arrays of ``len(shape)`` dimensions that
+    broadcast to `shape`, so an op on columns that are constant along some
+    axes runs on the points of the others only.  Runs in blocks of whole
+    rows along the first axis that hold about :data:`BLOCK` points, and
+    yields ``(lo, hi, values)`` for rows lo..hi, each value shaped to
+    broadcast to the block (a scalar for a constant).  Float64 columns run
+    on float64 first (see :func:`_outputs`); any complex column makes every
+    block complex.
 
-
-def eval_grid(ops, consts, axes, outs, skip):
-    """Slots `outs` of the tape on the product grid of `axes` (one float64
-    axis per variable), in blocks of whole rows along the first axis that
-    hold about :data:`BLOCK` points.  Axis j enters as a column shaped to
-    broadcast (-1 at position j, 1 elsewhere), so an op on some of the axes
-    runs on their points only.  Yields ``(lo, hi, values)`` for rows lo..hi
-    of the first axis, each value shaped to broadcast to the block (a
-    scalar for a constant); float64 first, as in :func:`eval_points`.
-
-    A block that holds some of the points where the boolean grid `skip` is
-    set runs on its other points instead, so that a skipped point takes no
-    part in the choice between float64 and complex128; its values are NaN
-    at the skipped points."""
-    cols = np.ix_(*axes)
-    step = max(1, BLOCK // math.prod(skip.shape[1:]))
-    real = not any(c.imag for c in consts)
-    for lo in range(0, skip.shape[0], step):
-        block = [cols[0][lo:lo + step], *cols[1:]]
-        gone = skip[lo:lo + step]
-        if not gone.any():
-            yield lo, lo + len(gone), _outputs(ops, consts, block, outs, real)
+    A block that holds some of the points where the optional boolean array
+    `skip` (of `shape`) is set runs on its other points instead, so that a
+    skipped point takes no part in the choice between float64 and
+    complex128; its values are NaN at the skipped points."""
+    step = max(1, BLOCK // math.prod(shape[1:]))
+    real = all(c.dtype == np.float64 for c in cols)
+    for lo in range(0, shape[0], step):
+        hi = min(lo + step, shape[0])
+        block = [c[lo:hi] if len(c) > 1 else c for c in cols]
+        gone = None if skip is None else skip[lo:hi]
+        if gone is None or not gone.any():
+            yield lo, hi, _outputs(ops, consts, block, outs, real)
             continue
         kept = ~gone
         values = []
@@ -276,7 +267,7 @@ def eval_grid(ops, consts, axes, outs, skip):
             full = np.full(gone.shape, np.nan, dtype=np.asarray(v).dtype)
             full[kept] = v
             values.append(full)
-        yield lo, lo + len(gone), values
+        yield lo, hi, values
 
 
 # The float table.  An overflow inside a step gives an infinity on floats

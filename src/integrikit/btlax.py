@@ -13,8 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .expr import (Const, EvalDomainError, Expr, Var, as_expr, as_real, call,
-                   diff, eval_many, evaluate)
-from .odesys import AutonomousSystem, RK4Traces, _check_conditioned, _eval_matrix_grid
+                   diff, eval_columns, evaluate)
+from .odesys import AutonomousSystem, RK4Traces, _eval_matrices
 from .realfield import CheckReport, Region, _grid_rows, residual_sweep
 
 __all__ = [
@@ -184,8 +184,8 @@ def _check_leg_field(fields, pts):
     """u, u_x and u_xx must be finite and real (to 1e-12) at the points a leg
     evaluates; on failure the tree walk finds the first bad point and field."""
     try:
-        if all(np.all(np.abs(v.imag) <= 1e-12 * (1.0 + np.abs(v.real)))
-               for v in (eval_many(e, ("x", "t"), pts) for e, _ in fields)):
+        values = eval_columns([e for e, _ in fields], ("x", "t"), pts.T, (len(pts),))
+        if all(np.all(np.abs(v.imag) <= 1e-12 * (1.0 + np.abs(v.real))) for v in values):
             return
     except EvalDomainError:
         pass
@@ -265,11 +265,7 @@ def chiral_residual(entries, region: Region, tol: float = 1e-9, grid=21) -> Chec
     gt = [[diff(e, "t") for e in row] for row in entries]
     gxt = [[diff(e, "t") for e in row] for row in gx]
     pts = _grid_rows(region, grid)
-    G = _eval_matrix_grid(entries, ("x", "t"), pts)
-    _check_conditioned(G, pts, "g")
-    Gx = _eval_matrix_grid(gx, ("x", "t"), pts)
-    Gt = _eval_matrix_grid(gt, ("x", "t"), pts)
-    Gxt = _eval_matrix_grid(gxt, ("x", "t"), pts)
+    G, Gx, Gt, Gxt = _eval_matrices((entries, gx, gt, gxt), ("x", "t"), pts, "g")
     Gi = np.linalg.inv(G)
     d_t = -Gi @ Gt @ Gi @ Gx + Gi @ Gxt
     d_x = -Gi @ Gx @ Gi @ Gt + Gi @ Gxt

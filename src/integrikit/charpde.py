@@ -11,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import (Expr, NumericError, Var, as_expr, as_real, diff, eval_many, evaluate,
-                   real_parts)
+from .expr import (EvalError, Expr, NonDifferentiableError, NumericError, Var, as_expr, as_real,
+                   diff, eval_columns, evaluate, real_parts)
 from .odesys import AutonomousSystem, RK4Traces, Trajectory
 from .realfield import CheckReport, Region, VectorField, exactness_check, residual_sweep
 
@@ -88,13 +88,23 @@ class InitialCurve:
 
     def points(self, s_values) -> np.ndarray:
         """The curve points (x0, y0, z0) at each s, as rows."""
-        return np.column_stack([_real_values(c, (self.param,), s_values, "initial curve")
-                                for c in (self.x0, self.y0, self.z0)])
+        return np.column_stack(_real_values((self.x0, self.y0, self.z0), (self.param,),
+                                            [np.ravel(s_values)], ("initial curve",) * 3))
 
 
-def _real_values(e: Expr, names, pts, context: str) -> np.ndarray:
-    """`e` at the rows of `pts` by one eval_many; each value must be real."""
-    return real_parts(eval_many(e, names, pts), 1e-12, context)
+def _real_values(exprs, names, columns, contexts) -> list:
+    """Each of `exprs` at the points of `columns` (one 1-D column per name)
+    by one `eval_columns` call; each value must be real.  Errors come as
+    one call per expression gives them: after a failure the expressions
+    run one by one, so an earlier one's imaginary part is raised first."""
+    shape = (len(columns[0]),)
+    try:
+        values = eval_columns(exprs, names, columns, shape)
+    except EvalError:
+        values = [None] * len(exprs)
+    return [real_parts(eval_columns((e,), names, columns, shape)[0] if v is None else v,
+                       1e-12, context)
+            for e, v, context in zip(exprs, values, contexts)]
 
 
 def characteristic_trace(pde: QuasilinearPDE, start, t_span, h: float) -> Trajectory:
@@ -126,10 +136,15 @@ def _transversality_check(pde: QuasilinearPDE, ic: InitialCurve,
                           samples: int = 33, threshold: float = 1e-8):
     ss = np.linspace(ic.s_start, ic.s_end, samples)
     pts = ic.points(ss)
-    pv = _real_values(pde.P, ("x", "y", "z"), pts, "P")
-    qv = _real_values(pde.Q, ("x", "y", "z"), pts, "Q")
-    cross = pv * _real_values(diff(ic.y0, ic.param), (ic.param,), ss, "y0'") \
-        - qv * _real_values(diff(ic.x0, ic.param), (ic.param,), ss, "x0'")
+    pv, qv = _real_values((pde.P, pde.Q), ("x", "y", "z"), pts.T, ("P", "Q"))
+    dy0e = diff(ic.y0, ic.param)
+    try:
+        dx0e = diff(ic.x0, ic.param)
+    except NonDifferentiableError:
+        _real_values((dy0e,), (ic.param,), [ss], ("y0'",))  # y0' fails first, as it is first
+        raise
+    dy0, dx0 = _real_values((dy0e, dx0e), (ic.param,), [ss], ("y0'", "x0'"))
+    cross = pv * dy0 - qv * dx0
     low = np.abs(cross) < threshold
     if low.any():
         raise TransversalityError(

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Const, Expr, NumericError, as_expr, diff, eval_many
+from .expr import Const, Expr, NumericError, as_expr, diff, eval_columns, eval_many
 from .realfield import (CheckReport, ParametricCurve, Region, gauss_nodes,
                         residual_sweep)
 
@@ -64,12 +64,11 @@ class ComplexFunction:
 
     def sample(self, z_values: np.ndarray) -> np.ndarray:
         """Values f(z) at complex points."""
-        z_values = np.asarray(z_values, dtype=np.complex128)
+        z_values = np.asarray(z_values, dtype=np.complex128).ravel()
         if self.is_z_form:
-            return eval_many(self.z_expr, ("z",), z_values.reshape(-1, 1))
-        pts = np.stack([z_values.real, z_values.imag], axis=1)
-        u = eval_many(self.u_expr, ("x", "y"), pts)
-        v = eval_many(self.v_expr, ("x", "y"), pts)
+            return eval_many(self.z_expr, ("z",), z_values)
+        u, v = eval_columns((self.u_expr, self.v_expr), ("x", "y"),
+                            (z_values.real, z_values.imag), z_values.shape)
         return u + 1j * v
 
 
@@ -125,10 +124,9 @@ class Contour:
         return cls(curve, "general")
 
     def points(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        xs = eval_many(self.curve.components[0], (self.curve.param,), ts.reshape(-1, 1)).real
-        ys = eval_many(self.curve.components[1], (self.curve.param,), ts.reshape(-1, 1)).real
-        return xs + 1j * ys
+        ts = np.asarray(ts, dtype=float).ravel()
+        xs, ys = eval_columns(self.curve.components, (self.curve.param,), (ts,), ts.shape)
+        return xs.real + 1j * ys.real
 
 
 # --------------------------------------------------------------------------
@@ -198,10 +196,8 @@ def _panel_contour(f: ComplexFunction, contour: Contour, nodes: int) -> complex:
     ts, weights = gauss_nodes(curve.t_start, curve.t_end, panels)
     zs = contour.points(ts)
     vals = f.sample(zs)
-    dx = diff(curve.components[0], curve.param)
-    dy = diff(curve.components[1], curve.param)
-    dzs = (eval_many(dx, (curve.param,), ts.reshape(-1, 1))
-           + 1j * eval_many(dy, (curve.param,), ts.reshape(-1, 1)))
+    dx, dy = eval_columns(curve.derivative(), (curve.param,), (ts,), ts.shape)
+    dzs = dx + 1j * dy
     return complex(np.sum(weights * vals * dzs))
 
 

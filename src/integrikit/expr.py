@@ -848,46 +848,57 @@ def _lower(exprs, names: tuple) -> Tape:
     return Tape(ops, tuple(consts), outs)
 
 
-@lru_cache(maxsize=1024)
-def compile_expr(e: Expr, names: tuple) -> Tape:
-    """Compile an Expr to a Tape evaluating over variables `names`."""
-    return _lower((e,), tuple(names))
-
-
 def compile_exprs(exprs, names) -> Tape:
-    """Compile several expressions to one Tape over variables `names`, one
-    output each, sharing their common subterms.  Not cached: a grid check
-    compiles its residuals once, and a cache would only keep them alive."""
+    """Compile expressions to one Tape over variables `names`, one output
+    each, sharing their common subterms.  Not cached: a caller compiles
+    what it evaluates once, and a cache would only keep the trees alive."""
     return _lower(tuple(exprs), tuple(names))
 
 
-def eval_many(e: Expr, names, points) -> np.ndarray:
-    """Evaluate an expression at many points (rows of `points`).
+def eval_columns(exprs, names, columns, shape) -> list:
+    """Each of `exprs` at every point of `shape`, as new complex128 arrays
+    of that shape, from one tape run by `_backend.eval_grid`.  Variable j
+    of `names` takes ``columns[j]``, an array of ``len(shape)`` dimensions
+    that broadcasts to `shape`: the columns of a point matrix for a point
+    set, or axes shaped by ``np.ix_`` for a grid.
 
-    Non-finite results are turned into a precise EvalDomainError by
-    re-walking the tree at the first offending point.  Real points (a real
-    dtype, or complex ones whose imaginary parts are all +0.0) stay
-    float64, so the backend can run them on floats; the result is complex128.
+    Real columns (a real dtype, or complex ones whose imaginary parts are
+    all +0.0) stay float64, so the backend can run them on floats.  The
+    first of `exprs` that is not finite somewhere raises the tree walk's
+    error (`fail_at`) at its first such point in C order.
     """
     names = tuple(names)
-    pts = np.asarray(points)
-    if pts.dtype.kind in "biuf":
-        pts = np.ascontiguousarray(pts, dtype=np.float64)
+    cols = [np.asarray(c) for c in columns]
+    if len(cols) != len(names):
+        raise ValueError(f"{len(cols)} columns given, expected {len(names)}")
+    if all(c.dtype.kind in "biuf" for c in cols):
+        cols = [c.astype(np.float64, copy=False) for c in cols]
     else:
-        pts = np.ascontiguousarray(pts, dtype=np.complex128)
-        if not pts.imag.view(np.uint64).any():   # -0.0 picks the other side of a branch cut
-            pts = np.ascontiguousarray(pts.real)
+        cols = [c.astype(np.complex128, copy=False) for c in cols]
+        # -0.0 picks the other side of a branch cut
+        if not any(c.imag.view(np.uint64).any() for c in cols):
+            cols = [c.real for c in cols]
+    tape = compile_exprs(exprs, names)
+    out = [np.empty(shape, dtype=np.complex128) for _ in tape.outs]
+    for lo, hi, values in _backend.eval_grid(tape.ops, tape.consts, cols, shape, tape.outs):
+        for o, v in zip(out, values):
+            o[lo:hi] = v
+    for e, o in zip(exprs, out):
+        bad = ~np.isfinite(o)
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), shape)
+            fail_at(e, {n: np.broadcast_to(c, shape)[at] for n, c in zip(names, cols)})
+    return out
+
+
+def eval_many(e: Expr, names, points) -> np.ndarray:
+    """Evaluate an expression at many points (rows of `points`, or one
+    value per point for a single variable): :func:`eval_columns` on the
+    columns of `points`."""
+    pts = np.asarray(points)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    if pts.shape[1] != len(names):
-        raise ValueError(f"points have {pts.shape[1]} columns, expected {len(names)}")
-    tape = compile_expr(e, names)
-    out = _backend.eval_points(tape.ops, tape.consts, pts, tape.outs[0])
-    bad = ~np.isfinite(out)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        fail_at(e, {n: pts[idx, j] for j, n in enumerate(names)})
-    return out
+    return eval_columns((e,), names, pts.T, (len(pts),))[0]
 
 
 def fail_at(e: Expr, bindings: Bindings):

@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _backend
-from .expr import Expr, NumericError, as_expr, compile_system, diff, eval_many
+from .expr import (EvalError, Expr, NumericError, as_expr, compile_system, diff,
+                   eval_columns, eval_many)
 from .realfield import CheckReport, Region, _grid_rows
 
 __all__ = [
@@ -238,8 +239,7 @@ def dependent_integral_check(phis: Sequence, candidate, points: int = 40,
     names = sorted(set().union(*[p.variables() for p in phis]) | candidate.variables())
     rng = np.random.default_rng(seed)
     pts = rng.uniform(box[0], box[1], size=(points, len(names)))
-    vals = [eval_many(p, names, pts) for p in phis]
-    cand = eval_many(candidate, names, pts)
+    *vals, cand = eval_columns((*phis, candidate), names, pts.T, (points,))
     cnorm = float(np.linalg.norm(cand))
     for k, v in enumerate(vals):
         if float(np.std(np.abs(v))) < 1e-12 * (1.0 + float(np.mean(np.abs(v)))):
@@ -604,22 +604,27 @@ def _shown_point(p) -> tuple:
     return tuple(float(v) for v in np.round(np.real(p), 6))
 
 
-def _check_conditioned(mats, pts, what: str):
-    """Raise SingularMatrixSampleError naming the first point of `pts`
-    where the matrix `what` (one per point in `mats`) has condition number
-    1e8 or more."""
-    conds = np.linalg.cond(mats)
-    if np.max(conds) >= 1e8:
-        k = int(np.argmax(conds))
-        raise SingularMatrixSampleError(f"{what} is near-singular at {_shown_point(pts[k])}")
-
-
-def _eval_matrix_grid(entries, names, pts) -> np.ndarray:
-    n = len(entries)
-    out = np.empty((len(pts), n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            out[:, i, j] = eval_many(entries[i][j], names, pts)
+def _eval_matrices(mats, names, pts, what: Optional[str] = None) -> list:
+    """Each square matrix of expressions in `mats` at the rows of `pts`, as
+    an (npts, n, n) complex array, by one `eval_columns` call.  With
+    `what`, a SingularMatrixSampleError names the first point where the
+    first matrix has condition number 1e8 or more, before a later matrix's
+    domain error."""
+    n = len(mats[0])
+    flat = [e for m in mats for row in m for e in row]
+    try:
+        vals = eval_columns(flat, names, pts.T, (len(pts),))
+    except EvalError:
+        if what is not None and len(mats) > 1:
+            _eval_matrices(mats[:1], names, pts, what)
+        raise
+    out = [np.stack(vals[k:k + n * n], axis=1).reshape(-1, n, n)
+           for k in range(0, len(vals), n * n)]
+    if what is not None:
+        conds = np.linalg.cond(out[0])
+        if np.max(conds) >= 1e8:
+            raise SingularMatrixSampleError(
+                f"{what} is near-singular at {_shown_point(pts[int(np.argmax(conds))])}")
     return out
 
 
@@ -648,12 +653,7 @@ def matrix_identity_check(entries, region: Region, tol: float = 1e-8,
     dyx = [[diff(e, x) for e in row] for row in dy]
 
     pts = _grid_rows(region, grid)
-    Av = _eval_matrix_grid(entries, names, pts)
-    _check_conditioned(Av, pts, "matrix")
-    Ax = _eval_matrix_grid(dx, names, pts)
-    Ay = _eval_matrix_grid(dy, names, pts)
-    Axy = _eval_matrix_grid(dxy, names, pts)
-    Ayx = _eval_matrix_grid(dyx, names, pts)
+    Av, Ax, Ay, Axy, Ayx = _eval_matrices((entries, dx, dy, dxy, dyx), names, pts, "matrix")
     Ai = np.linalg.inv(Av)
 
     AiAx = Ai @ Ax
@@ -672,21 +672,18 @@ def matrix_identity_check(entries, region: Region, tol: float = 1e-8,
     cx, cy = 0.5 * (xl + xh), 0.5 * (yl + yh)
     rx, ry = 0.35 * (xh - xl), 0.35 * (yh - yl)
     thetas = np.linspace(0.0, 2 * math.pi, curve_samples)
-    res_curve = 0.0
-    for th in thetas:
-        p0 = np.array([[cx + rx * math.cos(th), cy + ry * math.sin(th)]])
-        pp = np.array([[cx + rx * math.cos(th + fd_step), cy + ry * math.sin(th + fd_step)]])
-        pm = np.array([[cx + rx * math.cos(th - fd_step), cy + ry * math.sin(th - fd_step)]])
-        A0 = _eval_matrix_grid(entries, names, p0)[0]
-        Ap = _eval_matrix_grid(entries, names, pp)[0]
-        Am = _eval_matrix_grid(entries, names, pm)[0]
-        Ai0 = np.linalg.inv(A0)
-        fd = (np.linalg.inv(Ap) - np.linalg.inv(Am)) / (2 * fd_step)
-        xdot = -rx * math.sin(th)
-        ydot = ry * math.cos(th)
-        Adot = (_eval_matrix_grid(dx, names, p0)[0] * xdot
-                + _eval_matrix_grid(dy, names, p0)[0] * ydot)
-        res_curve = max(res_curve, float(np.linalg.norm(fd + Ai0 @ Adot @ Ai0)))
+    ring = np.array([(cx + rx * math.cos(th + d), cy + ry * math.sin(th + d))
+                     for th in thetas for d in (0.0, fd_step, -fd_step)])
+    A, = _eval_matrices((entries,), names, ring)
+    A0, Ap, Am = A[0::3], A[1::3], A[2::3]
+    Ad_x, Ad_y = _eval_matrices((dx, dy), names, ring[0::3])
+    Ai0 = np.linalg.inv(A0)
+    fd = (np.linalg.inv(Ap) - np.linalg.inv(Am)) / (2 * fd_step)
+    xdot = np.array([-rx * math.sin(th) for th in thetas])[:, None, None]
+    ydot = np.array([ry * math.cos(th) for th in thetas])[:, None, None]
+    Adot = Ad_x * xdot + Ad_y * ydot
+    norms = np.linalg.norm(fd + Ai0 @ Adot @ Ai0, axis=(1, 2))
+    res_curve = float(np.fmax.reduce(norms, initial=0.0))  # NaN samples are skipped
 
     details = {
         "flat_connection": float(res_flat.max()),

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _backend
-from .expr import (Expr, NumericError, as_expr, as_real, compile_exprs, diff, eval_many,
+from .expr import (Expr, NumericError, as_expr, as_real, compile_exprs, diff, eval_columns,
                    fail_at, real_parts)
 
 __all__ = [
@@ -254,24 +254,16 @@ def integrate_rows(e: Expr, param: str, t0, t1, panels: int, columns=None) -> np
     """Composite Gauss-Legendre integrals of e(param) over [t0[i], t1[i]].
 
     `columns` binds each other variable of e to one value per interval.
-    One eval_many takes at most ``_backend.BLOCK`` points (at least one
-    interval), so memory stays bounded however many intervals there are.
+    One `eval_columns` call takes the nodes, one row per interval, and each
+    column as a single value per row, so the values at all nodes are held
+    at once: at most twice the node array of `gauss_nodes` (the largest
+    call of the benchmark's `quadrature` workload has 20,600 nodes).
     """
-    columns = {k: np.ravel(v) for k, v in (columns or {}).items()}
-    names = (param, *columns)
+    columns = {k: np.ravel(v)[:, None] for k, v in (columns or {}).items()}
     nodes, weights = gauss_nodes(np.ravel(t0), np.ravel(t1), panels)
-    dtype = np.result_type(nodes, *columns.values())
-    out = np.empty(len(nodes), dtype=complex)
-    step = max(1, _backend.BLOCK // nodes.shape[1])
-    for lo in range(0, len(nodes), step):
-        rows = slice(lo, lo + step)
-        pts = np.empty(nodes[rows].shape + (len(names),), dtype=dtype)
-        pts[..., 0] = nodes[rows]
-        for j, col in enumerate(columns.values(), 1):
-            pts[..., j] = col[rows, None]
-        vals = eval_many(e, names, pts.reshape(-1, len(names)))
-        out[rows] = np.add.reduce(weights[rows] * vals.reshape(nodes[rows].shape), axis=1)
-    return out
+    vals, = eval_columns((e,), (param, *columns), (nodes, *columns.values()), nodes.shape)
+    vals *= weights
+    return np.add.reduce(vals, axis=1)
 
 
 def running_integrals(e: Expr, param: str, ref: float, ends, columns=None) -> np.ndarray:
@@ -326,7 +318,8 @@ def grid_sweep(exprs: Sequence[Expr], names, axes, excluded: np.ndarray):
     per = [0.0] * len(tape.outs)
     failed = [None] * len(tape.outs)
     pointwise = np.full(excluded.shape, -np.inf)
-    for lo, hi, outs in _backend.eval_grid(tape.ops, tape.consts, axes, tape.outs, excluded):
+    for lo, hi, outs in _backend.eval_grid(tape.ops, tape.consts, np.ix_(*axes), excluded.shape,
+                                           tape.outs, excluded):
         block = pointwise[lo:hi]
         for k, v in enumerate(outs):
             a = np.empty(block.shape)
@@ -510,13 +503,11 @@ def gradient_check(F: VectorField, axes, u_grid: np.ndarray, tol: float) -> Chec
     hx, hy = x_axis[1] - x_axis[0], y_axis[1] - y_axis[0]
     du_dx = (u_grid[2:, 1:-1] - u_grid[:-2, 1:-1]) / (2 * hx)
     du_dy = (u_grid[1:-1, 2:] - u_grid[1:-1, :-2]) / (2 * hy)
-    xm, ym = np.meshgrid(x_axis[1:-1], y_axis[1:-1], indexing="ij")
-    pts = np.stack([xm.ravel(), ym.ravel()], axis=1)
-    p_vals = eval_many(F.components[0], F.names, pts).real.reshape(xm.shape)
-    q_vals = eval_many(F.components[1], F.names, pts).real.reshape(xm.shape)
-    dev = np.maximum(np.abs(du_dx - p_vals), np.abs(du_dy - q_vals))
-    k = _first_near_max(dev.ravel())
-    worst = (float(xm.ravel()[k]), float(ym.ravel()[k]))
+    inner = x_axis[1:-1], y_axis[1:-1]
+    p_vals, q_vals = eval_columns(F.components, F.names, np.ix_(*inner), du_dx.shape)
+    dev = np.maximum(np.abs(du_dx - p_vals.real), np.abs(du_dy - q_vals.real))
+    at = np.unravel_index(_first_near_max(dev.ravel()), dev.shape)
+    worst = tuple(float(a[i]) for a, i in zip(inner, at))
     return CheckReport.from_residual(float(dev.max()), tol, worst, dev.size)
 
 

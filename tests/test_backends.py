@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from integrikit import _backend
 from integrikit.expr import (
-    Const, EvalDomainError, _lower, add, call, compile_expr, compile_system, diff, eval_many,
-    evaluate, mul, neg, node_count, parse, pow_,
+    Const, EvalDomainError, _lower, add, call, compile_exprs, compile_system, diff, eval_columns,
+    eval_many, evaluate, mul, neg, node_count, parse, pow_,
 )
 from integrikit.odesys import GUARD, AutonomousSystem, IntegrationError, RK4Traces, integrate_rk4
 
@@ -25,7 +25,7 @@ NAMES = ("x", "y")
 
 def scalar_eval(e, names, point):
     """The scalar path: one run of the tape on complex scalars."""
-    tape = compile_expr(e, names)
+    tape = compile_exprs((e,), names)
     regs = _backend._run(tape.ops, _backend.SCALAR_OPS,
                          [complex(v) for v in point] + list(tape.consts))
     return regs[tape.outs[0]]
@@ -153,7 +153,7 @@ def test_whole_powers_on_floats_are_the_complex_products_bit_for_bit(rng):
 
 def real_run(e, names, pts):
     """The float path alone: one run of the tape on float64 columns."""
-    tape = compile_expr(e, names)
+    tape = compile_exprs((e,), names)
     with np.errstate(all="ignore"):
         regs = _backend._run(tape.ops, _backend.REAL_ARRAY_OPS,
                              [pts[:, j] for j in range(len(names))]
@@ -162,9 +162,14 @@ def real_run(e, names, pts):
 
 
 def array_path(e, names, pts):
-    """`_backend.eval_points` on `pts` as given: float64 or complex128."""
-    tape = compile_expr(e, names)
-    return _backend.eval_points(tape.ops, tape.consts, pts, tape.outs[0])
+    """`_backend.eval_grid` on the columns of `pts` as given: float64 or
+    complex128."""
+    tape = compile_exprs((e,), names)
+    out = np.empty(len(pts), dtype=np.complex128)
+    for lo, hi, (v,) in _backend.eval_grid(tape.ops, tape.consts, list(pts.T), (len(pts),),
+                                           tape.outs):
+        out[lo:hi] = v
+    return out
 
 
 def walk_or_none(e, names, point):
@@ -258,7 +263,7 @@ def test_complex_input_runs_the_complex_path_bit_for_bit(rng, text, column):
     pts = np.empty((_backend.BLOCK + 3, 2), dtype=np.complex128)
     pts[:, 0] = np.resize(np.array(column), len(pts))
     pts[:, 1] = rng.uniform(-2, 2, size=len(pts))
-    tape = compile_expr(e, NAMES)
+    tape = compile_exprs((e,), NAMES)
     with np.errstate(all="ignore"):
         ref = np.concatenate([
             np.broadcast_to(_backend._run(tape.ops, _backend.ARRAY_OPS,
@@ -270,11 +275,44 @@ def test_complex_input_runs_the_complex_path_bit_for_bit(rng, text, column):
     assert np.any(got.imag != 0)
 
 
+SEVERAL = ["sqrt(x)", "x^2", MESSY, "2 + 3*i", "y", "x*i + y", "ln(y)*x"]
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["point-set", "grid"])
+def test_several_expressions_give_the_bits_of_single_calls(rng, grid):
+    """One tape for several outputs: each output is what a call of its own
+    gives, bit for bit, also where one output leaves the reals (sqrt of a
+    negative x) and another (x^2) stays on floats."""
+    exprs = [parse(text) for text in SEVERAL]
+    if grid:    # more than one block of whole rows
+        xs, ys = rng.uniform(-2, 2, 150), rng.uniform(-2, 2, 70)
+        cols, shape = np.ix_(xs, ys), (150, 70)
+    else:
+        xs, ys = rng.uniform(-2, 2, (2, 60))
+        cols, shape = (xs, ys), (60,)
+    together = eval_columns(exprs, NAMES, cols, shape)
+    for e, v in zip(exprs, together):
+        assert v.shape == shape
+        assert v.tobytes() == eval_columns((e,), NAMES, cols, shape)[0].tobytes(), str(e)
+    assert together[0].imag.any() and not together[1].imag.any()
+
+
+def test_a_failing_set_names_its_first_failing_expression():
+    xs = np.array([1.0, 0.0, 2.0, -1.0])
+    exprs = [parse("x + 1"), parse("1/(x + 1)"), parse("ln(x)")]   # ln(x) fails first in x
+    with pytest.raises(EvalDomainError) as batch:
+        eval_columns(exprs, ("x",), [xs], xs.shape)
+    with pytest.raises(EvalDomainError) as walk:
+        evaluate(exprs[1], {"x": -1.0})
+    assert batch.value.subtree == walk.value.subtree and str(walk.value.subtree) == "1/(x + 1)"
+    assert batch.value.reason == f"{walk.value.reason} at (x=-1.0)"
+
+
 def test_kdv_residual_tape_is_smaller_than_its_tree(rng):
     u = parse("-2/cosh(x - 4*t)^2")          # the soliton
     ux = diff(u, "x")
     residual = diff(u, "t") - Const(6.0) * u * ux + diff(diff(ux, "x"), "x")
-    tape = compile_expr(residual, ("x", "t"))
+    tape = compile_exprs((residual,), ("x", "t"))
     assert len(tape.ops) < node_count(residual)
     # heavy slot reuse: every shared value must outlive its last reader
     pts = rng.uniform(-1, 1, size=(8, 2))

@@ -508,6 +508,13 @@ class TestCharacteristicErrors:
         assert code == 2
         assert rep["diagnostics"]["error"] == "'abs' has no derivative rule"
 
+    def test_a_domain_error_of_y0_prime_comes_before_a_non_differentiable_x0(self, capsys):
+        code, rep = run_json(["pde-solve", "--P", "1", "--Q", "1", "--R", "0",
+                              "--ic", "abs(s);sqrt(s);0;0;1", "--query", "0.5,0.5"], capsys)
+        assert code == 3
+        assert rep["diagnostics"]["error"] == (
+            "division by zero at (s=0.0) while evaluating '1/(2*sqrt(s))'")
+
     def test_query_outside_the_fan_is_named_in_plain_floats(self, capsys):
         code, rep = run_json(["pde-solve", "--P", "1", "--Q", "1", "--R", "0",
                               "--ic", "s;0;s;0;1", "--query", "5,0.5", "--t-max", "1"],

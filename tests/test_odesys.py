@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from integrikit.expr import EvalDomainError
 from integrikit.odesys import (
     AutonomousSystem, DegenerateSamplesError, IntegrationError, Trajectory,
     char_poly, commutator_flow, dependent_integral_check, eigen_solve,
@@ -326,3 +327,18 @@ class TestMatrixIdentityCheck:
         with pytest.raises(SingularMatrixSampleError) as ex:
             matrix_identity_check(entries, reg)
         assert str(ex.value) == "matrix is near-singular at (0.0, -1.0)"
+
+    def test_a_singular_sample_is_named_before_a_derivative_domain_error(self):
+        from integrikit.odesys import SingularMatrixSampleError
+        entries = [["sqrt(x)", "0"], ["0", "1"]]  # singular at x = 0, where d/dx divides by 0
+        reg = Region(("x", "y"), ((0, 1), (-1, 1)))
+        with pytest.raises(SingularMatrixSampleError) as ex:
+            matrix_identity_check(entries, reg)
+        assert str(ex.value) == "matrix is near-singular at (0.0, -1.0)"
+
+    def test_a_domain_error_of_an_entry_is_raised_as_itself(self):
+        entries = [["1 + x", "ln(x)"], ["0", "1"]]
+        reg = Region(("x", "y"), ((0, 1), (-1, 1)))
+        with pytest.raises(EvalDomainError) as ex:
+            matrix_identity_check(entries, reg)
+        assert str(ex.value) == "ln of zero at (x=0.0, y=-1.0) while evaluating 'ln(x)'"

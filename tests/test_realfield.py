@@ -299,24 +299,41 @@ class TestBatchedQuadrature:
         got = potential_grid(F, axes, base)
         assert np.max(np.abs(got - (u(xg, yg) - u(*base)))) <= 1e-13
 
-    def test_conjugate_request_makes_few_eval_many_calls(self, monkeypatch, capsys):
-        calls = []
-        original = expr.eval_many
+    def test_a_column_over_more_than_a_block_matches_each_interval_alone(self, rng):
+        e = parse("sin(x*y) + exp(x/2)/(1 + y^2) - atan(x - y)")
+        n = _backend.BLOCK // 5 + 300            # one-panel intervals: two blocks of nodes
+        t0 = rng.uniform(-2.0, 1.0, n)
+        t1 = t0 + rng.uniform(0.0, 1.5, n)
+        ys = rng.uniform(-2.0, 2.0, n)
+        got = realfield.integrate_rows(e, "x", t0, t1, 1, {"y": ys})
+        alone = [realfield.integrate_rows(e, "x", a, b, 1, {"y": [c]})[0]
+                 for a, b, c in zip(t0, t1, ys)]
+        assert got.tobytes() == np.array(alone).tobytes()
 
-        def counted(e, names, points):
-            calls.append(len(points))
-            return original(e, names, points)
+    def test_conjugate_request_makes_few_evaluator_calls(self, monkeypatch, capsys):
+        calls, blocks = [], []
+        original, run = expr.eval_columns, _backend.eval_grid
+
+        def counted(exprs, names, columns, shape):
+            calls.append(shape)
+            return original(exprs, names, columns, shape)
+
+        def blocked(ops, consts, cols, shape, outs, skip=None):
+            for lo, hi, values in run(ops, consts, cols, shape, outs, skip):
+                blocks.append((hi - lo) * math.prod(shape[1:]))
+                yield lo, hi, values
 
         for module in (expr, realfield, cplx):
-            monkeypatch.setattr(module, "eval_many", counted)
+            monkeypatch.setattr(module, "eval_columns", counted)
+        monkeypatch.setattr(_backend, "eval_grid", blocked)
         code = cli.main(["conjugate", "--v", "x^2 - y^2 + x*y", "--base", "0,0",
                          "--region", "-1,1,-1,1", "--grid", "41"])
         capsys.readouterr()
         assert code == 0
         # the y-legs are 41 rows of 96 gaps of 5 nodes, in blocks that bound
-        # the memory of one call
+        # the memory of one array pass
         assert 0 < len(calls) <= 10, len(calls)
-        assert max(calls) <= _backend.BLOCK
+        assert max(blocks) <= _backend.BLOCK
 
     def test_pole_on_a_leg_names_the_point_and_subtree(self):
         F = VectorField.of(("x", "y"), "1", "1/x")
