@@ -13,12 +13,12 @@ block of float64 columns runs on float64, and the outputs whose float ops
 refuse (:class:`_LeavesReals`) or read a non-real constant rerun on
 complex128, bit for bit as a complex block would give them.  RK4 has one
 routine per system, generated from the tape as straight-line source
-(:func:`_trace_fn`), with the stages inlined and the guard applied; it
-runs a list of traces.  :func:`rk4` runs one trace on Python floats with
-:data:`FLOAT_OPS` when the system and the start are real, and reruns it
-on complex scalars with :data:`SCALAR_OPS`, bit for bit as before, when
-the float trace fails.  :func:`fan` runs many traces on floats and stops
-at the first that fails.
+(:func:`_trace_fn`), with the stages inlined and the guard applied.
+:func:`rk4` is its one entry: it runs a list of traces, on Python floats
+with :data:`FLOAT_OPS` or on complex scalars with :data:`SCALAR_OPS`, and
+stops at the first that fails.  A float trace that succeeds is the real
+part of the complex one bit for bit, so the caller runs floats first and
+reruns a trace that fails there on complex.
 
 Domain failures never raise from the complex tables: division by 0, ln 0
 and 0 raised to a negative or complex power give NaN, as do cmath
@@ -33,7 +33,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from array import array
 from functools import lru_cache
 
 import numpy as np
@@ -349,66 +348,18 @@ FLOAT_OPS = {
 }
 
 
-def times(t0, h, t_end, nsteps) -> np.ndarray:
-    """The times of a trace of `nsteps` steps of h from t0 that ends at t_end."""
-    ts = t0 + np.arange(nsteps + 1) * h
-    ts[0], ts[-1] = t0, t_end
-    return ts
-
-
-def rk4(ops, consts, outs, x0, guard, t0, h, hlast, t_end, nsteps):
-    """Classical RK4 of the system whose derivatives are the tape slots
-    `outs`, over variables (state..., time).  Takes `nsteps` steps of `h`
-    from `t0`, the last of length `hlast` ending at `t_end`.
-
-    `x0` is one state (n,); h < 0 steps backward.  Returns ``(ts, ys,
-    status, reached)``: ys holds the start and each state reached, and
-    status 1 means step `reached` + 1 raised or left `guard` (see
-    :func:`_trace_fn`).  When every constant and start component is real,
-    the trace runs on floats (:data:`FLOAT_OPS`) and ys is float64; if that
-    trace fails, it reruns on complex from the start and ys is complex128.
+def rk4(ops, consts, outs, starts, guard, legs, first, store, real):
+    """Classical RK4 traces of the system whose derivatives are the tape
+    slots `outs`, over variables (state..., time), in its cached generated
+    routine (:func:`_trace_fn`): on Python floats when `real`, which takes
+    the constants' real parts, and on complex otherwise.  Trace k runs from
+    ``starts[k // len(legs)]`` over leg ``legs[k % len(legs)]`` = (t0, h,
+    hlast, nsteps): `nsteps` steps of h from t0, the last of length hlast
+    (h < 0 steps backward).  Runs traces `first`, `first` + 1, ..., handing
+    `store` each start and each state reached, and returns ``(-1, 0)``, or
+    ``(k, reached)`` for the first trace k whose step `reached` + 1 fails.
     """
-    ts = times(t0, h, t_end, nsteps)
-    y = [complex(v) for v in x0]
-    if not any(v.imag for v in y) and not any(c.imag for c in consts):
-        ys, status, reached = _trace(ops, consts, outs, [v.real for v in y], guard,
-                                     t0, h, hlast, nsteps, True)
-        if status == 0:
-            return ts, ys, 0, nsteps
-    ys, status, reached = _trace(ops, consts, outs, y, guard, t0, h, hlast, nsteps, False)
-    return ts, ys, status, reached
-
-
-def _trace(ops, consts, outs, y, guard, t0, h, hlast, nsteps, real):
-    """One generated trace from state `y`: ``(ys, status, reached)``, ys
-    float64 when `real`, else complex128, one row per state."""
-    buf = array("d")
-    trace = _trace_fn(ops, consts, outs, len(y), guard, real)
-    failed, reached = trace((y,), ((t0, h, hlast, nsteps),), 0, buf.extend)
-    ys = np.frombuffer(buf, dtype=np.float64 if real else np.complex128).reshape(-1, len(y))
-    return (ys, 0, nsteps) if failed < 0 else (ys, 1, reached)
-
-
-def fan(ops, consts, outs, starts, guard, legs, first, buf) -> int:
-    """RK4 traces on floats of the system from each of `starts` (rows of n
-    floats) over each of `legs` in turn, ``(t0, h, hlast, nsteps)`` as
-    :func:`rk4` takes them, row by row: trace k is row k // len(legs) over
-    leg k % len(legs).  Runs traces `first`, `first` + 1, ... in one
-    generated routine and appends each start and state to the ``array('d')``
-    `buf`.  Returns the index of the first trace that fails on floats, with
-    `buf` holding every trace before it, or -1 when none does.  A system
-    with a non-real constant runs nothing on floats: its next trace fails.
-    """
-    if first >= len(starts) * len(legs):
-        return -1
-    if any(c.imag for c in consts):
-        return first
-    n = len(starts[0])
-    trace = _trace_fn(ops, consts, outs, n, guard, True)
-    failed, reached = trace(starts, legs, first, buf.extend)
-    if failed >= 0:
-        del buf[len(buf) - (reached + 1) * n:]
-    return failed
+    return _trace_fn(ops, consts, outs, len(starts[0]), guard, real)(starts, legs, first, store)
 
 
 def _tuple(items) -> str:
@@ -437,25 +388,24 @@ def _powers(dst: str, x: str, m: int) -> list:
     return lines if r == dst else lines + [f"{dst} = {r}"]
 
 
+# Cached across calls, not only per RK4Traces: requests can send the same
+# system again.  `pde-solve` of Burgers' equation traces (z, 1, 0) every
+# time, so in the first 200 `cauchy_fan` benchmark requests at seed 7, 102
+# of the 400 routines the requests asked for were built by an earlier one.
 @lru_cache(maxsize=32)
 def _trace_fn(ops, consts, outs, n, guard, real):
-    """RK4 traces of the system tape as straight-line source, one routine
-    for one trace and for a fan of them: ``trace(starts, legs, first,
-    store)`` runs, for k = `first`, `first` + 1, ..., the trace of start
-    ``starts[k // len(legs)]`` over leg ``legs[k % len(legs)]`` = (t0, h,
-    hlast, nsteps): `nsteps` steps of h from t0, the last of length hlast.
-    The step loop has the four stages inlined (one local assignment per
-    op), and `store` takes each start and each new state.  Returns ``(-1,
-    0)``, or ``(k, reached)`` for the first trace k whose step `reached` + 1
-    fails: when it raises, or unless every component has ``abs(re) +
-    abs(im) <= guard``, which with a finite guard also rejects NaN and
-    infinities.
+    """The routine :func:`rk4` runs, ``trace(starts, legs, first, store)``,
+    generated from the system tape as straight-line source: the step loop
+    has the four stages inlined, one local assignment per op.  A step fails
+    when it raises, or unless every component has ``abs(re) + abs(im) <=
+    guard``, which with a finite guard also rejects NaN and infinities.
 
     With `real`, the same source runs on Python floats with
-    :data:`FLOAT_OPS`; otherwise on complex with :data:`SCALAR_OPS`, time
-    passed as ``complex(t)``, and each state stored as (re, im) pairs.  A
-    factory binds the table functions, the constants and `guard` as values,
-    so no user text reaches the source and no cycle forms.
+    :data:`FLOAT_OPS` and stores each state as n floats; otherwise on
+    complex with :data:`SCALAR_OPS`, time passed as ``complex(t)``, and
+    each state stored as n (re, im) pairs.  A factory binds the table
+    functions, the constants and `guard` as values, so no user text reaches
+    the source and no cycle forms.
     """
     table = FLOAT_OPS if real else SCALAR_OPS
     nconsts = len(consts)

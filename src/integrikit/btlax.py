@@ -203,9 +203,9 @@ def lax_commuting_flow(u, lam: float, psi0: float, x0: float, t0: float,
     and along t by psi_t = 2(u + 2 lam) phi - u_x psi, with psi_xx
     eliminated through the spatial equation.  Each leg is a 3-state system
     that carries the fixed coordinate as a state of derivative 0, so both
-    legs along x share one compiled system and so do both legs along t; it
-    is run by the shared RK4 in `steps` steps (backward for a negative
-    delta).  The two leg orders around the rectangle (dx, dt) agree exactly
+    legs along x share one system and its RK4 traces, built once per call,
+    and so do both legs along t; a leg takes `steps` steps (backward for a
+    negative delta).  The two leg orders around the rectangle (dx, dt) agree exactly
     when u solves KdV; their mismatch is the reported deviation.
     """
     u = as_expr(u)
@@ -219,12 +219,12 @@ def lax_commuting_flow(u, lam: float, psi0: float, x0: float, t0: float,
     fields = ((u, "u"), (ux, "u_x"), (uxx, "u_xx"))
     psi, phi, lam_c, zero = Var("psi"), Var("phi"), Const(float(lam)), Const(0.0)
     a = Const(2.0) * (u + Const(2.0 * lam))
-    systems = {
-        "x": AutonomousSystem(("psi", "phi", "t"), (phi, (u - lam_c) * psi, zero),
-                              time_var="x"),
-        "t": AutonomousSystem(("psi", "phi", "x"), (
+    traces = {
+        "x": RK4Traces(AutonomousSystem(("psi", "phi", "t"), (phi, (u - lam_c) * psi, zero),
+                                        time_var="x")),
+        "t": RK4Traces(AutonomousSystem(("psi", "phi", "x"), (
             a * phi - ux * psi, ux * phi + (a * (u - lam_c) - uxx) * psi, zero),
-            time_var="t"),
+            time_var="t")),
     }
 
     def leg(along: str, fixed: float, s0: float, s1: float, state):
@@ -234,7 +234,7 @@ def lax_commuting_flow(u, lam: float, psi0: float, x0: float, t0: float,
         stages = np.column_stack([ss, ss + 0.5 * hs, ss + hs]).ravel()
         pts = np.column_stack([stages, np.full_like(stages, fixed)])
         _check_leg_field(fields, pts if along == "x" else pts[:, ::-1])
-        _, ys = RK4Traces(systems[along])(state + (fixed,), s0, s1, h)
+        _, ys = traces[along](state + (fixed,), s0, s1, h)
         return tuple(float(v) for v in ys[-1, :2])
 
     dx, dt = float(delta[0]), float(delta[1])

@@ -167,7 +167,9 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
     characteristics of the 3-state system from `fan_rows` curve points,
     each traced once forward to t_max and once backward to -t_max, with
     every RK4 state (s, t) a fan point; the whole fan is one call of
-    `RK4Traces.fan`.  Each system's traces are built once per solve.
+    `RK4Traces.fan`, which runs it on floats in one routine call and reruns
+    only a trace that fails there on complex.  Each system's traces are
+    built once per solve.
     """
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")

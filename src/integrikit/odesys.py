@@ -89,29 +89,35 @@ class AutonomousSystem:
 
 #: Bound on |re| + |im| of every RK4 state component: a step past it blows up.
 GUARD = 1e12
-#: Most steps one RK4 trace may take; _backend.rk4 stores the states in a growing buffer.
+#: Most steps one RK4 trace may take; the traces store their states in a growing buffer.
 MAX_STEPS = 10 ** 6
 
 
-def _steps(t0, t1, h):
-    """``(nsteps, hlast)`` of an RK4 trace from t0 to t1 by steps of h, the
-    last one shortened to land on t1; no step when t0 == t1."""
+def _leg(t0, t1, h):
+    """The leg ``(t0, h, hlast, nsteps)`` of an RK4 trace from t0 to t1 by
+    steps of h, the last one shortened to land on t1 (no step when t0 ==
+    t1), and the times of its states."""
     for name, v in (("start time", t0), ("end time", t1), ("step", h)):
         if not math.isfinite(v):
             raise ValueError(f"RK4 {name} must be finite, got {v!r}")
+    t0, t1, h = float(t0), float(t1), float(h)
     span = t1 - t0
     steps = span / h - 1e-9 if span else 0.0
     if steps > MAX_STEPS:
         raise ValueError(f"RK4 would take {steps:.6g} steps, more than MAX_STEPS = {MAX_STEPS}")
     nsteps = max(1, math.ceil(steps)) if span else 0
-    return nsteps, float(span - (nsteps - 1) * h)
+    ts = t0 + np.arange(nsteps + 1) * h
+    ts[0], ts[-1] = t0, t1
+    return (t0, h, span - (nsteps - 1) * h, nsteps), ts
 
 
 class RK4Traces:
     """RK4 traces of one system.  Its tape is compiled once, when this is
-    built, and `_backend` caches the trace routines generated from it; each
-    trace then passes only its start and its span.  Calling it is the one
-    checked entry to :func:`_backend.rk4`."""
+    built, and `_backend` caches the routines generated from it; each trace
+    then passes only its start and its span.  A call (one trace) and
+    :meth:`fan` (many) are the checked entries to :func:`_backend.rk4`, and
+    both run one loop: every trace it can on floats, in one routine call,
+    and a trace that fails there or starts off the reals once on complex."""
 
     def __init__(self, sys: AutonomousSystem):
         tape = compile_system(sys.components, sys.names, sys.time_var)
@@ -130,19 +136,7 @@ class RK4Traces:
         y = x0c.tolist()
         if not all(map(cmath.isfinite, y)):
             raise ValueError(f"x0 must be finite, got {[v.real for v in y]}")
-        nsteps, hlast = _steps(t0, t1, h)
-        ops, consts, outs = self._tape
-        ts, ys, status, reached = _backend.rk4(ops, consts, outs, y, GUARD, float(t0),
-                                               float(h), hlast, float(t1), nsteps)
-        if status != 0:
-            raise IntegrationError("state blew up or left the evaluation domain",
-                                   float(ts[reached]))
-        if ys.dtype == np.float64:          # the float trace: real by construction
-            return ts, ys
-        if np.max(np.abs(ys.imag)) > 1e-9 * (np.max(np.abs(ys.real)) + 1.0):
-            raise IntegrationError("trajectory acquired a non-negligible imaginary part",
-                                   float(ts[-1]))
-        return ts, ys.real.copy()
+        return self._traces([y], ((t0, t1, h),))
 
     def trajectory(self, x0, t_span, h: float, empty: bool = False) -> Trajectory:
         """The trace from x0 over t_span = (t0, t1), t1 > t0, or t1 >= t0
@@ -158,28 +152,51 @@ class RK4Traces:
         """Each row of `starts` (real, (m, n)) traced from time 0 to t_end
         by steps of h and from 0 to -t_end by steps of -h, row by row:
         returns ts, the times of one row's states (forward, then backward),
-        and the (m * len(ts), n) states.  The traces run on floats in one
-        generated routine (:func:`_backend.fan`); a trace that fails there
-        reruns as a single trace through this object's call, which falls
-        back to complex and raises as it would for that start alone."""
+        and the (m * len(ts), n) states.  A failing trace raises as it
+        would for that start alone."""
         starts = np.asarray(starts, dtype=np.float64)
         if starts.ndim != 2 or starts.shape[1] != self.n:
             raise ValueError(f"x0 must have {self.n} components")
         finite = np.isfinite(starts).all(axis=1)
         if not finite.all():
             raise ValueError(f"x0 must be finite, got {starts[np.argmin(finite)].tolist()}")
-        ends = ((float(t_end), float(h)), (-float(t_end), -float(h)))
-        legs, ts = [], []
-        for t1, step in ends:
-            nsteps, hlast = _steps(0.0, t1, step)
-            legs.append((0.0, step, hlast, nsteps))
-            ts.append(_backend.times(0.0, step, t1, nsteps))
-        rows, buf, k = starts.tolist(), array("d"), 0
-        while (k := _backend.fan(*self._tape, rows, GUARD, legs, k, buf)) >= 0:
+        t_end, h = float(t_end), float(h)
+        return self._traces(starts.tolist(), ((0.0, t_end, h), (0.0, -t_end, -h)))
+
+    def _traces(self, starts, spans):
+        """The trace of each of `starts` (rows of n finite Python numbers)
+        over each of `spans`, (t0, t1, h) as a call takes them, row by row:
+        returns the times of one row's traces, span after span, and the real
+        (len(starts) * len(ts), n) states.  Runs the traces on floats in one
+        routine call when the system and the starts are real, resuming after
+        each one that fails there; that trace, or every trace of non-real
+        starts, runs once on complex, which raises IntegrationError for it."""
+        legs, times = zip(*(_leg(t0, t1, h) for t0, t1, h in spans))
+        ops, consts, outs = self._tape
+        real = not any(c.imag for c in consts) and not any(v.imag for y in starts for v in y)
+        rows = [[v.real for v in y] for y in starts]
+        buf, k = array("d"), 0
+        while k < len(starts) * len(legs):
+            if real:
+                k, reached = _backend.rk4(ops, consts, outs, rows, GUARD, legs, k,
+                                          buf.extend, True)
+                if k < 0:
+                    break
+                del buf[len(buf) - (reached + 1) * self.n:]
             row, leg = divmod(k, len(legs))
-            buf.extend(self(rows[row], 0.0, *ends[leg])[1].ravel().tolist())
+            start, pairs = [complex(v) for v in starts[row]], array("d")
+            failed, reached = _backend.rk4(ops, consts, outs, [start], GUARD, [legs[leg]], 0,
+                                           pairs.extend, False)
+            if failed >= 0:
+                raise IntegrationError("state blew up or left the evaluation domain",
+                                       float(times[leg][reached]))
+            ys = np.frombuffer(pairs, dtype=np.complex128)
+            if np.max(np.abs(ys.imag)) > 1e-9 * (np.max(np.abs(ys.real)) + 1.0):
+                raise IntegrationError("trajectory acquired a non-negligible imaginary part",
+                                       float(times[leg][-1]))
+            buf.frombytes(ys.real.tobytes())
             k += 1
-        return np.concatenate(ts), np.frombuffer(buf).reshape(-1, self.n)
+        return np.concatenate(times), np.frombuffer(buf).reshape(-1, self.n)
 
 
 def integrate_rk4(sys: AutonomousSystem, x0, t_span, h: float) -> Trajectory:

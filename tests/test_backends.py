@@ -5,6 +5,7 @@ built on it."""
 import gc
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -352,16 +353,38 @@ def test_rk4_rejects_a_trajectory_that_turns_complex():
         integrate_rk4(root, [-1.0], (0.0, 1.0), 1e-2)
 
 
+def generated_trace(tape, x0, t0, h, nsteps, real):
+    """One generated trace of `nsteps` steps of h from x0 at t0: (ys,
+    status, reached), ys float64 when `real`, else complex128, holding the
+    start and every state stored."""
+    buf = array("d")
+    failed, reached = _backend.rk4(tape.ops, tape.consts, tape.outs, [x0], 1e12,
+                                   [(t0, h, h, nsteps)], 0, buf.extend, real)
+    ys = np.frombuffer(buf, dtype=np.float64 if real else np.complex128).reshape(-1, len(x0))
+    return (ys, 0, nsteps) if failed < 0 else (ys, 1, reached)
+
+
 def complex_trace(tape, x0, t0, h, nsteps):
     """The generated trace forced onto complex scalars: (ys, status, reached)."""
-    return _backend._trace(tape.ops, tape.consts, tape.outs, [complex(v) for v in x0], 1e12,
-                           t0, h, h, nsteps, False)
+    return generated_trace(tape, [complex(v) for v in x0], t0, h, nsteps, False)
 
 
 def float_trace(tape, x0, t0, h, nsteps):
     """The generated trace on Python floats: (ys, status, reached)."""
-    return _backend._trace(tape.ops, tape.consts, tape.outs, [float(v) for v in x0], 1e12,
-                           t0, h, h, nsteps, True)
+    return generated_trace(tape, [float(v) for v in x0], t0, h, nsteps, True)
+
+
+@pytest.fixture
+def routines(monkeypatch):
+    """The `real` flag of each call of `_backend.rk4`, in order."""
+    made, rk4 = [], _backend.rk4
+
+    def recording_rk4(*args):
+        made.append(args[-1])
+        return rk4(*args)
+
+    monkeypatch.setattr(_backend, "rk4", recording_rk4)
+    return made
 
 
 def reference_rk4(tape, x0, t0, h, nsteps):
@@ -468,30 +491,31 @@ def test_float_ops_refuse_what_may_differ_on_complex(op, args):
         _backend.FLOAT_OPS[op](*args)
 
 
-def test_a_real_system_traces_on_floats_and_a_non_real_one_on_complex():
-    real = compile_system((parse("y"), parse("-sin(x)")), ("x", "y"), None)
-    rotating = compile_system((parse("i*x"),), ("x",), None)
-    trace = lambda tape, x0: _backend.rk4(tape.ops, tape.consts, tape.outs, x0, GUARD,
-                                          0.0, 0.1, 0.1, 1.0, 10)
-    ts, ys, status, reached = trace(real, [0.5, 0.0])
-    assert (ys.dtype, ys.shape, status, reached) == (np.float64, (11, 2), 0, 10)
+def test_a_real_system_traces_on_floats_and_a_non_real_one_on_complex(routines):
+    real = RK4Traces(AutonomousSystem(("x", "y"), (parse("y"), parse("-sin(x)"))))
+    rotating = AutonomousSystem(("x",), (parse("i*x"),))
+    ts, ys = real([0.5, 0.0], 0.0, 1.0, 0.1)
+    assert (ys.dtype, ys.shape, routines) == (np.float64, (11, 2), [True])
     assert ts[-1] == 1.0 and np.array_equal(ts[:-1], np.arange(10) * 0.1)
-    _, ys_c, _, _ = trace(real, [0.5, 1e-300j])     # a non-real start
-    assert ys_c.dtype == np.complex128
-    _, ys_r, status, _ = trace(rotating, [1.0])             # a non-real constant
-    assert ys_r.dtype == np.complex128 and status == 0
-    assert ys_r.tobytes() == reference_rk4(rotating, [1.0], 0.0, 0.1, 10).tobytes()
+    real([0.5, 1e-300j], 0.0, 1.0, 0.1)            # a non-real start
+    assert routines[1:] == [False]
     with pytest.raises(IntegrationError, match="imaginary part"):
-        integrate_rk4(AutonomousSystem(("x",), (parse("i*x"),)), [1.0], (0.0, 1.0), 0.1)
+        integrate_rk4(rotating, [1.0], (0.0, 1.0), 0.1)     # a non-real constant
+    assert routines[2:] == [False]
+    tape = compile_system(rotating.components, rotating.names, None)
+    ys_r, status, _ = complex_trace(tape, [1.0], 0.0, 0.1, 10)
+    assert ys_r.dtype == np.complex128 and status == 0
+    assert ys_r.tobytes() == reference_rk4(tape, [1.0], 0.0, 0.1, 10).tobytes()
 
 
-def test_a_failing_float_trace_reruns_on_complex_with_the_same_failure():
-    root = compile_system((parse("sqrt(x)"),), ("x",), None)
-    _, ys, status, _ = _backend.rk4(root.ops, root.consts, root.outs, [-1.0], GUARD,
-                                    0.0, 0.01, 0.01, 1.0, 100)
-    assert ys.dtype == np.complex128 and status == 0     # sqrt(-1) leaves the reals
+def test_a_failing_float_trace_reruns_on_complex_with_the_same_failure(routines):
     with pytest.raises(IntegrationError, match="imaginary part"):
         integrate_rk4(AutonomousSystem(("x",), (parse("sqrt(x)"),)), [-1.0], (0.0, 1.0), 1e-2)
+    assert routines == [True, False]
+    root = compile_system((parse("sqrt(x)"),), ("x",), None)
+    assert float_trace(root, [-1.0], 0.0, 0.01, 100)[1] == 1     # sqrt(-1) leaves the reals
+    ys, status, _ = complex_trace(root, [-1.0], 0.0, 0.01, 100)
+    assert ys.dtype == np.complex128 and status == 0
     # 1/x through 0: a stage lands on x = 0 from 0.5, and passes near it from 0.55
     pole = AutonomousSystem(("x", "y"), (parse("-1"), parse("1/x")))
     for x0, t_last in ((0.5, 0.4), (0.55, 0.5)):
@@ -518,8 +542,8 @@ def test_lowering_and_generated_steps_leave_no_reference_cycles():
             _lower((uxxx,), ("x", "t"))
         assert gc.collect() == 0
         tape = _lower((uxxx, u), ("x", "y", "t"))
-        for start in ([0.1, 0.2], [0.1j, 0.2]):        # the float and the complex trace
-            _backend.rk4(tape.ops, tape.consts, tape.outs, start, 1e12, 0.0, 0.1, 0.1, 0.2, 2)
+        float_trace(tape, [0.1, 0.2], 0.0, 0.1, 2)
+        complex_trace(tape, [0.1j, 0.2], 0.0, 0.1, 2)
         assert _backend._trace_fn.cache_info().currsize >= 2
         assert gc.collect() == 0
     finally:
@@ -549,11 +573,13 @@ def test_negative_step_is_the_negated_system_bit_for_bit(rng):
 ], ids=["at", "at-negative", "at-complex", "above", "above-complex", "inf", "nan"])
 def test_the_generated_step_keeps_a_state_at_the_guard_and_fails_the_next_float(start, inside):
     still = compile_system((Const(0.0),), ("x",), None)      # every step returns its state
-    ts, ys, status, reached = _backend.rk4(still.ops, still.consts, still.outs, [start], GUARD,
-                                           0.0, 0.5, 0.5, 1.0, 2)
-    assert (status, reached) == ((0, 2) if inside else (1, 0))
-    if inside:
-        assert ys[-1, 0] == start
+    traces = [complex_trace(still, [start], 0.0, 0.5, 2)]
+    if not complex(start).imag:                               # a real start runs on floats too
+        traces.append(float_trace(still, [start], 0.0, 0.5, 2))
+    for ys, status, reached in traces:
+        assert (status, reached) == ((0, 2) if inside else (1, 0))
+        if inside:
+            assert ys[-1, 0] == start
 
 
 def test_a_state_past_the_guard_is_a_blow_up_at_its_last_good_time():

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -207,21 +208,40 @@ class TestCharacteristicFan:
         assert ts.tobytes() == np.concatenate([t for t, _ in rows[:2]]).tobytes()
         assert states.tobytes() == np.concatenate([x for _, x in rows]).tobytes()
 
+    # cosh above 708 is left to the complex trace, where it stays real
+    FLOAT_FAILURES = AutonomousSystem(("x", "y"), (parse("1e-300*cosh(y)"), parse("0")))
+    FLOAT_FAILURE_STARTS = [(0.0, 1.0), (0.0, 708.5), (0.0, -2.0), (0.0, 709.0), (0.0, 3.0)]
+
     def test_a_fan_row_that_fails_on_floats_reruns_on_complex(self):
-        # cosh above 708 is left to the complex trace, where it stays real
-        system = AutonomousSystem(("x", "y"), (parse("1e-300*cosh(y)"), parse("0")))
+        system, starts = self.FLOAT_FAILURES, self.FLOAT_FAILURE_STARTS
         tape = compile_system(system.components, system.names, None)
-        starts = [(0.0, 1.0), (0.0, 708.5), (0.0, -2.0), (0.0, 709.0), (0.0, 3.0)]
         traces = RK4Traces(system)
         ts, states = traces.fan(starts, 0.3, 0.1)
-        rows, dtypes = [], []
+        rows, on_floats = [], []
         for start in starts:
             for t_end, h in ((0.3, 0.1), (-0.3, -0.1)):
                 rows.append(traces(start, 0.0, t_end, h)[1])
-                dtypes.append(_backend.rk4(tape.ops, tape.consts, tape.outs, start, 1e12,
-                                           0.0, h, h, t_end, 3)[1].dtype)
-        assert dtypes.count(np.complex128) == 4 and dtypes.count(np.float64) == 6
+                failed, _ = _backend.rk4(tape.ops, tape.consts, tape.outs, [start], 1e12,
+                                         [(0.0, h, h, 3)], 0, array("d").extend, True)
+                on_floats.append(failed < 0)
+        assert on_floats.count(False) == 4 and on_floats.count(True) == 6
         assert states.tobytes() == np.concatenate(rows).tobytes()
+
+    def test_a_fan_runs_no_trace_on_floats_twice(self, monkeypatch):
+        entries = {True: 0, False: 0}     # calls of the float and the complex routine
+        build = _backend._trace_fn
+
+        def counting_trace_fn(*key):
+            trace = build(*key)
+
+            def entered(*args):
+                entries[key[-1]] += 1
+                return trace(*args)
+            return entered
+
+        monkeypatch.setattr(_backend, "_trace_fn", counting_trace_fn)
+        RK4Traces(self.FLOAT_FAILURES).fan(self.FLOAT_FAILURE_STARTS, 0.3, 0.1)
+        assert entries[True] <= 4 + 1 and entries[False] == 4    # 4 traces fail on floats
 
     @pytest.mark.parametrize("Q, R, curve, query, t_max, message", [
         # the first fan row blows up backward
