@@ -16,9 +16,12 @@ routine per system, generated from the tape as straight-line source
 (:func:`_trace_fn`), with the stages inlined and the guard applied.
 :func:`rk4` is its one entry: it runs a list of traces, on Python floats
 with :data:`FLOAT_OPS` or on complex scalars with :data:`SCALAR_OPS`, and
-stops at the first that fails.  A float trace that succeeds is the real
-part of the complex one bit for bit, so the caller runs floats first and
-reruns a trace that fails there on complex.
+stops at the first that fails.  Each trace stores every state, or only its
+endpoint, which is all that most callers read; the two are separate
+routines, so an endpoint trace pays nothing per step for storing.  A float
+trace that succeeds is the real part of the complex one bit for bit, so
+the caller runs floats first and reruns a trace that fails there on
+complex.
 
 Domain failures never raise from the complex tables: division by 0, ln 0
 and 0 raised to a negative or complex power give NaN, as do cmath
@@ -348,7 +351,7 @@ FLOAT_OPS = {
 }
 
 
-def rk4(ops, consts, outs, starts, guard, legs, first, store, real):
+def rk4(ops, consts, outs, starts, guard, legs, first, store, real, every=True):
     """Classical RK4 traces of the system whose derivatives are the tape
     slots `outs`, over variables (state..., time), in its cached generated
     routine (:func:`_trace_fn`): on Python floats when `real`, which takes
@@ -356,10 +359,12 @@ def rk4(ops, consts, outs, starts, guard, legs, first, store, real):
     ``starts[k // len(legs)]`` over leg ``legs[k % len(legs)]`` = (t0, h,
     hlast, nsteps): `nsteps` steps of h from t0, the last of length hlast
     (h < 0 steps backward).  Runs traces `first`, `first` + 1, ..., handing
-    `store` each start and each state reached, and returns ``(-1, 0)``, or
+    `store` each start and each state reached, or with `every` false only
+    the last state of each trace that succeeds, and returns ``(-1, 0)``, or
     ``(k, reached)`` for the first trace k whose step `reached` + 1 fails.
     """
-    return _trace_fn(ops, consts, outs, len(starts[0]), guard, real)(starts, legs, first, store)
+    return _trace_fn(ops, consts, outs, len(starts[0]), guard, real, every)(
+        starts, legs, first, store)
 
 
 def _tuple(items) -> str:
@@ -393,19 +398,24 @@ def _powers(dst: str, x: str, m: int) -> list:
 # time, so in the first 200 `cauchy_fan` benchmark requests at seed 7, 102
 # of the 400 routines the requests asked for were built by an earlier one.
 @lru_cache(maxsize=32)
-def _trace_fn(ops, consts, outs, n, guard, real):
+def _trace_fn(ops, consts, outs, n, guard, real, every):
     """The routine :func:`rk4` runs, ``trace(starts, legs, first, store)``,
     generated from the system tape as straight-line source: the step loop
     has the four stages inlined, one local assignment per op.  A step fails
     when it raises, or unless every component has ``abs(re) + abs(im) <=
     guard``, which with a finite guard also rejects NaN and infinities.
+    The loop body is written once: an outer loop runs it over the full
+    steps and then over the shortened last one, so no step tests whether it
+    is the last.
 
     With `real`, the same source runs on Python floats with
     :data:`FLOAT_OPS` and stores each state as n floats; otherwise on
     complex with :data:`SCALAR_OPS`, time passed as ``complex(t)``, and
-    each state stored as n (re, im) pairs.  A factory binds the table
-    functions, the constants and `guard` as values, so no user text reaches
-    the source and no cycle forms.
+    each state stored as n (re, im) pairs.  With `every`, a trace stores its
+    start and then each state it reaches; without, it stores its last state
+    once, after its last step, and a trace that fails stores nothing.  A
+    factory binds the table functions, the constants and `guard` as values,
+    so no user text reaches the source and no cycle forms.
     """
     table = FLOAT_OPS if real else SCALAR_OPS
     nconsts = len(consts)
@@ -452,25 +462,29 @@ def _trace_fn(ops, consts, outs, n, guard, real):
     else:
         bounded = " and ".join(f"abs(y{j}.real) + abs(y{j}.imag) <= guard" for j in range(n))
         stored = _tuple(f"y{j}.{part}" for j in range(n) for part in ("real", "imag"))
-    body += [f"if not ({bounded}):", "    return k, s", f"store({stored})"]
+    body += [f"if not ({bounded}):", "    return k, s"]
+    if every:
+        body.append(f"store({stored})")
 
+    # the step ranges (lo, hi, step length): nsteps - 1 full steps, then the
+    # last; max() keeps a zero-step leg from running a step at s = -1
     lines = [f"def _factory{_tuple([fname[op] for op in fns] + cname + ['guard', 'errors'])}:",
              "    def trace(starts, legs, first, store):",
              "        nlegs = len(legs)",
              "        for k in range(first, len(starts) * nlegs):",
              f"            {', '.join(ys)}, = starts[k // nlegs]",
              "            t0, h, hlast, nsteps = legs[k % nlegs]",
-             f"            store({stored})",
-             "            hs, hh, h6 = h, 0.5 * h, h / 6.0",
-             "            last = nsteps - 1",
+             *([f"            store({stored})"] if every else []),
+             "            full = max(nsteps - 1, 0)",
              "            s = 0",
              "            try:",
-             "                for s in range(nsteps):",
-             "                    if s == last:",
-             "                        hs, hh, h6 = hlast, 0.5 * hlast, hlast / 6.0"]
-    lines += ["                    " + line for line in body]
+             "                for lo, hi, hs in ((0, full, h), (full, nsteps, hlast)):",
+             "                    hh, h6 = 0.5 * hs, hs / 6.0",
+             "                    for s in range(lo, hi):"]
+    lines += ["                        " + line for line in body]
     lines += ["            except errors:",
               "                return k, s",
+              *([] if every else [f"            store({stored})"]),
               "        return -1, 0",
               "    return trace"]
     scope: dict = {}

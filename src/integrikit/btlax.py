@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import (Const, EvalDomainError, Expr, Var, as_expr, as_real, call,
+from .expr import (Const, EvalDomainError, EvalError, Expr, Var, as_expr, as_real, call,
                    diff, eval_columns, evaluate)
 from .odesys import AutonomousSystem, RK4Traces, _eval_matrices
 from .realfield import CheckReport, Region, _grid_rows, residual_sweep
@@ -180,18 +180,35 @@ class LaxDeviation:
     state_t_then_x: tuple
 
 
+def _fields_are_real(fields, pts) -> bool:
+    """Whether u, u_x and u_xx are finite and real (to 1e-12) at all of
+    `pts`, by one `eval_columns` call."""
+    try:
+        values = eval_columns([e for e, _ in fields], ("x", "t"), pts.T, (len(pts),))
+    except EvalDomainError:
+        return False
+    return all(np.all(np.abs(v.imag) <= 1e-12 * (1.0 + np.abs(v.real))) for v in values)
+
+
 def _check_leg_field(fields, pts):
     """u, u_x and u_xx must be finite and real (to 1e-12) at the points a leg
     evaluates; on failure the tree walk finds the first bad point and field."""
-    try:
-        values = eval_columns([e for e, _ in fields], ("x", "t"), pts.T, (len(pts),))
-        if all(np.all(np.abs(v.imag) <= 1e-12 * (1.0 + np.abs(v.real))) for v in values):
-            return
-    except EvalDomainError:
-        pass
+    if _fields_are_real(fields, pts):
+        return
     for xv, tv in pts.real:
         for e, name in fields:
             as_real(evaluate(e, {"x": xv, "t": tv}), 1e-12, name)
+
+
+def _stage_points(along: str, fixed: float, s0: float, s1: float, steps: int):
+    """The (x, t) points at which RK4 evaluates the fields on a leg along
+    `along` from s0 to s1 in `steps` steps, the other coordinate `fixed`."""
+    h = (s1 - s0) / steps
+    ss = s0 + h * np.arange(steps)
+    hs = np.append(np.full(steps - 1, h), (s1 - s0) - (steps - 1) * h)
+    stages = np.column_stack([ss, ss + 0.5 * hs, ss + hs]).ravel()
+    pts = np.column_stack([stages, np.full_like(stages, fixed)])
+    return pts if along == "x" else pts[:, ::-1]
 
 
 def lax_commuting_flow(u, lam: float, psi0: float, x0: float, t0: float,
@@ -227,20 +244,30 @@ def lax_commuting_flow(u, lam: float, psi0: float, x0: float, t0: float,
             time_var="t")),
     }
 
-    def leg(along: str, fixed: float, s0: float, s1: float, state):
-        h = (s1 - s0) / steps
-        ss = s0 + h * np.arange(steps)     # the stage points RK4 visits
-        hs = np.append(np.full(steps - 1, h), (s1 - s0) - (steps - 1) * h)
-        stages = np.column_stack([ss, ss + 0.5 * hs, ss + hs]).ravel()
-        pts = np.column_stack([stages, np.full_like(stages, fixed)])
-        _check_leg_field(fields, pts if along == "x" else pts[:, ::-1])
-        _, ys = traces[along](state + (fixed,), s0, s1, h)
-        return tuple(float(v) for v in ys[-1, :2])
-
     dx, dt = float(delta[0]), float(delta[1])
+    # (along, fixed coordinate, from, to) of the four legs, in the order they run
+    legs = (("x", t0, x0, x0 + dx), ("t", x0 + dx, t0, t0 + dt),
+            ("t", x0, t0, t0 + dt), ("x", t0 + dt, x0, x0 + dx))
+    pts = [_stage_points(*leg, steps) for leg in legs]
+    # one evaluation of the fields for all four legs; only when it fails
+    # does each leg check its own points, so that the error, whichever it
+    # is, comes from the first leg whose points fail, after the traces of
+    # the legs before it
+    try:
+        checked = _fields_are_real(fields, np.concatenate(pts))
+    except EvalError:
+        checked = False
+
+    def run(k: int, state):
+        along, fixed, s0, s1 = legs[k]
+        if not checked:
+            _check_leg_field(fields, pts[k])
+        _, y = traces[along].endpoint(state + (fixed,), s0, s1, (s1 - s0) / steps)
+        return tuple(float(v) for v in y[:2])
+
     start = (float(psi0), float(psi_x0))
-    via_x = leg("t", x0 + dx, t0, t0 + dt, leg("x", t0, x0, x0 + dx, start))
-    via_t = leg("x", t0 + dt, x0, x0 + dx, leg("t", x0, t0, t0 + dt, start))
+    via_x = run(1, run(0, start))
+    via_t = run(3, run(2, start))
     deviation = max(abs(via_x[0] - via_t[0]), abs(via_x[1] - via_t[1]))
     return LaxDeviation(deviation, via_x, via_t)
 

@@ -161,7 +161,8 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
     (s, t) with x(s, t) = x*, y(s, t) = y*.  Each iteration makes one
     trace of the variational system: X = (x, y, z) and dX/ds, with
     d(dX/ds)/dt = DF(X) dX/ds for F = (P, Q, R) and DF from `diff`,
-    started at the curve point and its s-derivative.  The Jacobian is
+    started at the curve point and its s-derivative; it keeps only its
+    endpoint (`RK4Traces.endpoint`).  The Jacobian is
     (dx/ds, dy/ds) at the endpoint next to the flow velocity (P, Q) there.
     The initial guess is the nearest point of a coarse fan: the
     characteristics of the 3-state system from `fan_rows` curve points,
@@ -197,7 +198,7 @@ def solve_cauchy(pde: QuasilinearPDE, ic: InitialCurve, queries: Sequence,
         res = float("inf")
         for used in range(1, max_iter + 1):
             start = [as_real(evaluate(c, {ic.param: s}), 1e-12, "initial curve") for c in curve]
-            endpoint = newton(start, 0.0, t, h if t >= 0 else -h)[1][-1]
+            endpoint = newton.endpoint(start, 0.0, t, h if t >= 0 else -h)[1]
             g = endpoint[:2] - q
             res = float(np.max(np.abs(g)))
             if res <= newton_tol * (1 + np.max(np.abs(q))):

@@ -328,11 +328,21 @@ def _cmd_rk4(args):
     from . import odesys
     sys_ = _parse_system(args)
     t0, t1 = _floats(args.t_span, "t-span")
-    traj = odesys.integrate_rk4(sys_, _floats(args.x0, "x0"), (t0, t1), args.h)
-    if args.dump_csv:
-        _dump_csv(args.dump_csv, traj)
-    values = {"endpoint": list(traj.endpoint), "steps": len(traj.ts) - 1}
+    x0 = _floats(args.x0, "x0")
+    ts, endpoint = _trace(odesys.RK4Traces(sys_), x0, (t0, t1), args.h, args.dump_csv)
+    values = {"endpoint": list(endpoint), "steps": len(ts) - 1}
     return "pass", None, None, values, {}
+
+
+def _trace(traces, x0, t_span, h, dump_csv, empty=False):
+    """Time stamps and endpoint of the trace from x0 over t_span; only with
+    `dump_csv`, which then receives every state, is more than the endpoint
+    stored."""
+    if not dump_csv:
+        return traces.trajectory_end(x0, t_span, h, empty)
+    traj = traces.trajectory(x0, t_span, h, empty)
+    _dump_csv(dump_csv, traj)
+    return traj.ts, traj.endpoint
 
 
 def _cmd_drift(args):
@@ -407,13 +417,13 @@ def _pde_from_args(args) -> charpde.QuasilinearPDE:
 
 
 def _cmd_pde_char(args):
-    from . import charpde
+    from . import odesys
     pde = _pde_from_args(args)
     t0, t1 = _floats(args.t_span, "t-span")
-    traj = charpde.characteristic_trace(pde, _floats(args.start, "start"), (t0, t1), args.h)
-    if args.dump_csv:
-        _dump_csv(args.dump_csv, traj)
-    return "pass", None, None, {"endpoint": list(traj.endpoint)}, {}
+    start = _floats(args.start, "start")
+    _, endpoint = _trace(odesys.RK4Traces(pde.characteristic_system), start, (t0, t1), args.h,
+                         args.dump_csv, empty=True)
+    return "pass", None, None, {"endpoint": list(endpoint)}, {}
 
 
 def _cmd_pde_solve(args):

@@ -37,6 +37,11 @@ class DegenerateSamplesError(ValueError):
     pass
 
 
+def _check_increasing(ts):
+    if len(ts) > 1 and not np.all(np.diff(ts) > 0):
+        raise ValueError("time stamps must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time-stamped states, (len(ts), n), from RK4."""
@@ -48,8 +53,7 @@ class Trajectory:
         states = np.asarray(self.states, dtype=float)
         if states.ndim != 2 or len(ts) != len(states):
             raise ValueError("states must be (len(ts), n)")
-        if len(ts) > 1 and not np.all(np.diff(ts) > 0):
-            raise ValueError("time stamps must be strictly increasing")
+        _check_increasing(ts)
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "states", states)
 
@@ -93,6 +97,17 @@ GUARD = 1e12
 MAX_STEPS = 10 ** 6
 
 
+def _forward(t_span, h, empty):
+    """(t0, t1) of t_span, which must increase, or not decrease when
+    `empty`, for a positive step h."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (t1 >= t0 if empty else t1 > t0):
+        raise ValueError("t_span must be nondegenerate and increasing")
+    if h <= 0:
+        raise ValueError("step must be positive")
+    return t0, t1
+
+
 def _leg(t0, t1, h):
     """The leg ``(t0, h, hlast, nsteps)`` of an RK4 trace from t0 to t1 by
     steps of h, the last one shortened to land on t1 (no step when t0 ==
@@ -114,10 +129,11 @@ def _leg(t0, t1, h):
 class RK4Traces:
     """RK4 traces of one system.  Its tape is compiled once, when this is
     built, and `_backend` caches the routines generated from it; each trace
-    then passes only its start and its span.  A call (one trace) and
-    :meth:`fan` (many) are the checked entries to :func:`_backend.rk4`, and
-    both run one loop: every trace it can on floats, in one routine call,
-    and a trace that fails there or starts off the reals once on complex."""
+    then passes only its start and its span.  A call (one trace),
+    :meth:`endpoint` (its last state alone) and :meth:`fan` (many) are the
+    checked entries to :func:`_backend.rk4`, and all run one loop: every
+    trace it can on floats, in one routine call, and a trace that fails
+    there or starts off the reals once on complex."""
 
     def __init__(self, sys: AutonomousSystem):
         tape = compile_system(sys.components, sys.names, sys.time_var)
@@ -130,23 +146,35 @@ class RK4Traces:
         (len(ts), n) states.  Raises ValueError when that takes more than
         MAX_STEPS steps, and IntegrationError on a blow-up past GUARD, a
         domain failure or a non-negligible imaginary part."""
+        return self._traces([self._start(x0)], ((t0, t1, h),))
+
+    def endpoint(self, x0, t0: float, t1: float, h: float):
+        """The call's ts and its last state (n,), bit for bit, with the same
+        checks and errors; a trace that runs on floats stores no other state."""
+        ts, states = self._traces([self._start(x0)], ((t0, t1, h),), every=False)
+        return ts, states[0]
+
+    def _start(self, x0) -> list:
+        """x0 as n finite Python complex numbers."""
         x0c = np.asarray(x0, dtype=np.complex128)
         if x0c.shape != (self.n,):
             raise ValueError(f"x0 must have {self.n} components")
         y = x0c.tolist()
         if not all(map(cmath.isfinite, y)):
             raise ValueError(f"x0 must be finite, got {[v.real for v in y]}")
-        return self._traces([y], ((t0, t1, h),))
+        return y
 
     def trajectory(self, x0, t_span, h: float, empty: bool = False) -> Trajectory:
         """The trace from x0 over t_span = (t0, t1), t1 > t0, or t1 >= t0
         when `empty`, by a positive step h."""
-        t0, t1 = float(t_span[0]), float(t_span[1])
-        if not (t1 >= t0 if empty else t1 > t0):
-            raise ValueError("t_span must be nondegenerate and increasing")
-        if h <= 0:
-            raise ValueError("step must be positive")
-        return Trajectory(*self(x0, t0, t1, h))
+        return Trajectory(*self(x0, *_forward(t_span, h, empty), h))
+
+    def trajectory_end(self, x0, t_span, h: float, empty: bool = False):
+        """The time stamps and the endpoint of :meth:`trajectory`, checked
+        alike, from :meth:`endpoint`."""
+        ts, y = self.endpoint(x0, *_forward(t_span, h, empty), h)
+        _check_increasing(ts)
+        return ts, y
 
     def fan(self, starts, t_end: float, h: float):
         """Each row of `starts` (real, (m, n)) traced from time 0 to t_end
@@ -163,14 +191,17 @@ class RK4Traces:
         t_end, h = float(t_end), float(h)
         return self._traces(starts.tolist(), ((0.0, t_end, h), (0.0, -t_end, -h)))
 
-    def _traces(self, starts, spans):
+    def _traces(self, starts, spans, every=True):
         """The trace of each of `starts` (rows of n finite Python numbers)
         over each of `spans`, (t0, t1, h) as a call takes them, row by row:
         returns the times of one row's traces, span after span, and the real
-        (len(starts) * len(ts), n) states.  Runs the traces on floats in one
-        routine call when the system and the starts are real, resuming after
-        each one that fails there; that trace, or every trace of non-real
-        starts, runs once on complex, which raises IntegrationError for it."""
+        (len(starts) * len(ts), n) states, or without `every` the last state
+        of each trace, (len(starts) * len(spans), n).  Runs the traces on
+        floats in one routine call when the system and the starts are real,
+        resuming after each one that fails there; that trace, or every trace
+        of non-real starts, runs once on complex, which stores every state
+        for the test of their imaginary parts and raises IntegrationError
+        for it."""
         legs, times = zip(*(_leg(t0, t1, h) for t0, t1, h in spans))
         ops, consts, outs = self._tape
         real = not any(c.imag for c in consts) and not any(v.imag for y in starts for v in y)
@@ -179,10 +210,11 @@ class RK4Traces:
         while k < len(starts) * len(legs):
             if real:
                 k, reached = _backend.rk4(ops, consts, outs, rows, GUARD, legs, k,
-                                          buf.extend, True)
+                                          buf.extend, True, every=every)
                 if k < 0:
                     break
-                del buf[len(buf) - (reached + 1) * self.n:]
+                if every:
+                    del buf[len(buf) - (reached + 1) * self.n:]
             row, leg = divmod(k, len(legs))
             start, pairs = [complex(v) for v in starts[row]], array("d")
             failed, reached = _backend.rk4(ops, consts, outs, [start], GUARD, [legs[leg]], 0,
@@ -194,7 +226,7 @@ class RK4Traces:
             if np.max(np.abs(ys.imag)) > 1e-9 * (np.max(np.abs(ys.real)) + 1.0):
                 raise IntegrationError("trajectory acquired a non-negligible imaginary part",
                                        float(times[leg][-1]))
-            buf.frombytes(ys.real.tobytes())
+            buf.frombytes((ys if every else ys[-self.n:]).real.tobytes())
             k += 1
         return np.concatenate(times), np.frombuffer(buf).reshape(-1, self.n)
 

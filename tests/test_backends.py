@@ -3,6 +3,7 @@ failures, blocking, the float and complex array paths, and the RK4 driver
 built on it."""
 
 import gc
+import inspect
 import math
 import random
 from array import array
@@ -378,10 +379,11 @@ def float_trace(tape, x0, t0, h, nsteps):
 def routines(monkeypatch):
     """The `real` flag of each call of `_backend.rk4`, in order."""
     made, rk4 = [], _backend.rk4
+    signature = inspect.signature(rk4)
 
-    def recording_rk4(*args):
-        made.append(args[-1])
-        return rk4(*args)
+    def recording_rk4(*args, **kwargs):
+        made.append(signature.bind(*args, **kwargs).arguments["real"])
+        return rk4(*args, **kwargs)
 
     monkeypatch.setattr(_backend, "rk4", recording_rk4)
     return made
@@ -589,3 +591,66 @@ def test_a_state_past_the_guard_is_a_blow_up_at_its_last_good_time():
     with pytest.raises(IntegrationError, match="blew up") as ex:
         RK4Traces(drift)([GUARD - 1.0], 0.0, -1.5, -0.5)
     assert ex.value.t_last == -1.0
+
+
+PENDULUM = AutonomousSystem(("x", "y"), (parse("y"), parse("-sin(x)")))
+# cosh above 708 is left to the complex trace, where it stays real
+FLOAT_FAILURE = AutonomousSystem(("x", "y"), (parse("1e-300*cosh(y)"), parse("0")))
+
+
+@pytest.mark.parametrize("system,x0,t0,t1,h", [
+    (PENDULUM, [1.0, 0.2], 0.0, 2.0, 1e-2),                         # on floats
+    (FLOAT_FAILURE, [0.0, 708.5], 0.0, 0.3, 0.1),                   # rerun on complex
+    (PENDULUM, [0.5, 1e-300j], 0.0, 1.0, 0.1),                      # a non-real start
+    (AutonomousSystem(("x", "y"), (parse("abs(i)*y"), parse("-x"))),  # a complex constant
+     [1.0, 0.0], 0.0, 1.0, 0.1),
+    (PENDULUM, [1.0, 0.2], 0.5, -0.537, -0.01),                     # backward
+    (PENDULUM, [1.0, 0.2], 0.5, 0.5, 0.1),                          # zero-length span
+    (PENDULUM, [1.0, 0.2], 0.0, 0.05, 0.1),                         # one step
+    (PENDULUM, [1.0, 0.2], 0.0, 0.15, 0.1),                         # two steps
+], ids=["float", "float-failure", "non-real-start", "complex-constant", "backward",
+        "zero-span", "one-step", "two-steps"])
+def test_an_endpoint_trace_is_the_last_state_of_the_full_trace_bit_for_bit(system, x0, t0,
+                                                                          t1, h, routines):
+    traces = RK4Traces(system)
+    ts, states = traces(x0, t0, t1, h)
+    end_ts, y = traces.endpoint(x0, t0, t1, h)
+    assert end_ts.tobytes() == ts.tobytes()
+    assert y.shape == (2,) and y.tobytes() == states[-1].tobytes()
+    assert routines[len(routines) // 2:] == routines[:len(routines) // 2]   # same routes
+
+
+@pytest.mark.parametrize("system,x0,t1", [
+    (AutonomousSystem(("x",), (parse("x^2"),)), [1.0], 2.0),        # blows up on both
+    (AutonomousSystem(("x",), (parse("sqrt(x)"),)), [-1.0], 1.0),   # turns complex
+    (AutonomousSystem(("x", "y"), (parse("-1"), parse("1/x"))), [0.5, 0.0], 1.0),
+], ids=["blow-up", "imaginary", "pole"])
+def test_a_failing_endpoint_trace_raises_as_the_full_trace_does(system, x0, t1):
+    traces = RK4Traces(system)
+    with pytest.raises(IntegrationError) as full:
+        traces(x0, 0.0, t1, 1e-2)
+    with pytest.raises(IntegrationError) as endpoint:
+        traces.endpoint(x0, 0.0, t1, 1e-2)
+    assert str(endpoint.value) == str(full.value)
+    assert endpoint.value.t_last == full.value.t_last
+
+
+def test_the_endpoint_routine_stores_once_per_successful_float_trace():
+    tape = compile_system(FLOAT_FAILURE.components, FLOAT_FAILURE.names, None)
+    starts = [[0.0, 1.0], [0.0, -2.0], [0.0, 708.5], [0.0, 3.0]]
+    legs = [(0.0, 0.1, 0.1, 3), (0.0, -0.1, -0.1, 3), (0.0, 0.1, 0.1, 0)]
+    stored, full = [], array("d")
+    failed, reached = _backend.rk4(tape.ops, tape.consts, tape.outs, starts, GUARD, legs, 0,
+                                   stored.append, True, every=False)
+    assert (failed, reached) == (6, 0)              # cosh(708.5) is left to complex
+    assert _backend.rk4(tape.ops, tape.consts, tape.outs, starts, GUARD, legs, 0,
+                        full.extend, True) == (6, 0)
+    ends = np.frombuffer(full).reshape(-1, 2)[[3, 7, 8, 12, 16, 17]]   # each trace's last
+    assert np.array_equal(np.array(stored), ends)
+    assert _backend.rk4(tape.ops, tape.consts, tape.outs, starts, GUARD, legs, 7,
+                        stored.append, True, every=False) == (7, 0)     # backward too
+    assert len(stored) == 6
+    assert _backend.rk4(tape.ops, tape.consts, tape.outs, starts, GUARD, legs, 8,
+                        stored.append, True, every=False) == (-1, 0)
+    assert len(stored) == 6 + 4
+    assert stored[6] == (0.0, 708.5)                # a zero-step leg stores its start

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from integrikit import btlax
 from integrikit.btlax import (
     BTSystem, bt_residual, cauchy_riemann_bt, chiral_residual, kdv_residual,
     lax_commuting_flow, liouville_bt, maxwell_plane_wave, maxwell_residual,
     sine_gordon_bt, sine_gordon_kink, wave_equation_residual,
 )
-from integrikit.expr import Const, compile_system, eval_many, evaluate, parse
-from integrikit.odesys import SingularMatrixSampleError
+from integrikit.expr import Const, EvalDomainError, compile_system, eval_many, evaluate, parse
+from integrikit.odesys import RK4Traces, SingularMatrixSampleError
 from integrikit.realfield import Region
 
 from conftest import grid_rows
@@ -130,6 +131,31 @@ class TestLaxCommutingFlow:
         again = lax_commuting_flow(SOLITON, 0.3, 1.0, -0.4, 0.3, (0.2, -0.1))
         assert compile_system.cache_info().misses == 2
         assert first.deviation <= 1e-5 and again.deviation <= 1e-5
+
+    def test_the_fields_of_all_four_legs_are_evaluated_at_once(self, monkeypatch):
+        calls, eval_columns = [], btlax.eval_columns
+
+        def counting(exprs, names, columns, shape):
+            calls.append(shape)
+            return eval_columns(exprs, names, columns, shape)
+
+        monkeypatch.setattr(btlax, "eval_columns", counting)
+        lax_commuting_flow(SOLITON, 0.3, 1.0, 0.1, 0.0, (0.2, 0.2), steps=16)
+        assert calls == [(4 * 3 * 16,)]        # four legs of 16 steps, three stage points each
+
+    def test_a_failing_third_leg_raises_after_the_first_two_traces(self, monkeypatch):
+        traced, endpoint = [], RK4Traces.endpoint
+
+        def recording(self, *args):
+            traced.append(args[1:])
+            return endpoint(self, *args)
+
+        monkeypatch.setattr(RK4Traces, "endpoint", recording)
+        # 1/0 at (0, 0.125): a stage point of the third leg (along t at x = 0) only
+        with pytest.raises(EvalDomainError) as ex:
+            lax_commuting_flow("1/(x^2 + (t - 0.125)^2)", 0.3, 1.0, 0.0, 0.0, (0.25, 0.25))
+        assert str(ex.value) == "division by zero while evaluating '1/(x^2 + (t - 0.125)^2)'"
+        assert traced == [(0.0, 0.25, 0.015625)] * 2
 
     def test_deviation_shrinks_with_rectangle(self):
         big = lax_commuting_flow(SOLITON, 0.3, 1.0, 0.1, 0.0, (0.2, 0.2))

@@ -137,9 +137,10 @@ class TestCharacteristicFan:
     @pytest.fixture
     def traces(self, monkeypatch):
         """Every ``(ts, states)`` trace solve_cauchy makes, in order: each fan
-        row forward and then backward, then each Newton trace."""
+        row forward and then backward, then each Newton trace, whose states
+        are the endpoint it keeps."""
         made = []
-        fan, call = RK4Traces.fan, RK4Traces.__call__
+        fan, endpoint = RK4Traces.fan, RK4Traces.endpoint
 
         def recording_fan(self, starts, t_end, h):
             ts, states = fan(self, starts, t_end, h)
@@ -148,12 +149,13 @@ class TestCharacteristicFan:
                 made.extend([(ts[:back], rows[:back]), (ts[back:], rows[back:])])
             return ts, states
 
-        def recording_call(self, *args):
-            made.append(call(self, *args))
-            return made[-1]
+        def recording_endpoint(self, *args):
+            ts, y = endpoint(self, *args)
+            made.append((ts, y[None]))
+            return ts, y
 
         monkeypatch.setattr(RK4Traces, "fan", recording_fan)
-        monkeypatch.setattr(RK4Traces, "__call__", recording_call)
+        monkeypatch.setattr(RK4Traces, "endpoint", recording_endpoint)
         return made
 
     @pytest.mark.parametrize("fan_rows", [5, 21])
@@ -235,7 +237,7 @@ class TestCharacteristicFan:
             trace = build(*key)
 
             def entered(*args):
-                entries[key[-1]] += 1
+                entries[key[5]] += 1      # _trace_fn(ops, consts, outs, n, guard, real, every)
                 return trace(*args)
             return entered
 

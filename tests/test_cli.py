@@ -640,6 +640,28 @@ class TestOutputs:
         assert lines[0] == "t,x1,x2"
         assert len(lines) == 12  # header + 11 samples
 
+    @pytest.mark.parametrize("argv", [
+        ["rk4", "--f", "y;-sin(x)", "--vars", "x,y", "--x0", "1,0.2", "--t-span", "0,1.05",
+         "--h", "0.1"],
+        ["pde-char", "--P", "z", "--Q", "1", "--R", "-x", "--start", "0.5,0,1",
+         "--t-span", "0,0.35"],
+    ], ids=["rk4", "pde-char"])
+    def test_an_endpoint_report_does_not_depend_on_dump_csv(self, argv, tmp_path, capsys):
+        _, endpoint = run_json(argv, capsys)
+        _, full = run_json([*argv, "--dump-csv", str(tmp_path / "traj.csv")], capsys)
+        assert json.dumps(endpoint["values"]) == json.dumps(full["values"])
+        assert endpoint["status"] == full["status"] == "pass"
+
+    def test_python_dash_m_integrikit_runs_the_cli(self):
+        import subprocess
+        command = ["rk4", "--f", "y;-x", "--vars", "x,y", "--x0", "1,0", "--t-span", "0,1",
+                   "--h", "0.1"]
+        runs = [subprocess.run([sys.executable, "-m", module, *command], capture_output=True,
+                               check=False, env=child_env())
+                for module in ("integrikit", "integrikit.cli")]
+        assert [r.returncode for r in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout and b'"endpoint"' in runs[0].stdout
+
     def test_stable_input_echo_order(self, capsys):
         _, rep = run_json(["exact-check", "--Q", "x", "--P", "y",
                            "--region", "-2,2,-2,2"], capsys)
