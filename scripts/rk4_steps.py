@@ -1,4 +1,5 @@
-"""Per-step cost of the generated RK4 routine in two checkouts, side by side.
+"""Per-step and build cost of the generated RK4 routine in two checkouts,
+side by side.
 
     python scripts/rk4_steps.py PARENT CHANGE
 
@@ -12,6 +13,12 @@ process per round, seven rounds alternating which side runs first; a
 round times each trace five times and keeps the fastest.  The script
 prints the best of the seven rounds in microseconds per step, and the
 last line holds every round as JSON.
+
+Each round also times routine builds: the first `_backend.rk4` call (a
+zero-step float trace) of each of 40 systems of distinct shapes, all of
+the rigid body's size, and then of 40 new systems that each share the
+shape of one of them and differ in a constant.  The script prints the
+best of the seven rounds in milliseconds per build.
 
 Python writes its bytecode under a temporary PYTHONPYCACHEPREFIX, so
 nothing is written in either checkout.
@@ -30,6 +37,10 @@ REPEATS = 5
 STEPS = 20_000
 H = 1e-3
 
+#: Systems per kind of build, and the functions whose choice gives each its shape.
+BUILDS = 40
+FUNCTIONS = ("sin", "cos", "tanh", "atan", "sinh", "cosh")
+
 #: name -> (variables, components, start)
 SYSTEMS = {
     "oscillator": (("x", "y"), ("y", "-x"), (1.0, 0.0)),
@@ -38,7 +49,8 @@ SYSTEMS = {
     "rigid_body": (("x", "y", "z"), ("y*z", "-x*z", "-0.51*x*y"), (0.0, 1.0, 1.0)),
 }
 
-# Run in the measured checkout: prints {system: {mode: seconds}} as JSON.
+# Run in the measured checkout: prints {system: {mode: seconds}} and
+# {"build_ms": {kind: milliseconds}} as JSON.
 _PROBE = r"""
 import json, sys, time
 from integrikit.expr import parse
@@ -58,14 +70,38 @@ for name, (names, comps, x0) in systems.items():
             trace(x0, 0.0, steps * h, h)
             best = min(best, time.perf_counter() - start)
         out[name][mode] = best
+
+from integrikit import _backend
+from integrikit.expr import compile_system
+
+
+def build_ms(tapes):
+    # milliseconds per first call of the tapes' routines, mean over the list
+    start = time.perf_counter()
+    for tape in tapes:
+        _backend.rk4(tape.ops, tape.consts, tape.outs, [[0.1, 0.2, 0.3]], 1e12,
+                     [(0.0, h, h, 0)], 0, [].append, True)
+    return 1e3 * (time.perf_counter() - start) / len(tapes)
+
+
+def rigid(fs, c):
+    comps = (f"y*z + {c}*{fs[0]}(x)", f"-x*z + {c}*{fs[1]}(y)", f"-0.51*x*y + {c}*{fs[2]}(z)")
+    return compile_system(tuple(parse(e) for e in comps), ("x", "y", "z"), None)
+
+
+builds, functions = int(sys.argv[5]), sys.argv[6].split(",")
+shapes = [(f, g, k) for f in functions for g in functions for k in functions][:builds]
+out["build_ms"] = {"unseen_shape": build_ms([rigid(fs, 0.25) for fs in shapes]),
+                   "built_shape": build_ms([rigid(fs, 0.375) for fs in shapes])}
 print(json.dumps(out))
 """
 
 
 def probe(root: str, env: dict) -> dict:
-    """One round in the checkout at `root`: seconds per trace, by system and mode."""
+    """One round in the checkout at `root`: seconds per trace, by system and
+    mode, and milliseconds per routine build, by kind."""
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(SYSTEMS), str(STEPS),
-                           repr(H), str(REPEATS)],
+                           repr(H), str(REPEATS), str(BUILDS), ",".join(FUNCTIONS)],
                           cwd=root, env=dict(env, PYTHONPATH=os.path.join(root, "src")),
                           check=True, capture_output=True, text=True)
     return json.loads(proc.stdout)
@@ -95,7 +131,14 @@ def main(argv=None) -> int:
         for mode in ("full", "endpoint"):
             p, c = best["parent"][name][mode], best["change"][name][mode]
             print(f"{name:15s} {mode:9s} parent {p:6.3f}  change {c:6.3f}  {c / p - 1:+7.1%}")
-    print(json.dumps({"best_us_per_step": best, "rounds_s": rounds}))
+    builds = {side: {kind: min(r["build_ms"][kind] for r in rs)
+                     for kind in ("unseen_shape", "built_shape")}
+              for side, rs in rounds.items()}
+    print(f"ms per routine build, best of {ROUNDS} rounds, mean of {BUILDS} systems")
+    for kind in ("unseen_shape", "built_shape"):
+        p, c = builds["parent"][kind], builds["change"][kind]
+        print(f"build {kind:19s} parent {p:6.3f}  change {c:6.3f}  {c / p - 1:+7.1%}")
+    print(json.dumps({"best_us_per_step": best, "best_build_ms": builds, "rounds_s": rounds}))
     return 0
 
 

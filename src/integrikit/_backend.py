@@ -12,8 +12,10 @@ the axes of a grid, quadrature nodes beside per-interval values), about
 block of float64 columns runs on float64, and the outputs whose float ops
 refuse (:class:`_LeavesReals`) or read a non-real constant rerun on
 complex128, bit for bit as a complex block would give them.  RK4 has one
-routine per system, generated from the tape as straight-line source
-(:func:`_trace_fn`), with the stages inlined and the guard applied.
+routine per system (:func:`_trace_fn`), with the stages inlined and the
+guard applied.  Its straight-line source is generated and compiled once
+per shape of the system tape (:func:`_build`), and each system binds its
+constants and guard to that code.
 :func:`rk4` is its one entry: it runs a list of traces, on Python floats
 with :data:`FLOAT_OPS` or on complex scalars with :data:`SCALAR_OPS`, and
 stops at the first that fails.  Each trace stores every state, or only its
@@ -393,15 +395,40 @@ def _powers(dst: str, x: str, m: int) -> list:
     return lines if r == dst else lines + [f"{dst} = {r}"]
 
 
-# Cached across calls, not only per RK4Traces: requests can send the same
-# system again.  `pde-solve` of Burgers' equation traces (z, 1, 0) every
-# time, so in the first 200 `cauchy_fan` benchmark requests at seed 7, 102
-# of the 400 routines the requests asked for were built by an earlier one.
+# Two caches.  `_trace_fn` keeps the routine of each system, as Newton's
+# traces and Burgers' `pde-solve` (it traces (z, 1, 0) every time) ask for
+# one again; a miss only binds the system to the code of its shape.
+# `_build` keeps that code, which many systems share: the benchmark's first
+# 300 `cauchy_fan` requests at seed 7 asked for 450 routines of 8 shapes.
 @lru_cache(maxsize=32)
 def _trace_fn(ops, consts, outs, n, guard, real, every):
-    """The routine :func:`rk4` runs, ``trace(starts, legs, first, store)``,
-    generated from the system tape as straight-line source: the step loop
-    has the four stages inlined, one local assignment per op.  A step fails
+    """The routine :func:`rk4` runs, ``trace(starts, legs, first, store)``:
+    the code of the system's shape (:func:`_build`) bound to the table
+    functions, the constants and `guard` of this system."""
+    # float `^` by a constant whole exponent in 1..100 inlines f_pow's
+    # products: a call per stage made x^2 systems slower than on complex
+    whole = {n + 1 + k: int(c.real) for k, c in enumerate(consts)
+             if real and c.real == math.floor(c.real) and 1 <= c.real <= 100}
+    power = tuple(sorted({(b, whole[b]) for op, _, b, _ in ops if op == "^" and b in whole}))
+    fns, factory = _build(tuple(op[:3] for op in ops), outs, n, len(consts), real, every,
+                          power)
+    table = FLOAT_OPS if real else SCALAR_OPS
+    convert = (lambda c: float(c.real)) if real else complex
+    return factory(*(table[op] for op in fns), *(convert(c) for c in consts), float(guard),
+                   (OverflowError, ValueError, ZeroDivisionError))
+
+
+@lru_cache(maxsize=64)
+def _build(rows, outs, n, nconsts, real, every, power):
+    """The names of the table functions a routine of this shape calls, and
+    the factory that makes the routine from them, the constants, `guard`
+    and the exceptions that fail a step.  The shape is everything the
+    source reads: the tape's ``(op, a, b)`` rows, `outs`, n state
+    variables, `nconsts` constants, `real`, `every`, and `power`, the pairs
+    (slot, m) of the constant whole exponents a float routine inlines.
+
+    The routine is generated as straight-line source: the step loop has
+    the four stages inlined, one local assignment per op.  A step fails
     when it raises, or unless every component has ``abs(re) + abs(im) <=
     guard``, which with a finite guard also rejects NaN and infinities.
     The loop body is written once: an outer loop runs it over the full
@@ -413,22 +440,17 @@ def _trace_fn(ops, consts, outs, n, guard, real, every):
     complex with :data:`SCALAR_OPS`, time passed as ``complex(t)``, and
     each state stored as n (re, im) pairs.  With `every`, a trace stores its
     start and then each state it reaches; without, it stores its last state
-    once, after its last step, and a trace that fails stores nothing.  A
+    once, after its last step, and a trace that fails stores nothing.  The
     factory binds the table functions, the constants and `guard` as values,
-    so no user text reaches the source and no cycle forms.
+    so no user text or constant reaches the source and no cycle forms.
     """
-    table = FLOAT_OPS if real else SCALAR_OPS
-    nconsts = len(consts)
-    fns = sorted({op for op, _, _, _ in ops} - {"neg", "+", "-", "*"})
+    fns = sorted({op for op, _, _ in rows} - {"neg", "+", "-", "*"})
     fname = {op: "f_" + {"/": "div", "^": "pow"}.get(op, op) for op in fns}
     cname = [f"c{k}" for k in range(nconsts)]
-    read = set(outs) | {a for _, a, _, _ in ops} | {b for _, _, b, _ in ops}
+    read = set(outs) | {a for _, a, _ in rows} | {b for _, _, b in rows}
     ys = [f"y{j}" for j in range(n)]
     as_time = (lambda e: e) if real else (lambda e: f"complex({e})")
-    # float `^` by a constant whole exponent in 1..100 inlines f_pow's
-    # products: a call per stage made x^2 systems slower than on complex
-    power = {n + 1 + k: int(c.real) for k, c in enumerate(consts)
-             if real and c.real == math.floor(c.real) and 1 <= c.real <= 100}
+    power = dict(power)
 
     body = []
     if n in read:
@@ -440,8 +462,8 @@ def _trace_fn(ops, consts, outs, n, guard, real, every):
         state = ys if prev is None else [f"z{j}" for j in range(n)]
         if prev is not None:
             body += [f"z{j} = y{j} + {step} * {prev}_{j}" for j in range(n) if j in read]
-        slot = state + [time] + cname + [f"v{n + 1 + nconsts + i}" for i in range(len(ops))]
-        for i, (op, a, b, _) in enumerate(ops):
+        slot = state + [time] + cname + [f"v{n + 1 + nconsts + i}" for i in range(len(rows))]
+        for i, (op, a, b) in enumerate(rows):
             if op == "neg":
                 value = f"-{slot[a]}"
             elif op in ("+", "-", "*"):
@@ -489,7 +511,4 @@ def _trace_fn(ops, consts, outs, n, guard, real, every):
               "    return trace"]
     scope: dict = {}
     exec(compile("\n".join(lines), "<rk4 trace>", "exec"), scope)
-    factory = scope.pop("_factory")
-    convert = (lambda c: float(c.real)) if real else complex
-    return factory(*(table[op] for op in fns), *(convert(c) for c in consts), float(guard),
-                   (OverflowError, ValueError, ZeroDivisionError))
+    return fns, scope.pop("_factory")

@@ -166,15 +166,18 @@ class RK4Traces:
 
     def trajectory(self, x0, t_span, h: float, empty: bool = False) -> Trajectory:
         """The trace from x0 over t_span = (t0, t1), t1 > t0, or t1 >= t0
-        when `empty`, by a positive step h."""
-        return Trajectory(*self(x0, *_forward(t_span, h, empty), h))
+        when `empty`, by a positive step h.  Time stamps that do not
+        strictly increase (h below the spacing of floats near t0) raise
+        ValueError before any step runs."""
+        span = (*_forward(t_span, h, empty), h)
+        return Trajectory(*self._traces([self._start(x0)], (span,), increasing=True))
 
     def trajectory_end(self, x0, t_span, h: float, empty: bool = False):
         """The time stamps and the endpoint of :meth:`trajectory`, checked
-        alike, from :meth:`endpoint`."""
-        ts, y = self.endpoint(x0, *_forward(t_span, h, empty), h)
-        _check_increasing(ts)
-        return ts, y
+        alike, as :meth:`endpoint` gives them."""
+        span = (*_forward(t_span, h, empty), h)
+        ts, states = self._traces([self._start(x0)], (span,), every=False, increasing=True)
+        return ts, states[0]
 
     def fan(self, starts, t_end: float, h: float):
         """Each row of `starts` (real, (m, n)) traced from time 0 to t_end
@@ -191,18 +194,22 @@ class RK4Traces:
         t_end, h = float(t_end), float(h)
         return self._traces(starts.tolist(), ((0.0, t_end, h), (0.0, -t_end, -h)))
 
-    def _traces(self, starts, spans, every=True):
+    def _traces(self, starts, spans, every=True, increasing=False):
         """The trace of each of `starts` (rows of n finite Python numbers)
         over each of `spans`, (t0, t1, h) as a call takes them, row by row:
         returns the times of one row's traces, span after span, and the real
         (len(starts) * len(ts), n) states, or without `every` the last state
-        of each trace, (len(starts) * len(spans), n).  Runs the traces on
-        floats in one routine call when the system and the starts are real,
-        resuming after each one that fails there; that trace, or every trace
-        of non-real starts, runs once on complex, which stores every state
-        for the test of their imaginary parts and raises IntegrationError
-        for it."""
+        of each trace, (len(starts) * len(spans), n).  With `increasing`,
+        times of a span that do not strictly increase raise ValueError
+        before any trace runs.  Runs the traces on floats in one routine
+        call when the system and the starts are real, resuming after each
+        one that fails there; that trace, or every trace of non-real starts,
+        runs once on complex, which stores every state for the test of their
+        imaginary parts and raises IntegrationError for it."""
         legs, times = zip(*(_leg(t0, t1, h) for t0, t1, h in spans))
+        if increasing:
+            for ts in times:
+                _check_increasing(ts)
         ops, consts, outs = self._tape
         real = not any(c.imag for c in consts) and not any(v.imag for y in starts for v in y)
         rows = [[v.real for v in y] for y in starts]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import integrikit
+from integrikit import _backend
 from integrikit.expr import Const, Var, add, call, eval_many, mul, neg, pow_, sub
 
 
@@ -84,3 +85,18 @@ def bounded_smooth_exprs(seed: int, count: int, names, bound: float = 100.0):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The source of each routine `_backend` compiles, in order, from empty caches."""
+    made = []
+
+    def recording_compile(source, *args, **kwargs):
+        made.append(source)
+        return compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(_backend, "compile", recording_compile, raising=False)
+    _backend._trace_fn.cache_clear()
+    _backend._build.cache_clear()
+    return made

@@ -547,9 +547,59 @@ def test_lowering_and_generated_steps_leave_no_reference_cycles():
         float_trace(tape, [0.1, 0.2], 0.0, 0.1, 2)
         complex_trace(tape, [0.1j, 0.2], 0.0, 0.1, 2)
         assert _backend._trace_fn.cache_info().currsize >= 2
+        assert _backend._build.cache_info().currsize >= 2
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def traced_bytes(tape, x0, real, every, guard=GUARD, nsteps=10):
+    """The bytes one generated trace stores, and its (failed, reached)."""
+    buf = array("d")
+    result = _backend.rk4(tape.ops, tape.consts, tape.outs, [x0], guard,
+                          [(0.0, 0.1, 0.1, nsteps)], 0, buf.extend, real, every=every)
+    return buf.tobytes(), result
+
+
+@pytest.mark.parametrize("every", [True, False], ids=["full", "endpoint"])
+@pytest.mark.parametrize("real", [True, False], ids=["float", "complex"])
+def test_systems_that_differ_only_in_constants_compile_once(real, every, compiles):
+    tapes = [compile_system((parse(f"-{w}*y"), parse(f"{w}*x")), ("x", "y"), None)
+             for w in ("0.9", "1.3")]
+    x0 = [1.0, 0.5] if real else [1.0, 0.5j]
+    shared = [traced_bytes(tape, x0, real, every) for tape in tapes]
+    assert len(compiles) == 1
+    assert shared[0] != shared[1] and all(r == (-1, 0) for _, r in shared)
+    for tape, states in zip(tapes, shared):
+        _backend._trace_fn.cache_clear()
+        _backend._build.cache_clear()
+        assert traced_bytes(tape, x0, real, every) == states     # built alone
+    assert len(compiles) == 3 and len(set(compiles)) == 1
+
+
+def test_only_whole_exponents_of_powers_enter_the_float_code(compiles):
+    def codes(texts, real):
+        before = len(compiles)
+        for text in texts:
+            traced_bytes(compile_system((parse(text),), ("x",), None), [0.5], real, True)
+        return len(set(compiles[before:]))
+
+    assert codes(["x^2", "x^3", "x^2.5"], True) == 3
+    assert codes(["2*x", "2.5*x"], True) == 1
+    assert codes(["x^2", "x^3", "x^2.5"], False) == 1     # complex powers are calls
+    assert len(compiles) == 5
+
+
+def test_systems_of_one_shape_keep_their_own_guard(compiles):
+    ones, twos = (compile_system((Const(c),), ("x",), None) for c in (1.0, 2.0))
+    # x grows by 0.1 or 0.2 a step: a guard of 0.25 fails the third step of
+    # the first and the second step of the other
+    assert traced_bytes(ones, [0.0], True, False, guard=0.25)[1] == (0, 2)
+    assert traced_bytes(twos, [0.0], True, False, guard=10.0)[1] == (-1, 0)
+    assert traced_bytes(ones, [0.0], True, False, guard=10.0)[1] == (-1, 0)
+    assert traced_bytes(twos, [0.0], True, False, guard=0.25)[1] == (0, 1)
+    assert traced_bytes(ones, [0.0], True, False, guard=0.25)[1] == (0, 2)
+    assert len(compiles) == 1 and _backend._trace_fn.cache_info().currsize == 4
 
 
 def test_negative_step_is_the_negated_system_bit_for_bit(rng):

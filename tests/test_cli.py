@@ -146,7 +146,8 @@ class TestImports:
         script = (
             "import json, sys\n"
             "from integrikit import _backend, cli\n"
-            "built = _backend._trace_fn.cache_info().currsize\n"
+            "built = _backend._trace_fn.cache_info().currsize"
+            " + _backend._build.cache_info().currsize\n"
             "code = cli.main(['pde-solve', '--P', '1', '--Q', '1', '--R', 'z',"
             " '--ic', 's;0;s;-1;1', '--query', '0.2,0.3'])\n"
             "print(json.dumps([built, code, sorted(sys.modules)]))\n")
@@ -426,6 +427,43 @@ class TestNonFiniteSpan:
         code, rep = run_json(argv, capsys)
         assert code == 2 and rep["status"] == "error"
         assert value in rep["diagnostics"]["error"]
+
+
+class TestTimeStamps:
+    """Time stamps that do not strictly increase, as a step far below the
+    spacing of floats near the start time gives, are a usage error raised
+    before any RK4 routine runs."""
+    SYSTEM = ["--f", "y;-x", "--vars", "x,y", "--x0", "1,0"]
+    SPAN = ["--t-span", "1e8,100000000.001", "--h", "1e-8"]
+
+    @pytest.mark.parametrize("dump_csv", [False, True], ids=["endpoint", "dump-csv"])
+    def test_are_a_usage_error_before_any_trace(self, dump_csv, tmp_path, monkeypatch,
+                                                capsys):
+        from integrikit import _backend
+
+        def no_rk4(*args, **kwargs):
+            raise AssertionError("an RK4 routine ran")
+
+        monkeypatch.setattr(_backend, "rk4", no_rk4)
+        csv = ["--dump-csv", str(tmp_path / "traj.csv")] if dump_csv else []
+        code, rep = run_json(["rk4", *self.SYSTEM, *self.SPAN, *csv], capsys)
+        assert code == 2 and rep["status"] == "error"
+        assert rep["diagnostics"]["error"] == "time stamps must be strictly increasing"
+
+
+class TestRoutineBuilds:
+    def test_requests_that_differ_only_in_coefficients_compile_no_new_routine(
+            self, compiles, capsys):
+        reports, counts = [], []
+        for a, b in (("0.625", "0.8125"), ("1.375", "-0.4375")):
+            code, rep = run_json(["pde-solve", "--P", "1", "--Q", f"{a} + 0.0625*x",
+                                  "--R", f"{b}*z", "--ic", "s;0;sin(s);-1;1",
+                                  "--query", "0.5,0.3", "--query", "-0.2,-0.4"], capsys)
+            assert code == 0
+            reports.append(rep)
+            counts.append(len(compiles))
+        assert counts[0] > 0 and counts[1] == counts[0]
+        assert reports[0]["values"] != reports[1]["values"]
 
 
 class TestBadQuadratureInput:
