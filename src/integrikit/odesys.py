@@ -358,212 +358,107 @@ def char_poly(A) -> np.ndarray:
     return coeffs
 
 
-def _poly_eval(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0j
-    for c in coeffs:
-        acc = acc * z + complex(c)
-    return acc
-
-
-def _poly_deriv(coeffs: np.ndarray) -> np.ndarray:
-    n = len(coeffs) - 1
-    if n == 0:
-        return np.zeros(1, dtype=np.complex128)
-    return np.array([coeffs[k] * (n - k) for k in range(n)], dtype=np.complex128)
-
-
-def _poly_error_bound(coeffs: np.ndarray, z: complex) -> float:
-    n = len(coeffs) - 1
-    powers = np.abs(z) ** np.arange(n, -1, -1)
-    return 4.0 * (n + 1) * np.finfo(float).eps * float(np.sum(np.abs(coeffs) * powers))
-
-
-def durand_kerner(coeffs, max_sweeps: int = 500, tol: float = 1e-14) -> np.ndarray:
-    """All roots of a monic polynomial by simultaneous (Weierstrass) iteration."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    n = len(coeffs) - 1
-    if n == 0:
-        return np.empty(0, dtype=np.complex128)
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:])))
-    seed = 0.4 + 0.9j
-    roots = radius * seed ** np.arange(1, n + 1)
-    scale = 1.0 + float(np.max(np.abs(roots)))
-    for _ in range(max_sweeps):
-        moved = 0.0
-        for i in range(n):
-            zi = roots[i]
-            denom = 1.0 + 0j
-            for j in range(n):
-                if j != i:
-                    denom *= zi - roots[j]
-            if denom == 0:
-                roots[i] = zi + 1e-8 * (1 + abs(zi))
-                moved = np.inf
-                continue
-            delta = _poly_eval(coeffs, zi) / denom
-            roots[i] = zi - delta
-            moved = max(moved, abs(delta))
-        scale = 1.0 + float(np.max(np.abs(roots)))
-        if moved <= tol * scale:
-            break
-    residual = max(abs(_poly_eval(coeffs, z)) for z in roots)
-    bound = max(_poly_error_bound(coeffs, z) for z in roots)
-    if residual > max(1e-10 * scale ** n, 1e3 * bound):
-        raise RuntimeError(f"root iteration did not converge (residual {residual:.3e})")
-    return roots
-
-
-def _resolvable_radius(coeffs: np.ndarray, z: complex, m: int) -> float:
-    """Smallest root separation the polynomial can numerically resolve
-    around z for a multiplicity-m cluster."""
-    dk = np.asarray(coeffs, dtype=np.complex128)
-    for _ in range(m):
-        dk = _poly_deriv(dk)
-    lead = abs(_poly_eval(dk, z)) / math.factorial(m)
-    if lead == 0:
-        return float("inf")
-    return (_poly_error_bound(coeffs, z) / lead) ** (1.0 / m)
-
-
-def _polish_root(coeffs: np.ndarray, z: complex, multiplicity: int) -> complex:
-    """Newton refinement of a multiplicity-m root on p^(m-1), where it is simple."""
-    q = np.asarray(coeffs, dtype=np.complex128)
-    for _ in range(multiplicity - 1):
-        q = _poly_deriv(q)
-    dq = _poly_deriv(q)
-    for _ in range(20):
-        denom = _poly_eval(dq, z)
-        if abs(denom) < 1e-300:
-            break
-        step = _poly_eval(q, z) / denom
-        z = z - step
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
-            break
-    return z
-
-
-def _is_fused_root(coeffs: np.ndarray, z: complex, m: int) -> bool:
-    """Whether m roots centred at z are numerically one m-fold root: the
-    root of p^(m-1) that Newton reaches from z is a root of p up to the
-    rounding bound of evaluating p there."""
-    w = _polish_root(coeffs, z, m)
-    return abs(_poly_eval(coeffs, w)) <= _poly_error_bound(coeffs, w)
-
-
-def cluster_roots(roots: np.ndarray, coeffs: np.ndarray,
-                  tol: float = 1e-8) -> list:
-    """Group near-identical roots into (value, multiplicity) clusters.
-
-    The merge radius mixes the absolute+relative tolerance with the
-    noise-limited resolvable radius of the polynomial, so numerically
-    fused multiple roots cluster even when rounding keeps them apart.
-    The resolvable radius blows up wherever p^(m) happens to vanish (the
-    middle of three equally spaced roots), so a merge beyond the plain
-    tolerance must also pass `_is_fused_root`.  Cluster centers are
-    polished by Newton on the derivative in which the root is simple.
-    """
-    order = np.lexsort((roots.imag, roots.real))
-    clusters: list = []  # [sum, count]
-    for idx in order:
-        z = roots[idx]
-        placed = None
-        best_d = None
-        for c in clusters:
-            mean = c[0] / c[1]
-            near = tol * (1.0 + abs(mean))
-            d = abs(z - mean)
-            if best_d is not None and d >= best_d:
-                continue
-            if d <= near or (d <= _resolvable_radius(coeffs, mean, c[1] + 1)
-                             and _is_fused_root(coeffs, (c[0] + z) / (c[1] + 1), c[1] + 1)):
-                placed, best_d = c, d
-        if placed is None:
-            clusters.append([z, 1])
-        else:
-            placed[0] += z
-            placed[1] += 1
-    return [(_polish_root(coeffs, c[0] / c[1], c[1]), c[1]) for c in clusters]
-
-
-def _null_space(B: np.ndarray, rank_tol: float) -> list:
-    """Null-space basis by column-pivoted Gaussian elimination."""
-    B = B.astype(np.complex128).copy()
-    n = B.shape[1]
-    pivots = []
-    row = 0
-    col_order = []
-    cols = list(range(n))
-    for _ in range(n):
-        if row >= B.shape[0] or not cols:
-            break
-        sub = np.abs(B[row:, cols])
-        r_off, c_off = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        if sub[r_off, c_off] <= rank_tol:
-            break
-        col = cols[c_off]
-        B[[row, row + r_off]] = B[[row + r_off, row]]
-        piv = B[row, col]
-        B[row] /= piv
-        for r in range(B.shape[0]):
-            if r != row and B[r, col] != 0:
-                B[r] -= B[r, col] * B[row]
-        pivots.append((row, col))
-        cols.remove(col)
-        col_order.append(col)
-        row += 1
-    free_cols = [c for c in range(n) if c not in col_order]
-    basis = []
-    for fc in free_cols:
-        v = np.zeros(n, dtype=np.complex128)
-        v[fc] = 1.0
-        for r, c in pivots:
-            v[c] = -B[r, fc]
-        k = int(np.argmax(np.abs(v)))
-        v = v / v[k]
-        basis.append(v)
-    return basis
-
-
 @dataclass(frozen=True)
 class EigenPair:
     value: complex
     multiplicity: int
-    vectors: tuple          # null-space basis of (A - value*I)
-    chain_depth: int        # smallest j with dim null (A - value*I)^j == multiplicity
+    vectors: tuple          # basis of null (A - value*I), largest-modulus entry 1
+    chain_depth: int        # smallest j with dim null (A - value*I)^j >= multiplicity
 
     @property
     def eigenspace_dim(self) -> int:
         return len(self.vectors)
 
 
-def eigen_solve(A, cluster_tol: float = 1e-8) -> list:
-    """Eigenvalues (with multiplicities) by Durand-Kerner on the
-    characteristic polynomial, plus eigenvector bases by elimination."""
-    A = _as_matrix(A).astype(np.complex128)
+#: Rank threshold of `eigen_solve`, in units of n * eps * ||A||_2: a singular
+#: value at or below it counts as zero.  A smaller one misses more defective
+#: eigenvalues under ill-conditioned similarities, a larger one merges more
+#: distinct eigenvalues under them.
+RANK_C = 256
+
+
+def _linkage(lam: np.ndarray) -> np.ndarray:
+    """Single-linkage distances of the values `lam`: the least, over paths
+    between two values, of the longest step.  They form an ultrametric, so
+    the values within less than d of each other are the clusters of the
+    single-linkage tree below height d."""
+    U = np.abs(lam[:, None] - lam[None, :])
+    for k in range(len(lam)):
+        U = np.minimum(U, np.maximum(U[:, k, None], U[None, k, :]))
+    return U
+
+
+def _subclusters(U: np.ndarray, group) -> list:
+    """The clusters one level below `group` in the single-linkage tree of
+    distances U: its parts once every longest link in it is cut."""
+    top = U[np.ix_(group, group)].max()
+    return sorted({tuple(j for j in group if U[i, j] < top) for i in group})
+
+
+def _staircase(B: np.ndarray, m: int, tau: float, stands: bool):
+    """Golub-Wilkinson staircase of B = A - mu*I for m eigenvalues at mu:
+    W_1 = null(B), W_j = null((I - W_{j-1} W_{j-1}^H) B), each by SVD at
+    threshold tau, so that W_j spans null(B^j).  Returns the basis W_1,
+    cut to its m smallest singular directions, and the first j <= m with
+    nullity m or more; None when B is nonsingular or no j reaches m.  A
+    cluster that `stands` (its values are equal) is one eigenvalue
+    whatever the ranks: W_1 keeps at least the smallest singular direction
+    of B, and the depth is m when no step reaches nullity m."""
+    n = len(B)
+    W = B[:, :0]
+    for depth in range(1, m + 1):
+        _, s, vh = np.linalg.svd(B - W @ (W.conj().T @ B))
+        rank = np.count_nonzero(s > tau)
+        if stands:
+            rank = min(rank, n - 1)
+        if depth == 1:
+            first = vh[max(rank, n - m):].conj().T
+        if n - rank >= m:
+            return first, depth
+        if rank == n:
+            return None
+        W = vh[rank:].conj().T
+    return (first, m) if stands else None
+
+
+def eigen_solve(A) -> list:
+    """Eigenvalues with multiplicities, eigenvector bases and Jordan chain
+    depths of a square A, n <= 8.
+
+    The eigenvalues LAPACK computes for A (`np.linalg.eigvals`; for a real
+    A the real routine, whose complex values come in exact conjugate
+    pairs) are grouped by one rank rule over their single-linkage tree,
+    walked from the top: a cluster of m values becomes one eigenvalue,
+    their mean mu, when the staircase of A - mu*I reaches nullity m within
+    m steps at threshold RANK_C * n * eps * ||A||_2, and splits into its
+    subclusters otherwise (Golub and Wilkinson 1976, SIAM Review
+    18(4):578-619; Kagstrom and Ruhe 1980, ACM TOMS 6(3):398-419); a
+    cluster of equal values, a single one too, always stands.  For a real
+    A the tree is symmetric under conjugation and a cluster closed under
+    it has a real mean, so the values come in conjugate pairs bit for
+    bit."""
+    A = _as_matrix(A)
     n = A.shape[0]
     if n > 8:
         raise ValueError("eigen_solve is desk scale: n <= 8")
-    coeffs = char_poly(A).astype(np.complex128)
-    roots = durand_kerner(coeffs)
-    clusters = cluster_roots(roots, coeffs, cluster_tol)
-    real_input = bool(np.max(np.abs(A.imag)) == 0)
-    norm = float(np.max(np.abs(A))) + 1.0
-    out = []
-    for value, mult in clusters:
-        if real_input and abs(value.imag) <= 1e-10 * (1 + abs(value)):
-            value = complex(value.real, 0.0)
-        B = A - value * np.eye(n)
-        vectors = _null_space(B, 1e-8 * norm)
-        depth = mult
-        P = np.eye(n, dtype=np.complex128)
-        for j in range(1, mult + 1):
-            P = P @ B
-            sv = np.linalg.svd(P, compute_uv=False)
-            rank = int(np.sum(sv > 1e-8 * max(float(sv[0]), 1.0)))
-            if n - rank >= mult:
-                depth = j
-                break
-        out.append(EigenPair(value, mult, tuple(vectors), depth))
+    real = not np.iscomplexobj(A)
+    lam = np.linalg.eigvals(A).astype(np.complex128)
+    U = _linkage(lam)
+    tau = RANK_C * n * np.finfo(float).eps * np.linalg.norm(A, 2)
+
+    def resolve(group) -> list:
+        vals = lam[list(group)]
+        stands = bool(np.all(vals == vals[0]))
+        closed = real and np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
+        mu = complex(vals[0] if stands else vals.real.mean() if closed else vals.mean())
+        found = _staircase(A - mu * np.eye(n), len(group), tau, stands)
+        if found is None:
+            return [p for part in _subclusters(U, group) for p in resolve(part)]
+        W, depth = found
+        W = (W / W[np.argmax(np.abs(W), axis=0), range(W.shape[1])]).astype(np.complex128)
+        return [EigenPair(mu, len(group), tuple(W.T), depth)]
+
+    out = resolve(list(range(n))) if n else []
     out.sort(key=lambda p: (-p.value.real, -p.value.imag))
     return out
 

@@ -185,6 +185,12 @@ class TestThinAdapter:
         assert values["multiplicities"] == [1, 1, 1]
         assert [len(vecs) for vecs in values["eigenvectors"]] == [1, 1, 1]
 
+    def test_eigen_of_huge_entries(self, capsys):
+        code, rep = run_json(["eigen", "--A", "1e300,1e300;1e300,1e300"], capsys)
+        assert code == 0 and rep["status"] == "pass"
+        assert rep["values"]["multiplicities"] == [1, 1]
+        assert rep["values"]["eigenvalues"][0]["re"] == pytest.approx(2e300, rel=1e-14)
+
     def test_potential_matches_library(self, capsys):
         from integrikit.realfield import VectorField, potential_reconstruct
         code, rep = run_json(["potential", "--P", "y", "--Q", "x",

@@ -135,6 +135,39 @@ class TestCharPoly:
         assert np.allclose(char_poly(np.zeros((3, 3))), [1, 0, 0, 0], atol=0)
 
 
+#: Jordan structures as (eigenvalue, block size) blocks.
+JORDAN_CASES = [
+    [(2, 2), (5, 1)], [(2, 3), (5, 1)], [(1, 2), (1, 2)],
+    [(1, 2), (1, 1), (3, 1)], [(-1, 3), (4, 2)], [(0, 4)],
+]
+
+
+def jordan(blocks) -> np.ndarray:
+    J = np.zeros((sum(k for _, k in blocks),) * 2)
+    i = 0
+    for lam, k in blocks:
+        J[i:i + k, i:i + k] = lam * np.eye(k) + np.eye(k, k=1)
+        i += k
+    return J
+
+
+def structure(blocks) -> list:
+    """(multiplicity, eigenspace dimension, chain depth) of each distinct
+    eigenvalue of the Jordan form."""
+    out = {}
+    for lam, k in blocks:
+        m, g, depth = out.get(lam, (0, 0, 0))
+        out[lam] = (m + k, g + 1, max(depth, k))
+    return list(out.values())
+
+
+def symmetric(lams) -> np.ndarray:
+    """Q diag(lams) Q^T for a seeded random orthogonal Q, made exactly symmetric."""
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((len(lams),) * 2))
+    A = Q @ np.diag(lams) @ Q.T
+    return (A + A.T) / 2
+
+
 class TestEigenSolve:
     def test_distinct_roots(self):
         pairs = eigen_solve([[1, 2], [4, 3]])
@@ -163,7 +196,8 @@ class TestEigenSolve:
 
     @pytest.mark.parametrize("diag", [(1, 2, 3), (0, 1, 2), (-3, -1, 1, 3, 5)])
     def test_equally_spaced_roots_stay_apart(self, diag):
-        # p'' vanishes at the middle root, which once merged its neighbours
+        # equal gaps tie every link of the single-linkage tree: the values
+        # must still come out one by one, each simple
         pairs = eigen_solve(np.diag(np.array(diag, dtype=float)))
         assert [p.multiplicity for p in pairs] == [1] * len(diag)
         assert [p.eigenspace_dim for p in pairs] == [1] * len(diag)
@@ -186,6 +220,94 @@ class TestEigenSolve:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             eigen_solve(np.eye(9))
+
+    @pytest.mark.parametrize("blocks", JORDAN_CASES, ids=lambda b: "+".join(
+        f"J{k}({lam})" for lam, k in b))
+    def test_jordan_structure_under_similarity(self, blocks):
+        rng, J = np.random.default_rng(23), jordan(blocks)
+        want = sorted(structure(blocks))
+        for _ in range(50):
+            S = rng.standard_normal(J.shape)
+            A = S @ J @ np.linalg.inv(S)
+            got = sorted((p.multiplicity, p.eigenspace_dim, p.chain_depth)
+                         for p in eigen_solve(A))
+            assert got == want, A.tolist()
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_distinct_spectra_keep_the_lapack_values(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            S = rng.standard_normal((n, n))
+            A = S @ np.diag(rng.uniform(-10, 10, n)) @ np.linalg.inv(S)
+            pairs = eigen_solve(A)
+            assert [p.multiplicity for p in pairs] == [1] * n, A.tolist()
+            assert np.array_equal(np.sort_complex([p.value for p in pairs]),
+                                  np.sort_complex(np.linalg.eigvals(A))), A.tolist()
+
+    def test_wide_symmetric_spectrum(self):
+        lams = np.geomspace(1e-3, 5000, 8)
+        A = symmetric(lams)
+        values = np.array([p.value for p in eigen_solve(A)])[::-1]
+        assert np.max(np.abs(values - lams) / (1 + lams)) <= 1e-12
+
+    def test_close_simple_eigenvalues_stay_exact(self):
+        diag = [100, 1.00000003, 1]
+        pairs = eigen_solve(np.diag(diag))
+        assert [p.value for p in pairs] == diag
+        assert [(p.multiplicity, p.eigenspace_dim) for p in pairs] == [(1, 1)] * 3
+
+    def test_tiny_matrix_keeps_its_eigenvalues_apart(self):
+        pairs = eigen_solve(1e-300 * np.diag([1.0, 2.0]))
+        assert [p.multiplicity for p in pairs] == [1, 1]
+        assert np.allclose([p.value for p in pairs], [2e-300, 1e-300], rtol=1e-14, atol=0)
+
+    def test_one_repeated_eigenvalue_of_a_badly_scaled_triangle(self):
+        # LAPACK returns the diagonal, n equal values, while the ranks of
+        # the staircase are unsure: the values still make one eigenvalue
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            A = np.triu(rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8, (n, n)), 1)
+            pairs = eigen_solve(A + 2 * np.eye(n))
+            assert [(p.value, p.multiplicity) for p in pairs] == [(2, n)], A.tolist()
+            assert 1 <= pairs[0].eigenspace_dim <= n and 1 <= pairs[0].chain_depth <= n
+
+    @pytest.mark.parametrize("k", [-40, -10, 10, 40])
+    def test_structure_is_scale_free(self, k):
+        rng = np.random.default_rng(17)
+        cases = [np.diag([100, 1.00000003, 1]), symmetric(np.geomspace(1e-3, 5000, 8)),
+                 [[1, 2], [4, 3]], [[1, -1], [1, 3]], [[0, 1], [-1, 0]], np.eye(4)]
+        for blocks in JORDAN_CASES:
+            n = len(jordan(blocks))
+            for _ in range(10):
+                S = rng.standard_normal((n, n))
+                cases.append(S @ jordan(blocks) @ np.linalg.inv(S))
+        for _ in range(20):
+            S = rng.standard_normal((4, 4))
+            cases.append(S @ np.diag([1.0, 1.0, 2.0, -3.0]) @ np.linalg.inv(S))
+        for A in cases:
+            A = np.asarray(A, dtype=float)
+            base, scaled = eigen_solve(A), eigen_solve(np.ldexp(A, k))
+            assert ([(p.multiplicity, p.eigenspace_dim, p.chain_depth) for p in scaled]
+                    == [(p.multiplicity, p.eigenspace_dim, p.chain_depth) for p in base]), A.tolist()
+            for p, q in zip(base, scaled):
+                assert abs(q.value / 2.0 ** k - p.value) <= 1e-14 * (1 + abs(p.value))
+
+    def test_invariants_on_random_matrices(self):
+        rng = np.random.default_rng(5)
+        for n in range(2, 9):
+            for _ in range(25):
+                for A in (rng.standard_normal((n, n)),
+                          rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-5, 5, (n, n)),
+                          rng.standard_normal((n, n)) * 10.0 ** rng.choice([-5, 5]),
+                          rng.integers(-1, 2, (n, n)).astype(float)):
+                    pairs = eigen_solve(A)
+                    assert sum(p.multiplicity for p in pairs) == n, A.tolist()
+                    for p in pairs:
+                        assert 1 <= p.eigenspace_dim <= p.multiplicity, A.tolist()
+                        assert 1 <= p.chain_depth <= p.multiplicity, A.tolist()
+                    values = sorted((p.value.real, p.value.imag, p.multiplicity) for p in pairs)
+                    assert values == sorted((v, -w, m) for v, w, m in values), A.tolist()
 
 
 class TestMatrixExp:
