@@ -20,9 +20,10 @@ from .realfield import CheckReport, Region, _grid_rows
 
 __all__ = [
     "AutonomousSystem", "Trajectory", "IntegrationError", "EigenPair",
+    "NonFiniteExponentialError",
     "DependenceReport", "LinearSolveResult", "ModeFit", "RK4Traces",
     "integrate_rk4", "first_integral_drift", "dependent_integral_check",
-    "char_poly", "eigen_solve", "matrix_exp", "linear_solve",
+    "char_poly", "eigen_solve", "matrix_exp", "matrix_exps", "linear_solve",
     "commutator_flow", "matrix_identity_check",
 ]
 
@@ -463,24 +464,53 @@ def eigen_solve(A) -> list:
     return out
 
 
-def matrix_exp(A, t: float = 1.0) -> np.ndarray:
-    """exp(t*A) by scaling-and-squaring with an order-16 Taylor core."""
+class NonFiniteExponentialError(RuntimeError, NumericError):
+    pass
+
+
+def matrix_exps(A, ts) -> np.ndarray:
+    """exp(t*A) for every t in `ts`, as an (len(ts), n, n) stack, by
+    scaling-and-squaring with an order-16 Taylor core.
+
+    Each slice keeps its own 1-norm and squaring count s; the Taylor core
+    runs once on the whole stack and squaring j squares the slices with
+    s > j, so every slice is what the one-t computation gives.  A
+    NonFiniteExponentialError names the first t whose t*A has no finite
+    1-norm or whose exponential is not finite.
+    """
     A = _as_matrix(A)
-    real_input = not np.iscomplexobj(A)
-    B = (A.astype(np.complex128) if not real_input else A.astype(np.float64)) * t
-    n = B.shape[0]
-    norm1 = float(np.max(np.abs(B).sum(axis=0))) if n else 0.0
-    s = 0
-    if norm1 > 1.0:
-        s = max(0, int(math.ceil(math.log2(norm1))))
-    M = B / (2.0 ** s)
-    eye = np.eye(n, dtype=M.dtype)
-    E = eye.copy()
-    for k in range(16, 0, -1):
-        E = eye + (M @ E) / k
-    for _ in range(s):
-        E = E @ E
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError("ts must be a sequence of times")
+    n = A.shape[0]
+    dtype = np.complex128 if np.iscomplexobj(A) else np.float64
+    with np.errstate(all="ignore"):
+        B = A.astype(dtype) * ts[:, None, None]
+        norm1 = np.max(np.abs(B).sum(axis=1), axis=1, initial=0.0)
+        bad_norm = ~np.isfinite(norm1)
+        B[bad_norm] = norm1[bad_norm] = 0.0
+        # math.log2 per slice, not np.log2: s must round as in a one-t run
+        s = np.array([math.ceil(math.log2(v)) if v > 1.0 else 0
+                      for v in norm1.tolist()], dtype=int)
+        M = B * np.ldexp(1.0, -s)[:, None, None]
+        eye = np.eye(n, dtype=M.dtype)
+        E = np.broadcast_to(eye, M.shape).copy()
+        for k in range(16, 0, -1):
+            E = eye + (M @ E) / k
+        for j in range(int(s.max(initial=0))):
+            sq = s > j
+            E[sq] = E[sq] @ E[sq]
+        bad = bad_norm | ~np.isfinite(E).all(axis=(1, 2))
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "t*A has no finite 1-norm" if bad_norm[i] else "exp(t*A) is not finite"
+        raise NonFiniteExponentialError(f"{what} at t = {float(ts[i])!r}")
     return E
+
+
+def matrix_exp(A, t: float = 1.0) -> np.ndarray:
+    """exp(t*A); the one-slice case of `matrix_exps`."""
+    return matrix_exps(A, [t])[0]
 
 
 @dataclass(frozen=True)
@@ -511,15 +541,27 @@ def linear_solve(A, x0, t_eval) -> LinearSolveResult:
     t_eval = np.asarray(t_eval, dtype=float)
     if len(t_eval) < 2 or not np.all(np.diff(t_eval) > 0):
         raise ValueError("t_eval must be increasing with at least two samples")
-    X = np.stack([matrix_exp(A, float(t)) @ x0 for t in t_eval])
+    n = A.shape[0]
+    if len(x0) != n:
+        raise ValueError(f"x0 has {len(x0)} component{'s' * (len(x0) != 1)} "
+                         f"but A is {n}x{n}")
+    with np.errstate(all="ignore"):
+        X = matrix_exps(A, t_eval) @ x0
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise NonFiniteExponentialError(
+            f"exp(t*A) x0 is not finite at t = {float(t_eval[np.argmax(bad)])!r}")
     pairs = eigen_solve(A)
-    columns = []
-    labels = []
-    for p in pairs:
-        for power in range(p.multiplicity):
-            columns.append((t_eval ** power) * np.exp(p.value * t_eval))
-            labels.append((p, power))
-    design = np.column_stack(columns)
+    labels = [(p, power) for p in pairs for power in range(p.multiplicity)]
+    with np.errstate(all="ignore"):
+        design = np.column_stack([(t_eval ** power) * np.exp(p.value * t_eval)
+                                  for p, power in labels])
+    bad = ~np.isfinite(design)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        p, power = labels[k]
+        raise NonFiniteExponentialError(f"modal column t^{power} exp({p.value!r} t) "
+                                        f"is not finite at t = {float(t_eval[i])!r}")
     coef, *_ = np.linalg.lstsq(design, X, rcond=None)
     fit_residual = float(np.max(np.abs(design @ coef - X)))
     modes = []
@@ -538,7 +580,8 @@ def commutator_flow(A, u0, t: float) -> np.ndarray:
     u0 = _as_matrix(u0)
     if A.shape != u0.shape:
         raise ValueError("A and u0 must have the same shape")
-    return matrix_exp(A, -t) @ u0 @ matrix_exp(A, t)
+    E_back, E_fwd = matrix_exps(A, [-t, t])
+    return E_back @ u0 @ E_fwd
 
 
 # --------------------------------------------------------------------------

@@ -435,6 +435,38 @@ class TestNonFiniteSpan:
         assert value in rep["diagnostics"]["error"]
 
 
+class TestNonFiniteExponential:
+    """An exponential that is not finite is a numeric error naming its t,
+    with one JSON document on stdout and nothing on stderr.  Each case went
+    wrong before: an OverflowError traceback and exit 1 (1e200), a "pass"
+    with nan or inf entries (nan, inf, 800), or six LAPACK lines on stdout
+    before the report and "SVD did not converge" (linsolve).  capfd sees
+    what the C libraries write to the process's stdout, capsys would not."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,message", [
+        (["matexp", "--A", "1e200,0;0,1", "--t", "1e200"],
+         "t*A has no finite 1-norm at t = 1e+200"),
+        (["matexp", "--A", "1,0;0,1", "--t", "nan"], "t*A has no finite 1-norm at t = nan"),
+        (["matexp", "--A", "1,0;0,1", "--t", "inf"], "t*A has no finite 1-norm at t = inf"),
+        (["matexp", "--A", "800,0;0,1"], "exp(t*A) is not finite at t = 1.0"),
+        (["linsolve", "--A", "1,0;0,1", "--x0", "1,1", "--T", "1000"],
+         "exp(t*A) is not finite at t = 710.0"),
+    ], ids=["matexp-1e200", "matexp-nan", "matexp-inf", "matexp-800", "linsolve-T-1000"])
+    def test_is_a_numeric_error_naming_t(self, argv, message, capfd):
+        code = main(argv)
+        out, err = capfd.readouterr()
+        rep = json.loads(out)
+        assert code == 3 and rep["status"] == "error"
+        assert rep["diagnostics"]["error"] == message
+        assert out.count("\n") == 1 and err == ""
+
+    def test_x0_of_the_wrong_length_is_a_usage_error(self, capsys):
+        code, rep = run_json(["linsolve", "--A", "1,2;3,4", "--x0", "1"], capsys)
+        assert code == 2
+        assert rep["diagnostics"]["error"] == "x0 has 1 component but A is 2x2"
+
+
 class TestTimeStamps:
     """Time stamps that do not strictly increase, as a step far below the
     spacing of floats near the start time gives, are a usage error raised

@@ -1,13 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from integrikit.expr import EvalDomainError
 from integrikit.odesys import (
-    AutonomousSystem, DegenerateSamplesError, IntegrationError, Trajectory,
-    char_poly, commutator_flow, dependent_integral_check, eigen_solve,
-    first_integral_drift, integrate_rk4, linear_solve, matrix_exp,
+    AutonomousSystem, DegenerateSamplesError, IntegrationError, NonFiniteExponentialError,
+    Trajectory, char_poly, commutator_flow, dependent_integral_check, eigen_solve,
+    first_integral_drift, integrate_rk4, linear_solve, matrix_exp, matrix_exps,
     matrix_identity_check,
 )
 from integrikit.realfield import Region
@@ -25,6 +27,28 @@ def taylor_expm_oracle(A, t, order=40):
         term = term @ A / k
         acc = acc + term
     return acc
+
+
+def one_t_matrix_exp(A, t):
+    """exp(t*A) for one t by the scaling-and-squaring steps `matrix_exps`
+    takes on each slice of its stack, written for a single matrix: the
+    oracle its slices must equal bit for bit."""
+    A = np.asarray(A)
+    real_input = not np.iscomplexobj(A)
+    B = (A.astype(np.complex128) if not real_input else A.astype(np.float64)) * t
+    n = B.shape[0]
+    norm1 = float(np.max(np.abs(B).sum(axis=0))) if n else 0.0
+    s = 0
+    if norm1 > 1.0:
+        s = max(0, int(math.ceil(math.log2(norm1))))
+    M = B / (2.0 ** s)
+    eye = np.eye(n, dtype=M.dtype)
+    E = eye.copy()
+    for k in range(16, 0, -1):
+        E = eye + (M @ E) / k
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 class TestTrajectoryType:
@@ -328,6 +352,23 @@ class TestMatrixExp:
         exact = A @ matrix_exp(A, t)
         assert np.max(np.abs(fd - exact)) <= 1e-8 * (1 + np.max(np.abs(exact)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("A, ts, message", [
+        ([[1e200, 0.0], [0.0, 1.0]], [0.0, 1e200], "t*A has no finite 1-norm at t = 1e+200"),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.5, float("nan")], "t*A has no finite 1-norm at t = nan"),
+        ([[1.0, 0.0], [0.0, 1.0]], [float("-inf")], "t*A has no finite 1-norm at t = -inf"),
+        ([[800.0, 0.0], [0.0, 1.0]], [0.5, 1.0, 2.0], "exp(t*A) is not finite at t = 1.0"),
+        ([[1e308, 1.0], [1e308, 1.0]], [0.0, 1.0], "t*A has no finite 1-norm at t = 1.0"),
+    ])
+    def test_non_finite_is_refused_at_the_first_t(self, A, ts, message):
+        with pytest.raises(NonFiniteExponentialError) as info:
+            matrix_exps(A, ts)
+        assert str(info.value) == message
+
+    def test_huge_negative_generator_decays(self):
+        # 1-norm just under 2^1024: 1024 halvings and squarings
+        assert np.array_equal(matrix_exp([[-1.7e308]]), [[0.0]])
+
     def test_semigroup_on_random_matrices(self, rng):
         for _ in range(20):
             A = rng.uniform(-1, 1, (3, 3))
@@ -336,6 +377,40 @@ class TestMatrixExp:
             right = matrix_exp(A, s) @ matrix_exp(A, t)
             scale = max(1.0, float(np.max(np.abs(left))))
             assert np.max(np.abs(left - right)) <= 1e-10 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), complex_=st.booleans(),
+       skew=st.booleans(), log_norm=st.floats(-2.0, 12.0))
+def test_matrix_exps_slices_are_bit_equal_to_one_t_runs(seed, n, complex_, skew, log_norm):
+    # A has 1-norm 10^log_norm and |t| <= 5, so slices take 0 to 43
+    # squarings; a skew(-Hermitian) A keeps exp(t*A) bounded at any norm
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    if complex_:
+        A = A + 1j * rng.standard_normal((n, n))
+    if skew:
+        A = A - A.conj().T
+    norm1 = float(np.abs(A).sum(axis=0).max())
+    if norm1:   # a 1x1 skew A is 0
+        A = A * (10.0 ** log_norm / norm1)
+    ts = np.concatenate([rng.uniform(-5.0, 5.0, 6), [0.0, 1.0, -1.0]])
+    with np.errstate(all="ignore"):
+        expected = [one_t_matrix_exp(A, t) for t in ts]
+    finite = [bool(np.isfinite(e).all()) for e in expected]
+    if not all(finite):
+        first = float(ts[finite.index(False)])
+        with pytest.raises(NonFiniteExponentialError, match=re.escape(f"at t = {first!r}") + "$"):
+            matrix_exps(A, ts)
+        return
+    E = matrix_exps(A, ts)
+    assert E.shape == (len(ts), n, n) and E.dtype == expected[0].dtype
+    for i, t in enumerate(ts):
+        assert E[i].tobytes() == expected[i].tobytes(), (i, t)
+        assert matrix_exp(A, t).tobytes() == expected[i].tobytes(), (i, t)
+    u0 = rng.standard_normal((n, n))
+    flow = commutator_flow(A, u0, ts[0])
+    assert flow.tobytes() == (one_t_matrix_exp(A, -ts[0]) @ u0 @ expected[0]).tobytes()
 
 
 class TestLinearSolve:
@@ -383,6 +458,30 @@ class TestLinearSolve:
     def test_rejects_complex_input(self):
         with pytest.raises(TypeError):
             linear_solve(np.eye(2) * 1j, (1.0, 0.0), np.linspace(0, 1, 5))
+
+    def test_states_are_the_one_t_exponentials_times_x0(self, rng):
+        for n in range(1, 7):
+            A = rng.standard_normal((n, n))
+            x0 = rng.standard_normal(n)
+            t = np.linspace(0.0, 3.0, 401)
+            states = np.stack([one_t_matrix_exp(A, float(s)) @ x0 for s in t])
+            assert linear_solve(A, x0, t).trajectory.states.tobytes() == states.tobytes()
+
+    def test_refuses_an_overflowing_state(self):
+        # exp(t*A) is finite at t = 710 (0.5 e^710 off the diagonal), its
+        # product with (1, 1) is not
+        A = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(NonFiniteExponentialError,
+                           match=r"^exp\(t\*A\) x0 is not finite at t = 710\.0$"):
+            linear_solve(A, (1.0, 1.0), [0.0, 710.0])
+
+    def test_refuses_an_overflowing_mode(self):
+        # x0 lies in the kernel, so every state is finite, but the mode
+        # e^t of eigenvalue 1 overflows at t = 710
+        A = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(NonFiniteExponentialError,
+                           match=r"exp\(\(1\+0j\) t\) is not finite at t = 710\.0$"):
+            linear_solve(A, (1.0, -1.0), [0.0, 710.0])
 
 
 class TestCommutatorFlow:
