@@ -1,29 +1,28 @@
 """One evaluator for compiled expression tapes.
 
-A tape (:class:`integrikit.expr.Tape`) is plain data.  Registers start
-as the variables followed by the constants; each op appends one result
-and then drops the slots no later op reads.  :func:`_run` runs a tape
-with one op table: on complex scalars with :data:`SCALAR_OPS`, on
-complex128 arrays with :data:`ARRAY_OPS` and on float64 arrays with
-:data:`REAL_ARRAY_OPS`.  :func:`eval_grid` is the one array loop: it runs
-a tape on variable columns that broadcast to one shape (rows of points,
-the axes of a grid, quadrature nodes beside per-interval values), about
-:data:`BLOCK` points at a time, so that live temporaries stay small.  A
-block of float64 columns runs on float64, and the outputs whose float ops
-refuse (:class:`_LeavesReals`) or read a non-real constant rerun on
-complex128, bit for bit as a complex block would give them.  RK4 has one
-routine per system (:func:`_trace_fn`), with the stages inlined and the
-guard applied.  Its straight-line source is generated and compiled once
-per shape of the system tape (:func:`_build`), and each system binds its
-constants and guard to that code.
-:func:`rk4` is its one entry: it runs a list of traces, on Python floats
-with :data:`FLOAT_OPS` or on complex scalars with :data:`SCALAR_OPS`, and
-stops at the first that fails.  Each trace stores every state, or only its
-endpoint, which is all that most callers read; the two are separate
-routines, so an endpoint trace pays nothing per step for storing.  A float
-trace that succeeds is the real part of the complex one bit for bit, so
-the caller runs floats first and reruns a trace that fails there on
-complex.
+A tape (:class:`integrikit.expr.Tape`) is plain data.  Registers start as the
+variables followed by the constants; each op appends one result and then drops
+the slots no later op reads.  :func:`_run` runs a tape with one op table: on
+complex scalars with :data:`SCALAR_OPS`, on complex128 arrays with
+:data:`ARRAY_OPS`, on float64 arrays with :data:`REAL_ARRAY_OPS` and on
+truncated Taylor series with :data:`SERIES_OPS` (:func:`taylor`, the Lie
+series).  :func:`eval_grid` is the one array loop: it runs a tape on variable
+columns that broadcast to one shape (rows of points, the axes of a grid,
+quadrature nodes beside per-interval values), about :data:`BLOCK` points at a
+time, so that live temporaries stay small.  A block of float64 columns runs on
+float64, and the outputs whose float ops refuse (:class:`_LeavesReals`) or
+read a non-real constant rerun on complex128, bit for bit as a complex block
+would give them.  RK4 has one routine per system (:func:`_trace_fn`), with the
+stages inlined and the guard applied.  Its straight-line source is generated
+and compiled once per shape of the system tape (:func:`_build`), and each
+system binds its constants and guard to that code.  :func:`rk4` is its one
+entry: it runs a list of traces, on Python floats with :data:`FLOAT_OPS` or on
+complex scalars with :data:`SCALAR_OPS`, and stops at the first that fails.
+Each trace stores every state, or only its endpoint, which is all that most
+callers read; the two are separate routines, so an endpoint trace pays nothing
+per step for storing.  A float trace that succeeds is the real part of the
+complex one bit for bit, so the caller runs floats first and reruns a trace
+that fails there on complex.
 
 Domain failures never raise from the complex tables: division by 0, ln 0
 and 0 raised to a negative or complex power give NaN, as do cmath
@@ -38,7 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -272,6 +271,87 @@ def eval_grid(ops, consts, cols, shape, outs, skip=None):
             full[kept] = v
             values.append(full)
         yield lo, hi, values
+
+
+def _mul(u, w):
+    return np.convolve(u, w)[:len(u)]
+
+
+def _quot(u, w):
+    q = np.empty_like(u)
+    for k in range(len(u)):
+        q[k] = (u[k] - np.dot(q[:k], w[k:0:-1])) / w[0]
+    return q
+
+
+def _int_quot(u, d, c0):
+    """c0 plus the integral of u'/d: ln u for d = u, atan u for d = 1 + u^2."""
+    q = _quot(u[1:] * np.arange(1, len(u)), d[:-1])
+    return np.concatenate(([c0], q / np.arange(1, len(u))))
+
+
+def _linear(u, y0, A=((1,),)):
+    """Rows y with y_0 = y0 and y' = A y u' (Jorba and Zou 2005): exp, the trig pairs."""
+    y, du = np.zeros((len(y0), len(u)), u.dtype), u[1:] * np.arange(1, len(u))
+    y[:, 0] = y0
+    for k in range(1, len(u)):
+        y[:, k] = np.dot(A, y[:, k - 1::-1] @ du[:k]) / k
+    return y
+
+
+def _pair(f, g, h, sign):
+    """The ops f, g and h = f/g of the pair f' = g u', g' = sign f u'."""
+    y = lambda u: _linear(u, [SCALAR_OPS[f](u[0]), SCALAR_OPS[g](u[0])], [[0, 1], [sign, 0]])
+    return {f: lambda u: y(u)[0], g: lambda u: y(u)[1], h: lambda u: _quot(*y(u))}
+
+
+def _s_pow(u, w):
+    """u^w: repeated products for a constant whole w in 0..99, else exp(w ln u)."""
+    if w[1:].any() or w[0] not in range(100):
+        e0 = _pow(complex(u[0]), complex(w[0]))
+        return _linear(_mul(w, _int_quot(u, u, _ln(u[0]))), [e0])[0]
+    return reduce(_mul, [u] * int(w[0].real), np.eye(1, len(u), dtype=u.dtype)[0])
+
+
+def _series(op, fn):
+    """`fn` on series; on constant series (no coefficient above 0), SCALAR_OPS[op]
+    of their values as a constant series; NaN where either fails."""
+    def f(*args):
+        try:
+            if not any(a[1:].any() for a in args):
+                value = SCALAR_OPS[op](*(complex(a[0]) for a in args))
+                return np.pad([value], (0, len(args[0]) - 1))
+            if fn:
+                return fn(*args)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            return np.full_like(args[0], _NAN)
+        from .expr import NonDifferentiableError   # expr imports this module
+        raise NonDifferentiableError(f"'{op}' has no derivative rule")
+    return f
+
+
+#: SCALAR_OPS on truncated Taylor series, complex arrays of the coefficients u_0..u_{m-1}
+#: (Griewank and Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13).
+SERIES_OPS = {op: _series(op, fn) for op, fn in {
+    "neg": np.negative, "+": np.add, "-": np.subtract, "*": _mul, "/": _quot, "^": _s_pow,
+    "exp": lambda u: _linear(u, [cmath.exp(u[0])])[0],
+    "ln": lambda u: _int_quot(u, u, _ln(u[0])),
+    "atan": lambda u: _int_quot(u, _mul(u, u) + (np.arange(len(u)) == 0), cmath.atan(u[0])),
+    "sqrt": lambda u: _linear(0.5 * _int_quot(u, u, 0), [cmath.sqrt(u[0])])[0],
+    **_pair("sin", "cos", "tan", -1), **_pair("sinh", "cosh", "tanh", 1),
+    "abs": None, "re": None, "im": None, "conj": None}.items()}
+
+
+def taylor(ops, consts, outs, x0, order):
+    """Rows x_0..x_order of the Taylor coefficients of x' = f(x), x(0) = x0, f the tape slots
+    `outs` over (state..., time): pass l sets x_{l+1} = f_l / (l + 1) from series cut at l."""
+    xs = np.zeros((len(x0) + 1 + len(consts), order + 1), dtype=np.complex128)
+    xs[:, 0] = [*x0, 0, *consts]                 # the time slot is never read
+    with np.errstate(all="ignore"):
+        for m in range(1, order + 1):
+            regs = _run(ops, SERIES_OPS, list(xs[:, :m]))
+            xs[:len(outs), m] = [regs[o][m - 1] / m for o in outs]
+    return xs[:len(outs)]
 
 
 # The float table.  An overflow inside a step gives an infinity on floats

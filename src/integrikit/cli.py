@@ -399,8 +399,7 @@ def _cmd_lie(args):
 def _cmd_flow(args):
     from . import flow
     V = VectorField(tuple(args.vars.split(",")), tuple(parse(p) for p in args.V.split(";")))
-    cfg = flow.LieSeriesConfig(order=args.order)
-    point = flow.lie_series_flow(V, _floats(args.x0, "x0"), args.t, cfg)
+    point = flow.lie_series_flow(V, _floats(args.x0, "x0"), args.t, args.order)
     return "pass", None, None, {"point": list(point)}, {}
 
 

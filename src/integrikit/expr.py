@@ -158,9 +158,6 @@ class Expr:
     def variables(self) -> frozenset:
         return variables(self)
 
-    def size(self) -> int:
-        return node_count(self)
-
     def __str__(self) -> str:
         return render(self)
 

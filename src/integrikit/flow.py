@@ -4,18 +4,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
 
 import numpy as np
 
-from .expr import Expr, NumericError, as_expr, as_real, diff, evaluate
+from . import _backend
+from .expr import (EvalError, NumericError, as_expr, as_real, compile_system, diff,
+                   evaluate, fail_at, real_parts)
 from .odesys import AutonomousSystem, drift_along, integrate_rk4
 from .realfield import CheckReport, VectorField
 
 __all__ = [
-    "OperatorField", "LieSeriesConfig", "LieSeriesOverflowError",
-    "EquilibriumError", "lie_derivative", "lie_series_flow",
+    "OperatorField", "EquilibriumError", "lie_derivative", "lie_series_flow",
     "infinitesimal_transform", "transform_function", "equilibrium_find",
     "level_surface_membership",
 ]
@@ -24,25 +24,8 @@ __all__ = [
 OperatorField = VectorField
 
 
-class LieSeriesOverflowError(RuntimeError, NumericError):
-    def __init__(self, order: int, size: int, cap: int):
-        super().__init__(
-            f"Lie-series term of order {order} grew to {size} nodes (cap {cap}); "
-            "use the RK4 integrator instead")
-
-
 class EquilibriumError(RuntimeError, NumericError):
     pass
-
-
-@dataclass(frozen=True)
-class LieSeriesConfig:
-    order: int = 10
-    node_cap: int = 50_000
-
-    def __post_init__(self):
-        if not 1 <= self.order <= 12:
-            raise ValueError("truncation order must be in 1..12")
 
 
 def _bindings(V: OperatorField, point) -> dict:
@@ -56,7 +39,7 @@ def _bindings(V: OperatorField, point) -> dict:
 
 def lie_derivative(V: OperatorField, f, point) -> float:
     """Directional derivative sum_i V^i(p) * df/dx^i(p)."""
-    f = as_expr(f)
+    f = V.declared(as_expr(f), "function")
     bindings = _bindings(V, point)
     total = 0j
     for name, comp in zip(V.names, V.components):
@@ -64,64 +47,41 @@ def lie_derivative(V: OperatorField, f, point) -> float:
     return as_real(total, 1e-12, "Lie derivative")
 
 
-def _apply_operator(V: OperatorField, f: Expr) -> Expr:
-    out = None
-    for name, comp in zip(V.names, V.components):
-        term = comp * diff(f, name)
-        out = term if out is None else out + term
-    return out
-
-
-def _series_terms(V: OperatorField, cfg: LieSeriesConfig) -> list:
-    """Per-component lists of D_V^l x^i, l = 0..order (operation-local cache)."""
-    terms = []
-    for name in V.names:
-        seq = [as_expr(name)]
-        for order in range(1, cfg.order + 1):
-            nxt = _apply_operator(V, seq[-1])
-            if nxt.size() > cfg.node_cap:
-                raise LieSeriesOverflowError(order, nxt.size(), cfg.node_cap)
-            seq.append(nxt)
-        terms.append(seq)
-    return terms
-
-
-def lie_series_flow(V: OperatorField, x0, t: float,
-                    cfg: Optional[LieSeriesConfig] = None) -> np.ndarray:
-    """Flow map by the truncated exponential series sum t^l/l! D_V^l x^i."""
-    cfg = cfg or LieSeriesConfig()
+def lie_series_flow(V: OperatorField, x0, t: float, order: int = 10) -> np.ndarray:
+    """Flow map by the Lie series sum_l t^l x_l, x_l = D_V^l x / l! (`_backend.taylor`)."""
+    if not 1 <= order <= 12:
+        raise ValueError("truncation order must be in 1..12")
+    if not math.isfinite(t):
+        raise ValueError(f"flow time t must be finite, got {t!r}")
     bindings = _bindings(V, x0)
-    out = np.empty(V.n)
-    for i, seq in enumerate(_series_terms(V, cfg)):
-        acc = 0j
-        coeff = 1.0
-        for order, term in enumerate(seq):
-            if order > 0:
-                coeff *= t / order
-            acc += coeff * evaluate(term, bindings)
-        out[i] = as_real(acc, 1e-12, "Lie series value")
-    return out
+    tape = compile_system(V.components, V.names)
+    coeffs = _backend.taylor(tape.ops, tape.consts, tape.outs, tuple(bindings.values()), order)
+    with np.errstate(all="ignore"):   # the partial sums of t^l x_l, in order
+        sums = np.cumsum(coeffs * np.cumprod([1.0] + [t] * order), axis=1)
+    for l, i in np.argwhere(~np.isfinite(sums.T))[:1]:
+        if l < 2 and not np.isfinite(coeffs[i, l]):   # x0 or V(x0): the tree walk's error
+            fail_at(V.components[i] if l else as_expr(V.names[i]), bindings)
+        raise EvalError(f"Lie series of {V.names[i]} is not finite from its order-{l} term")
+    return real_parts(sums[:, -1], 1e-12, "Lie series value")
 
 
 def infinitesimal_transform(V: OperatorField, x0, t: float) -> np.ndarray:
-    """First-order generator step x0 + t*V(x0)."""
-    bindings = _bindings(V, x0)
-    vals = np.array([as_real(evaluate(c, bindings), 1e-12, "field value")
-                     for c in V.components])
-    return np.asarray(x0, dtype=float) + t * vals
+    """First-order generator step x0 + t*V(x0): the Lie series of order 1."""
+    return lie_series_flow(V, x0, t, order=1)
 
 
-def transform_function(V: OperatorField, F, x0, t: float,
-                       cfg: Optional[LieSeriesConfig] = None) -> float:
+def transform_function(V: OperatorField, F, x0, t: float, order: int = 10) -> float:
     """F evaluated at the flowed point (the transformed function F_t)."""
-    F = as_expr(F)
-    moved = lie_series_flow(V, x0, t, cfg)
+    F = V.declared(as_expr(F), "function")
+    moved = lie_series_flow(V, x0, t, order)
     return as_real(evaluate(F, dict(zip(V.names, moved))), 1e-12, "transformed value")
 
 
 def equilibrium_find(V: OperatorField, seed, tol: float = 1e-12,
                      max_iter: int = 50) -> np.ndarray:
     """Newton iteration on V(x) = 0 with a symbolic Jacobian and step damping."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
     jac = [[diff(c, name) for name in V.names] for c in V.components]
     x = np.asarray(seed, dtype=float).copy()
 

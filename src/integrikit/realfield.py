@@ -144,11 +144,14 @@ class VectorField:
         object.__setattr__(self, "components", tuple(as_expr(c) for c in self.components))
         if len(self.names) != len(self.components):
             raise ValueError("component count must equal variable count")
-        allowed = set(self.names)
         for c in self.components:
-            extra = c.variables() - allowed
-            if extra:
-                raise ValueError(f"component '{c}' references undeclared {sorted(extra)}")
+            self.declared(c, "component")
+
+    def declared(self, e: Expr, what: str) -> Expr:
+        extra = e.variables() - set(self.names)
+        if extra:
+            raise ValueError(f"{what} '{e}' references undeclared {sorted(extra)}")
+        return e
 
     @property
     def n(self) -> int:

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from integrikit import _backend
 from integrikit.expr import (
-    Const, EvalDomainError, _lower, add, call, compile_exprs, compile_system, diff, eval_columns,
+    Const, EvalDomainError, NonDifferentiableError, _lower, add, call, compile_exprs,
+    compile_system, diff, eval_columns,
     eval_many, evaluate, mul, neg, node_count, parse, pow_,
 )
 from integrikit.odesys import GUARD, AutonomousSystem, IntegrationError, RK4Traces, integrate_rk4
@@ -704,3 +705,112 @@ def test_the_endpoint_routine_stores_once_per_successful_float_trace():
                         stored.append, True, every=False) == (-1, 0)
     assert len(stored) == 6 + 4
     assert stored[6] == (0.0, 708.5)                # a zero-step leg stores its start
+
+
+# --------------------------------------------------------------------------
+# SERIES_OPS and taylor: truncated Taylor series against closed forms
+# --------------------------------------------------------------------------
+
+M = 13                                   # coefficients, as at order 12
+KS = np.arange(M)
+FACT = np.array([math.factorial(k) for k in KS], dtype=float)
+
+
+def series(*coeffs):
+    """The series of coeffs[0] + coeffs[1] t + ..., cut after M coefficients."""
+    out = np.zeros(M, dtype=np.complex128)
+    out[:len(coeffs)] = coeffs
+    return out
+
+
+def binomial(c, k):
+    out = 1.0
+    for j in range(k):
+        out *= (c - j) / (j + 1)
+    return out
+
+
+A, B, C, D = 0.7, -0.4, 1.3, 0.6
+R = B / A
+Z = 0.7 + 0.5j                           # a non-real starting value
+# the odd Taylor coefficients of tan: 1, 1/3, 2/15, 17/315, 62/2835, 1382/155925
+TAN = {1: 1.0, 3: 1 / 3, 5: 2 / 15, 7: 17 / 315, 9: 62 / 2835, 11: 1382 / 155925}
+
+
+def _atan_line(a, b):
+    """atan(a + b t) = (i/2) (ln(1 - i(a + b t)) - ln(1 + i(a + b t)))."""
+    p, q = -1j * b / (1 - 1j * a), 1j * b / (1 + 1j * a)
+    return np.array([math.atan(a)] + [0.5j * (-1) ** (k + 1) / k * (p ** k - q ** k)
+                                       for k in range(1, M)])
+
+
+SERIES_CASES = [
+    ("neg", (series(A, B),), series(-A, -B)),
+    ("+", (series(A, B), series(C, D)), series(A + C, B + D)),
+    ("-", (series(A, B), series(C, D)), series(A - C, B - D)),
+    ("*", (series(A, B), series(C, D)), series(A * C, A * D + B * C, B * D)),
+    ("/", (series(C, D), series(A, B)),
+     np.convolve([C, D], (-R) ** KS / A)[:M]),
+    ("^", (series(A, B), series(3)), [binomial(3, k) * A ** (3 - k) * B ** k for k in KS]),
+    ("^", (series(A, B), series(2.5)), A ** 2.5 * np.array([binomial(2.5, k) for k in KS]) * R ** KS),
+    ("^", (series(A, B), series(-2)), A ** -2 * np.array([binomial(-2, k) for k in KS]) * R ** KS),
+    ("^", (series(2), series(0, B)), (B * math.log(2)) ** KS / FACT),
+    ("exp", (series(A, B),), math.exp(A) * B ** KS / FACT),
+    ("exp", (series(Z, B),), np.exp(Z) * B ** KS / FACT),
+    ("ln", (series(A, B),), [math.log(A)] + [(-1) ** (k + 1) * R ** k / k for k in KS[1:]]),
+    ("ln", (series(Z, B),), [np.log(Z)] + [(-1) ** (k + 1) * (B / Z) ** k / k for k in KS[1:]]),
+    ("sqrt", (series(A, B),), math.sqrt(A) * np.array([binomial(0.5, k) for k in KS]) * R ** KS),
+    ("sin", (series(A, B),), np.sin(A + KS * math.pi / 2) * B ** KS / FACT),
+    ("cos", (series(A, B),), np.cos(A + KS * math.pi / 2) * B ** KS / FACT),
+    ("sinh", (series(A, B),), (math.exp(A) * B ** KS - math.exp(-A) * (-B) ** KS) / (2 * FACT)),
+    ("cosh", (series(A, B),), (math.exp(A) * B ** KS + math.exp(-A) * (-B) ** KS) / (2 * FACT)),
+    ("tan", (series(0, B),), [TAN.get(k, 0.0) * B ** k for k in KS]),
+    ("tanh", (series(0, B),), [TAN.get(k, 0.0) * (-1) ** (k // 2) * B ** k for k in KS]),
+    ("atan", (series(A, B),), _atan_line(A, B)),
+    ("atan", (series(0, B),), [TAN.get(k, 0.0) and (-1) ** (k // 2) * B ** k / k for k in KS]),
+]
+
+
+@pytest.mark.parametrize("op, args, want", SERIES_CASES,
+                         ids=[f"{c[0]}-{k}" for k, c in enumerate(SERIES_CASES)])
+def test_each_series_op_matches_its_closed_form_expansion(op, args, want):
+    got = _backend.SERIES_OPS[op](*args)
+    assert got.shape == (M,)
+    np.testing.assert_allclose(got, np.asarray(want, dtype=complex), rtol=1e-13, atol=1e-16)
+
+
+@pytest.mark.parametrize("op", sorted(_backend.SCALAR_OPS))
+def test_a_series_op_on_constant_series_is_the_scalar_op(op):
+    """Bit for bit, and a domain failure or overflow there is a NaN series."""
+    for values in ((0.7, 1.3), (0.7 - 0.2j, 1.3), (0.0, -1.0), (1000.0, 2.0)):
+        values = [complex(v) for v in values[:1 + (op in "+-*/^")]]
+        args = [series(v) for v in values]
+        try:
+            want = _backend.SCALAR_OPS[op](*values)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            want = complex("nan+nanj")
+        got = _backend.SERIES_OPS[op](*args)
+        assert got[1:].tolist() == [0j] * (M - 1) or np.isnan(want)
+        assert np.array_equal(got[:1], [want], equal_nan=True)
+
+
+@pytest.mark.parametrize("fn", ["abs", "re", "im", "conj"])
+def test_a_non_differentiable_op_of_a_moving_series_is_refused(fn):
+    with pytest.raises(NonDifferentiableError, match=f"'{fn}' has no derivative rule"):
+        _backend.SERIES_OPS[fn](series(A, B))
+
+
+def test_taylor_reads_outputs_on_variable_and_constant_slots():
+    # x' = y, y' = 2, z' = x: x = 1 + t^2, y = 2 t, z = t + t^3/3
+    tape = compile_system((parse("y"), parse("2"), parse("x")), ("x", "y", "z"))
+    assert tape.ops == ()
+    got = _backend.taylor(tape.ops, tape.consts, tape.outs, (1.0, 0.0, 0.0), 5)
+    assert got.tolist() == [[1, 0, 1, 0, 0, 0], [0, 2, 0, 0, 0, 0], [0, 1, 0, 1 / 3, 0, 0]]
+
+
+def test_taylor_pass_zero_is_the_tree_walk():
+    system = (parse(MESSY), parse("x^1.5 - ln(y)"))
+    tape = compile_system(system, NAMES)
+    x0 = (0.3, 0.8)
+    got = _backend.taylor(tape.ops, tape.consts, tape.outs, x0, 1)
+    assert got[:, 1].tolist() == [evaluate(e, dict(zip(NAMES, x0))) for e in system]

@@ -71,7 +71,7 @@ class TestExitCodes:
                "EndpointMismatchError", "NonExactError", "TurningPointError",
                "IntegrationError", "SingularMatrixSampleError", "NotHarmonicError",
                "WindingError", "TransversalityError", "CharacteristicFanError",
-               "NotPotentialError", "EquilibriumError", "LieSeriesOverflowError"]
+               "NotPotentialError", "EquilibriumError"]
 
     def test_every_numeric_error_is_marked(self):
         assert set(self.NUMERIC) <= {c.__name__ for c in numeric_errors()}
@@ -465,6 +465,58 @@ class TestNonFiniteExponential:
         code, rep = run_json(["linsolve", "--A", "1,2;3,4", "--x0", "1"], capsys)
         assert code == 2
         assert rep["diagnostics"]["error"] == "x0 has 1 component but A is 2x2"
+
+
+class TestFlowInputs:
+    """`flow`, `lie` and `equilibrium` on inputs each of which went wrong
+    under the symbolic Lie series: exit 3 past its node cap (the pendulum at
+    the default order, the second field at order 12, 1/x at x = 0), a
+    "pass" with nan or inf (t = nan, inf, 1e200), a "pass" for an unbound
+    variable (lie --f z), and 50 Newton iterations for a tolerance that no
+    residual meets (nan, -1)."""
+    FIELD = ["--V", "y;-x", "--vars", "x,y"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,code,message", [
+        (["flow", *FIELD, "--x0", "1,0", "--t", "nan"], 2, "flow time t must be finite, got nan"),
+        (["flow", *FIELD, "--x0", "1,0", "--t", "inf"], 2, "flow time t must be finite, got inf"),
+        (["flow", *FIELD, "--x0", "1e200,0", "--t", "1e200"], 3,
+         "Lie series of y is not finite from its order-1 term"),
+        (["flow", "--V", "1/x;1", "--vars", "x,y", "--x0", "0,0", "--t", "0.1"], 3,
+         "division by zero at (x=0.0, y=0.0) while evaluating '1/x'"),
+        (["flow", "--V", "abs(y);1", "--vars", "x,y", "--x0", "0,0", "--t", "0.1"], 2,
+         "'abs' has no derivative rule"),
+        (["lie", *FIELD, "--f", "z", "--point", "1,2"], 2,
+         "function 'z' references undeclared ['z']"),
+        (["equilibrium", *FIELD, "--seed", "0.3,0.2", "--tol", "nan"], 2,
+         "tolerance must be a finite number >= 0, got nan"),
+        (["equilibrium", *FIELD, "--seed", "0.3,0.2", "--tol", "-1"], 2,
+         "tolerance must be a finite number >= 0, got -1.0"),
+    ], ids=["t-nan", "t-inf", "t-1e200", "pole-at-x0", "abs", "lie-unbound", "tol-nan",
+            "tol-negative"])
+    def test_is_refused_with_a_message(self, argv, code, message, capfd):
+        got = main(argv)
+        out, err = capfd.readouterr()
+        rep = json.loads(out)
+        assert (got, rep["status"], rep["diagnostics"]["error"]) == (code, "error", message)
+        assert err == ""
+
+    @pytest.mark.parametrize("argv,want", [
+        (["flow", "--V", "y;-sin(x)", "--vars", "x,y", "--x0", "1,0.3", "--t", "0.5"],
+         (1.0, 0.3, 0.5)),
+        (["flow", "--V", "x*y;exp(-x)/(1+y^2)", "--vars", "x,y", "--x0", "0.3,0.2", "--t",
+          "0.3", "--order", "12"], (0.3, 0.2, 0.3)),
+        (["flow", "--V", "x^1.5;1", "--vars", "x,y", "--x0", "0,0", "--t", "0.1", "--order",
+          "2"], (0.0, 0.0, 0.1)),
+    ], ids=["pendulum", "xy", "power-at-0"])
+    def test_passes_within_1e_6_of_rk4(self, argv, want, capsys):
+        from integrikit.odesys import AutonomousSystem, integrate_rk4
+        code, rep = run_json(argv, capsys)
+        x, y, t = want
+        system = AutonomousSystem(("x", "y"), tuple(argv[2].split(";")))
+        rk = integrate_rk4(system, (x, y), (0.0, t), 1e-4).endpoint
+        assert code == 0 and rep["status"] == "pass"
+        assert np.max(np.abs(np.array(rep["values"]["point"]) - rk)) <= 1e-6
 
 
 class TestTimeStamps:
