@@ -13,8 +13,11 @@ Prints, per workload and seed, the digest of each side's reports (what
 `perfbench/run.py --trace 1` reports as `report_sha256` for the traced
 list), how many reports differ, and the largest relative difference
 |a - b| / max(|a|, |b|) of any number in them, with its request and field.
-A report whose exit status, error or text differs other than in a number
-differs by inf.  The last line holds every differing report as JSON.
+Below that line, one line per command and JSON path that moved: how many
+reports moved there and their largest relative difference, so a field
+that stayed the same shows by its absence.  A report whose exit status,
+error or text differs other than in a number differs by inf.  The last
+line holds every differing report as JSON.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ SEEDS = (7, 11)
 
 
 def child(root: str, workloads_dir: str, workload: str, seed: int, count: int) -> None:
-    """Print ``[exit code, stdout, error]`` of each request as one JSON list."""
+    """Print ``[command, exit code, stdout, error]`` of each request as one
+    JSON list."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.dont_write_bytecode = True
@@ -45,14 +49,15 @@ def child(root: str, workloads_dir: str, workload: str, seed: int, count: int) -
     wl = workloads.WORKLOADS[workload]
     out = []
     for k in range(count or wl.trace_requests):
+        argv = wl.request(seed, k).argv
         buf = io.StringIO()
         try:
             with contextlib.redirect_stdout(buf):
-                code = cli.main(wl.request(seed, k).argv)
+                code = cli.main(argv)
             error = ""
         except Exception as ex:   # a raising request is a result to compare
             code, error = None, f"raised {type(ex).__name__}: {ex}"
-        out.append([code, buf.getvalue(), error])
+        out.append([argv[0], code, buf.getvalue(), error])
     json.dump(out, sys.stdout)
 
 
@@ -65,53 +70,72 @@ def reports(root: str, workloads_dir: str, workload: str, seed: int, count: int)
     return json.loads(proc.stdout)
 
 
-def largest_difference(a, b, path: str = ""):
-    """(largest relative difference of the numbers of two JSON values, its
-    path); inf where they differ other than in a number."""
+def differences(a, b, path: str = ""):
+    """(relative difference, path) of each number in which two JSON values
+    differ; inf where they differ other than in a number."""
     numbers = (int, float)
     if (isinstance(a, numbers) and isinstance(b, numbers)
             and not isinstance(a, bool) and not isinstance(b, bool)):
         if a == b or (math.isnan(a) and math.isnan(b)):
-            return 0.0, path
+            return
         if not (math.isfinite(a) and math.isfinite(b)):
-            return math.inf, path
-        return abs(a - b) / max(abs(a), abs(b)), path
+            yield math.inf, path
+        else:
+            yield abs(a - b) / max(abs(a), abs(b)), path
+        return
     if type(a) is not type(b):
-        return math.inf, path
+        yield math.inf, path
+        return
     if isinstance(a, dict):
         if a.keys() != b.keys():
-            return math.inf, path
+            yield math.inf, path
+            return
         pairs = [(a[k], b[k], f"{path}/{k}") for k in a]
     elif isinstance(a, list):
         if len(a) != len(b):
-            return math.inf, path
+            yield math.inf, path
+            return
         pairs = [(x, y, f"{path}/{i}") for i, (x, y) in enumerate(zip(a, b))]
     else:
-        return (0.0 if a == b else math.inf), path
-    return max((largest_difference(*p) for p in pairs), default=(0.0, path),
-               key=lambda r: r[0])
+        if a != b:
+            yield math.inf, path
+        return
+    for pair in pairs:
+        yield from differences(*pair)
 
 
 def compare(parent: list, change: list) -> list:
-    """One entry per request whose report differs: (index, difference, path)."""
+    """One entry per request whose report differs: (index, command, the
+    (difference, path) of each place it differs)."""
     moved = []
-    for k, ((pc, po, pe), (cc, co, ce)) in enumerate(zip(parent, change)):
+    for k, ((cmd, pc, po, pe), (_, cc, co, ce)) in enumerate(zip(parent, change)):
         if (pc, po, pe) == (cc, co, ce):
             continue
         if (pc, pe) != (cc, ce):
-            moved.append((k, math.inf, "exit status or error"))
-            continue
-        try:
-            diff, path = largest_difference(json.loads(po), json.loads(co))
-        except ValueError:
-            diff, path = math.inf, "text"
-        moved.append((k, diff, path or "/"))
+            found = [(math.inf, "exit status or error")]
+        else:
+            try:
+                found = list(differences(json.loads(po), json.loads(co)))
+            except ValueError:
+                found = [(math.inf, "text")]
+        moved.append((k, cmd, found or [(0.0, "/")]))
     return moved
+
+
+def by_path(moved: list) -> dict:
+    """{(command, path): (reports moved there, their largest relative
+    difference)}, sorted; a path occurs at most once per report."""
+    paths = {}
+    for _, cmd, found in moved:
+        for d, path in found:
+            count, top = paths.get((cmd, path), (0, 0.0))
+            paths[cmd, path] = (count + 1, max(top, d))
+    return dict(sorted(paths.items()))
 
 
 def digest(results: list) -> str:
     h = hashlib.sha256()
-    for _, out, _ in results:
+    for _, _, out, _ in results:
         h.update(out.encode())
     return h.hexdigest()
 
@@ -138,18 +162,23 @@ def main(argv=None) -> int:
         for seed in SEEDS:
             got = {side: reports(root, workloads_dir, workload, seed, args.requests)
                    for side, root in sides.items()}
-            moved = compare(got["parent"], got["change"])
-            worst = max(moved, key=lambda m: m[1], default=None)
+            diffs = compare(got["parent"], got["change"])
+            moved = [(k, cmd, *max(found, key=lambda f: f[0])) for k, cmd, found in diffs]
+            worst = max(moved, key=lambda m: m[2], default=None)
             line = (f"{workload:13s} seed {seed:3d}  {len(moved)} of {len(got['parent'])} "
                     f"reports differ")
             if worst is not None:
-                line += f", largest relative difference {worst[1]:.3g} (request {worst[0]}, {worst[2]})"
+                line += (f", largest relative difference {worst[2]:.3g} "
+                         f"(request {worst[0]}, {worst[1]} {worst[3]})")
             digests = {side: digest(r) for side, r in got.items()}
             line += f"  sha256 parent {digests['parent'][:12]} change {digests['change'][:12]}"
             print(line, flush=True)
-            every += [{"workload": workload, "seed": seed, "request": k,
+            for (cmd, path), (count, d) in by_path(diffs).items():
+                print(f"    {cmd} {path}: {count} reports, largest relative difference {d:.3g}",
+                      flush=True)
+            every += [{"workload": workload, "seed": seed, "request": k, "command": cmd,
                        "difference": d if math.isfinite(d) else "inf", "where": w}
-                      for k, d, w in moved]
+                      for k, cmd, d, w in moved]
     print(json.dumps(every))
     return 0
 

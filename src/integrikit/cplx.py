@@ -159,26 +159,30 @@ def harmonic_conjugate(v, base, region: Region, grid: int = 41,
                        laplace_tol: float = 1e-8, cr_tol: float = 1e-7) -> HarmonicConjugate:
     """Reconstruct u with u_x = v_y, u_y = -v_x and u(base) = 0.
 
-    Refuses a non-harmonic v.  The u grid is `potential_grid` of
-    (v_y, -v_x): one running integral along x at the base ordinate and one
-    along y per abscissa (`running_integrals`).  The returned CR report
-    compares central differences of the u grid against the symbolic
-    partials of v, so its residual carries an O(h^2) finite-difference floor.
+    Refuses a non-harmonic v.  `potential_grid` of (v_y, -v_x) gives u by
+    both axis-parallel polylines from the base: two running integrals
+    (`running_integrals`), one along x and one along y.  The returned u
+    grid is the x-then-y one.  The CR report is the integrability test of
+    line integrals, path independence: max |u_xy - u_yx| over the whole
+    grid, named at the first point in grid order near the max.  It is
+    rounding where u is single-valued on the box, and the period of u
+    about a singularity of v that the two polylines enclose.
     """
-    from .realfield import VectorField, gradient_check, potential_grid
+    from .realfield import VectorField, _first_near_max, potential_grid
 
     v = as_expr(v)
-    lap = diff(diff(v, "x"), "x") + diff(diff(v, "y"), "y")
-    max_res, worst, _, samples = residual_sweep([lap], region, grid)
+    vx, vy = diff(v, "x"), diff(v, "y")
+    max_res, worst, _, samples = residual_sweep([diff(vx, "x") + diff(vy, "y")], region, grid)
     lap_report = CheckReport.from_residual(max_res, laplace_tol, worst, samples)
     if not lap_report.passed:
         raise NotHarmonicError(max_res, laplace_tol)
 
-    grad_field = VectorField(("x", "y"), (diff(v, "y"), -diff(v, "x")))
     x_axis, y_axis = region.axes(grid)
-    u_grid = potential_grid(grad_field, (x_axis, y_axis), base)
-    cr_report = gradient_check(grad_field, (x_axis, y_axis), u_grid, cr_tol)
-    return HarmonicConjugate(x_axis, y_axis, u_grid, lap_report, cr_report)
+    u_xy, u_yx = potential_grid(VectorField(("x", "y"), (vy, -vx)), (x_axis, y_axis), base)
+    gap = np.abs(u_xy - u_yx)
+    i, j = np.unravel_index(_first_near_max(gap.ravel()), gap.shape)
+    cr_report = CheckReport.from_residual(gap.max(), cr_tol, (x_axis[i], y_axis[j]), gap.size)
+    return HarmonicConjugate(x_axis, y_axis, u_xy, lap_report, cr_report)
 
 
 def _trapezoid_circle(f: ComplexFunction, contour: Contour, nodes: int) -> complex:

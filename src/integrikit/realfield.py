@@ -3,10 +3,13 @@
 Cross-partial residual checks, line integrals by composite Gauss-Legendre
 quadrature, path-independence probes, potential reconstruction along
 axis-parallel polylines, and conservative-force energy bookkeeping.
+A potential has one rule: each axis-parallel leg integrates F's own
+component along its axis (`integrate_rows`), with no curve pulled back.
 `running_integrals` is the one rule for integrals from a base point to
-many abscissas: the `potential_grid` of `cplx.harmonic_conjugate` and U in
-`odekit.energy_solve`.  `grid_sweep` is the one rule for residuals on a
-region's sample grid: every grid check goes through `residual_sweep`.
+many abscissas: both polyline orders of `potential_grid`, which
+`cplx.harmonic_conjugate` compares, and U in `odekit.energy_solve`.
+`grid_sweep` is the one rule for residuals on a region's sample grid:
+every grid check goes through `residual_sweep`.
 
 Also home of the shared geometry types: VectorField, ParametricCurve,
 Region and CheckReport.
@@ -30,7 +33,7 @@ __all__ = [
     "WorkEnergyReport", "EndpointMismatchError", "ExcludedPointError",
     "NonConservativeError", "exactness_check", "line_integral",
     "path_independence_probe", "potential_reconstruct", "potential_grid",
-    "gradient_check", "work_energy", "residual_sweep", "grid_sweep", "gauss_nodes",
+    "work_energy", "residual_sweep", "grid_sweep", "gauss_nodes",
     "running_integrals",
 ]
 
@@ -436,51 +439,49 @@ def path_independence_probe(F: VectorField, a, b, paths: Sequence[ParametricCurv
     return CheckReport.from_residual(spread, tol, tuple(b), len(paths), details)
 
 
-def _polyline_legs(base, target):
-    base = tuple(float(x) for x in base)
-    target = tuple(float(x) for x in target)
-    legs = []
-    current = list(base)
-    for axis in range(len(base)):
-        nxt = list(current)
-        nxt[axis] = target[axis]
-        if nxt != current:
-            legs.append((tuple(current), tuple(nxt)))
-        current = nxt
-    return legs
-
-
 def potential_reconstruct(F: VectorField, base, target, panels: int = 64,
                           region: Optional[Region] = None) -> float:
     """Potential difference u(target) - u(base) along the axis-parallel
     polyline (x-leg, then y-leg, then z-leg), with u(base) = 0.
 
-    Assumes the field already passed an exactness check on a region
-    containing the polyline.
+    Leg k integrates F's own component k in variable k from base_k to
+    target_k, the other variables bound to the leg's coordinates, on
+    2 * `panels` Gauss-Legendre panels as `line_integral` takes.  A leg
+    through an excluded point of `region` is refused.  Assumes the field
+    already passed an exactness check on a region containing the polyline.
     """
     if len(base) != F.n or len(target) != F.n:
         raise ValueError("point dimension mismatch")
+    if panels < 1:
+        raise ValueError(f"panels must be at least 1, got {panels!r}")
+    point = [float(x) for x in base]
     total = 0.0
-    for start, end in _polyline_legs(base, target):
-        if region is not None and region.excluded:
-            samples = np.linspace(0.0, 1.0, 129)[:, None]
-            pts = np.asarray(start) + samples * (np.asarray(end) - np.asarray(start))
-            for p in region.excluded:
-                if np.min(np.linalg.norm(pts - np.asarray(p), axis=1)) < 1e-9:
-                    raise ExcludedPointError(
-                        f"polyline through {p} hits an excluded point; "
-                        "choose a different base point")
-        total += line_integral(F, ParametricCurve.segment(start, end), panels)
+    for k, (name, comp) in enumerate(zip(F.names, F.components)):
+        lo, hi = sorted((point[k], float(target[k])))
+        if lo == hi:
+            continue
+        for p in (region.excluded if region is not None else ()):
+            if lo <= p[k] <= hi and all(abs(a - b) <= 1e-9 for j, (a, b) in
+                                        enumerate(zip(p, point)) if j != k):
+                raise ExcludedPointError(f"polyline through {p} hits an excluded point; "
+                                         "choose a different base point")
+        others = {n: [x] for j, (n, x) in enumerate(zip(F.names, point)) if j != k}
+        leg = integrate_rows(comp, name, point[k], float(target[k]), 2 * panels, others)[0]
+        total += as_real(complex(leg), 1e-12, "line integral")
+        point[k] = float(target[k])
     return total
 
 
-def potential_grid(F: VectorField, axes, base) -> np.ndarray:
-    """Reconstructed potential values u on a 2-D grid, with u(base) = 0.
+def potential_grid(F: VectorField, axes, base):
+    """Reconstructed potentials on a 2-D grid by both axis-parallel
+    polylines, with u(base) = 0: (u_xy, u_yx).
 
-    u at each node is the axis-parallel polyline reconstruction: the x-leg
-    at the base ordinate, then the y-leg at the node abscissa.  The x-legs
-    are one running integral of P(x, y_base), and the y-legs of all
-    abscissas are one running integral of Q with x bound per row.
+    u_xy takes the x-leg at the base ordinate, then the y-leg at the node
+    abscissa; u_yx the y-leg at the base abscissa, then the x-leg at the
+    node ordinate.  All x-legs are one running integral of P with y bound
+    per row (the base ordinate, then each grid ordinate), and all y-legs
+    one of Q with x bound per row.  The two agree to rounding at a node
+    where F is a gradient on the box spanned by the base and the node.
     """
     if F.n != 2:
         raise ValueError("potential_grid supports 2-D fields")
@@ -488,30 +489,9 @@ def potential_grid(F: VectorField, axes, base) -> np.ndarray:
     bx, by = (float(base[0]), float(base[1]))
     x, y = F.names
     p_expr, q_expr = F.components
-    x_legs = running_integrals(p_expr, x, bx, x_axis, {y: [by]})[0]
-    return x_legs[:, None] + running_integrals(q_expr, y, by, y_axis, {x: x_axis})
-
-
-def gradient_check(F: VectorField, axes, u_grid: np.ndarray, tol: float) -> CheckReport:
-    """Central-difference gradient of tabulated u compared to F componentwise."""
-    if F.n != 2:
-        raise ValueError("gradient_check supports 2-D fields")
-    x_axis, y_axis = (np.asarray(a, dtype=float) for a in axes)
-    if len(x_axis) < 3 or len(y_axis) < 3:
-        raise ValueError("grid too coarse: need at least 3 points per axis")
-    for ax in (x_axis, y_axis):
-        steps = np.diff(ax)
-        if np.max(np.abs(steps - steps[0])) > 1e-12 * (1 + abs(steps[0])):
-            raise ValueError("grid spacing must be uniform")
-    hx, hy = x_axis[1] - x_axis[0], y_axis[1] - y_axis[0]
-    du_dx = (u_grid[2:, 1:-1] - u_grid[:-2, 1:-1]) / (2 * hx)
-    du_dy = (u_grid[1:-1, 2:] - u_grid[1:-1, :-2]) / (2 * hy)
-    inner = x_axis[1:-1], y_axis[1:-1]
-    p_vals, q_vals = eval_columns(F.components, F.names, np.ix_(*inner), du_dx.shape)
-    dev = np.maximum(np.abs(du_dx - p_vals.real), np.abs(du_dy - q_vals.real))
-    at = np.unravel_index(_first_near_max(dev.ravel()), dev.shape)
-    worst = tuple(float(a[i]) for a, i in zip(inner, at))
-    return CheckReport.from_residual(float(dev.max()), tol, worst, dev.size)
+    x_legs = running_integrals(p_expr, x, bx, x_axis, {y: np.concatenate([[by], y_axis])})
+    y_legs = running_integrals(q_expr, y, by, y_axis, {x: np.concatenate([[bx], x_axis])})
+    return x_legs[0][:, None] + y_legs[1:], y_legs[0] + x_legs[1:].T
 
 
 def work_energy(F: VectorField, curve: ParametricCurve, m: float, v0: float,

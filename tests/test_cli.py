@@ -690,11 +690,34 @@ class TestCharacteristicErrors:
         assert code == 3
         assert rep["diagnostics"]["error"] == "division by zero at (z=0.0) while evaluating '1/z'"
 
-    def test_conjugate_on_a_two_point_grid_is_a_usage_error(self, capsys):
+    def test_conjugate_on_a_two_point_grid(self, capsys, tmp_path):
+        # u = (x^2 - y^2)/2 is 0 at the four corners
+        dump = tmp_path / "u.csv"
         code, rep = run_json(["conjugate", "--v", "x*y", "--base", "0,0",
-                              "--region", "-1,1,-1,1", "--grid", "2"], capsys)
-        assert code == 2
-        assert rep["diagnostics"]["error"] == "grid too coarse: need at least 3 points per axis"
+                              "--region", "-1,1,-1,1", "--grid", "2", "--dump-csv", str(dump)],
+                             capsys)
+        assert code == 0 and rep["status"] == "pass"
+        assert rep["diagnostics"]["samples_used"] == 4
+        rows = dump.read_text().splitlines()[1:]
+        assert [[float(v) for v in row.split(",")] for row in rows] == [
+            [-1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0]]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_conjugate_of_exp_sin_passes_at_the_default_tolerance(self, k, capsys):
+        code, rep = run_json(["conjugate", "--v", f"exp({k}*x)*sin({k}*y)", "--base", "0,0",
+                              "--region", "-1,1,-1,1"], capsys)
+        assert code == 0 and rep["status"] == "pass"
+        assert rep["max_residual"] <= 1e-12 * math.exp(k) and rep["tolerance"] == 1e-7
+        want = math.exp(k) * math.cos(k) - 1.0
+        assert abs(rep["values"]["u_at_upper_corner"] - want) <= 1e-12 * math.exp(k)
+
+    def test_conjugate_about_a_pole_fails_by_the_period(self, capsys):
+        # v = ln|z - p| is harmonic on the box less p, and its conjugate
+        # arg(z - p) changes by 2*pi around p
+        code, rep = run_json(["conjugate", "--v", "0.5*ln((x-0.0123)^2+(y-0.0371)^2)",
+                              "--base", "-1,-1", "--region", "-1,1,-1,1"], capsys)
+        assert code == 1 and rep["status"] == "fail"
+        assert abs(rep["max_residual"] - 2 * math.pi) <= 1e-6
 
 
 class TestMalformedPoints:

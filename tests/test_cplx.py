@@ -8,8 +8,8 @@ from integrikit.cplx import (
     antiderivative_eval, cauchy_value, contour_integral, cr_residual,
     harmonic_conjugate, laurent_coeffs, winding_number,
 )
-from integrikit.expr import EvalDomainError, parse
-from integrikit.realfield import Region
+from integrikit.expr import EvalDomainError, diff, parse
+from integrikit.realfield import TIE, Region, VectorField, potential_grid
 
 SQUARE = Region(("x", "y"), ((-2, 2), (-2, 2)))
 TWO_PI_I = 2j * math.pi
@@ -68,10 +68,27 @@ class TestHarmonicConjugate:
     def test_exp_sin(self):
         # CR quadrature oracle: u must match e^x cos y - 1 (u(0,0) = 0)
         reg = Region(("x", "y"), ((-1, 1), (-1, 1)))
-        out = harmonic_conjugate("e^x*sin(y)", (0.0, 0.0), reg, grid=21, cr_tol=5e-3)
+        out = harmonic_conjugate("e^x*sin(y)", (0.0, 0.0), reg, grid=21)
         X, Y = np.meshgrid(out.x_axis, out.y_axis, indexing="ij")
         target = np.exp(X) * np.cos(Y) - 1.0
         assert np.max(np.abs(out.u_grid - target)) < 1e-8
+        assert out.cr_report.passed
+
+    def test_a_period_ties_and_names_the_first_enclosing_point(self):
+        """u = arg(z - (1 + i)/4): the polylines from (-1, -1) to the four
+        nodes with x, y >= 0.5 enclose the pole, and their differences are
+        2*pi or one ulp below it.  argmax picks (1, 1), the tie rule the
+        first of them in grid order."""
+        v = "0.5*ln((x-0.25)^2+(y-0.25)^2)"
+        reg = Region(("x", "y"), ((-1, 1), (-1, 1)))
+        out = harmonic_conjugate(v, (-1.0, -1.0), reg, grid=5)
+        vx, vy = diff(parse(v), "x"), diff(parse(v), "y")
+        u_xy, u_yx = potential_grid(VectorField.of(("x", "y"), vy, -vx),
+                                    (out.x_axis, out.y_axis), (-1.0, -1.0))
+        gap = np.abs(u_xy - u_yx)
+        assert np.argmax(gap) == gap.size - 1 and gap[3, 3] < gap.max() <= gap[3, 3] * (1 + TIE)
+        assert abs(out.cr_report.max_residual - 2 * math.pi) <= 1e-15
+        assert out.cr_report.worst_point == (0.5, 0.5) and not out.cr_report.passed
 
     def test_rejects_non_harmonic(self):
         reg = Region(("x", "y"), ((-1, 1), (-1, 1)))

@@ -8,7 +8,7 @@ from integrikit.expr import EvalDomainError, eval_many, parse
 from integrikit.realfield import (
     EndpointMismatchError, ExcludedPointError, NonConservativeError,
     ParametricCurve, Region, VectorField, exactness_check, gauss_nodes,
-    gradient_check, line_integral, path_independence_probe, potential_grid,
+    line_integral, path_independence_probe, potential_grid,
     potential_reconstruct, work_energy,
 )
 
@@ -221,6 +221,20 @@ class TestPotential:
         with pytest.raises(ExcludedPointError):
             potential_reconstruct(F, (-1, 0), (1, 0), region=reg)
 
+    def test_excluded_point_between_leg_samples(self):
+        # 0.003 is no point of a 129-point scan of [-1, 1]; the leg is
+        # refused by where the point lies, not by how near a sample it is
+        F = VectorField.of(("x", "y"), "1/(x-0.003)", "0")
+        reg = Region(("x", "y"), ((-2, 2), (-2, 2)), excluded=((0.003, 0.0),))
+        with pytest.raises(ExcludedPointError):
+            potential_reconstruct(F, (-1, 0), (1, 0), region=reg)
+
+    def test_excluded_point_off_the_legs(self):
+        F = VectorField.of(("x", "y"), "y", "x")
+        reg = Region(("x", "y"), ((-2, 2), (-2, 2)),
+                     excluded=((0.5, 1e-8), (1.5, 0.0), (1.0, 1.5)))
+        assert abs(potential_reconstruct(F, (-1, 0), (1, 1), region=reg) - 1.0) < 1e-12
+
     def test_closed_loops_in_exact_field(self, rng):
         fields = [VectorField.of(("x", "y"), "y", "x"),
                   VectorField.of(("x", "y"), "x + e^y", "x*e^y - 2*y")]
@@ -296,8 +310,8 @@ class TestBatchedQuadrature:
             return x ** 3 * y - 2 * x * y ** 2 + y ** 3 + x
 
         xg, yg = np.meshgrid(*axes, indexing="ij")
-        got = potential_grid(F, axes, base)
-        assert np.max(np.abs(got - (u(xg, yg) - u(*base)))) <= 1e-13
+        for got in potential_grid(F, axes, base):   # x-then-y and y-then-x
+            assert np.max(np.abs(got - (u(xg, yg) - u(*base)))) <= 1e-13
 
     def test_a_column_over_more_than_a_block_matches_each_interval_alone(self, rng):
         e = parse("sin(x*y) + exp(x/2)/(1 + y^2) - atan(x - y)")
@@ -340,37 +354,6 @@ class TestBatchedQuadrature:
         axes = (np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
         with pytest.raises(EvalDomainError, match=r"x=0\.0\) while evaluating '1/x'"):
             potential_grid(F, axes, base=(0.5, 0.0))
-
-
-class TestGradientCheck:
-    def test_xy_grid(self):
-        F = VectorField.of(("x", "y"), "y", "x")
-        axes = (np.arange(0, 1.0001, 0.05), np.arange(0, 1.0001, 0.05))
-        u = potential_grid(F, axes, base=(0.0, 0.0))
-        rep = gradient_check(F, axes, u, tol=1e-7)
-        assert rep.passed and rep.max_residual < 1e-7
-
-    def test_constant_field_linear_u(self):
-        F = VectorField.of(("x", "y"), "1", "1")
-        axes = (np.linspace(0, 1, 11), np.linspace(0, 1, 11))
-        u = potential_grid(F, axes, base=(0.0, 0.0))
-        rep = gradient_check(F, axes, u, tol=1e-12)
-        assert rep.passed
-
-    def test_exponential_field_against_known_potential(self):
-        # u = x^2/2 + x e^y - y^2 (additive constant irrelevant to gradients)
-        F = VectorField.of(("x", "y"), "x + e^y", "x*e^y - 2*y")
-        axes = (np.linspace(0, 1, 41), np.linspace(0, 1, 41))
-        xg, yg = np.meshgrid(*axes, indexing="ij")
-        u = xg ** 2 / 2 + xg * np.exp(yg) - yg ** 2
-        rep = gradient_check(F, axes, u, tol=5e-4)  # h^2/6 * x e^y central-diff floor
-        assert rep.passed
-
-    def test_grid_too_coarse(self):
-        F = VectorField.of(("x", "y"), "1", "1")
-        with pytest.raises(ValueError, match="coarse"):
-            gradient_check(F, (np.linspace(0, 1, 2), np.linspace(0, 1, 5)),
-                           np.zeros((2, 5)), tol=1.0)
 
 
 COULOMB = VectorField.of(

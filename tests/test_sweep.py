@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from integrikit import _backend
 from integrikit.expr import (Const, EvalDomainError, EvalError, Var, call, div, eval_many, parse,
                             pow_, sub)
-from integrikit.realfield import TIE, Region, VectorField, gradient_check, residual_sweep
+from integrikit.realfield import TIE, Region, residual_sweep
 
 from conftest import grid_rows, random_smooth_expr
 
@@ -138,17 +138,6 @@ def test_rounding_level_ties_name_the_first_point():
     assert vals[0] < vals.max() <= vals[0] * (1 + TIE) and np.argmax(vals) == 1
     top, worst, per, samples = residual_sweep([e], region, 3)
     assert top == per[0] == vals.max() and worst == (0.0,) and samples == 3
-
-
-def test_gradient_check_names_the_first_point_of_a_tie():
-    """u = xy + 0.01 x against F = (y, x): every central difference is off
-    by 0.01 up to rounding, so the first interior point is the worst."""
-    F = VectorField.of(("x", "y"), "y", "x")
-    axes = (np.linspace(-1, 1, 21), np.linspace(-1, 1, 21))
-    X, Y = np.meshgrid(*axes, indexing="ij")
-    rep = gradient_check(F, axes, X * Y + 0.01 * X, tol=1e-9)
-    assert abs(rep.max_residual - 0.01) <= 1e-14
-    assert rep.worst_point == (axes[0][1], axes[1][1])
 
 
 def test_a_sweep_holds_no_full_grid_array_per_residual():
