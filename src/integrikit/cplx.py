@@ -2,8 +2,8 @@
 integrals, Cauchy's formula, Laurent coefficients, antiderivatives.
 
 Circles use the N-node trapezoidal rule (spectrally accurate for
-periodic integrands); general contours use composite Gauss-Legendre
-panels on the parameter interval.
+periodic integrands); general contours the curve rule of line integrals
+(`realfield.curve_nodes`): f(x + iy) times x' + iy' at the Gauss nodes.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import Const, Expr, NumericError, as_expr, diff, eval_columns, eval_many
-from .realfield import (CheckReport, ParametricCurve, Region, gauss_nodes,
-                        residual_sweep)
+from .expr import Const, Expr, NumericError, as_expr, diff, eval_columns, eval_many, real_parts
+from .realfield import CheckReport, ParametricCurve, Region, curve_nodes, residual_sweep
 
 __all__ = [
     "ComplexFunction", "Contour", "HarmonicConjugate", "NotHarmonicError",
@@ -91,11 +90,9 @@ class Contour:
         if self.kind not in ("circle", "general"):
             raise ValueError("kind must be 'circle' or 'general'")
         if self.kind == "circle":
-            ts = np.linspace(self.curve.t_start, self.curve.t_end, 17)
-            for t in ts:
-                x, y = self.curve.point(t)
-                if abs(abs(complex(x, y) - self.center) - self.radius) > 1e-12 * (1 + self.radius):
-                    raise ValueError("circle-kind contour does not lie on the circle")
+            zs = self.points(np.linspace(self.curve.t_start, self.curve.t_end, 17))
+            if np.max(np.abs(np.abs(zs - self.center) - self.radius)) > 1e-12 * (1 + self.radius):
+                raise ValueError("circle-kind contour does not lie on the circle")
 
     @classmethod
     def circle(cls, center, radius: float, orientation: str = "ccw",
@@ -125,8 +122,9 @@ class Contour:
 
     def points(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float).ravel()
-        xs, ys = eval_columns(self.curve.components, (self.curve.param,), (ts,), ts.shape)
-        return xs.real + 1j * ys.real
+        xys = eval_columns(self.curve.components, (self.curve.param,), (ts,), ts.shape)
+        xs, ys = real_parts(xys, 1e-12, "curve point").reshape(2, -1)
+        return xs + 1j * ys
 
 
 # --------------------------------------------------------------------------
@@ -194,24 +192,14 @@ def _trapezoid_circle(f: ComplexFunction, contour: Contour, nodes: int) -> compl
     return complex(np.sum(vals * dz) * (2 * math.pi / nodes))
 
 
-def _panel_contour(f: ComplexFunction, contour: Contour, nodes: int) -> complex:
-    curve = contour.curve
-    panels = max(1, nodes // 5)
-    ts, weights = gauss_nodes(curve.t_start, curve.t_end, panels)
-    zs = contour.points(ts)
-    vals = f.sample(zs)
-    dx, dy = eval_columns(curve.derivative(), (curve.param,), (ts,), ts.shape)
-    dzs = dx + 1j * dy
-    return complex(np.sum(weights * vals * dzs))
-
-
 def contour_integral(f, contour: Contour, nodes: int = 256) -> complex:
     """Integral of f(z) dz along the contour, orientation respected."""
     if isinstance(f, Expr) or isinstance(f, str):
         f = ComplexFunction.from_z(f)
     if contour.kind == "circle":
         return _trapezoid_circle(f, contour, nodes)
-    return _panel_contour(f, contour, nodes)
+    (x, y, dx, dy), (weights,) = curve_nodes([contour.curve], (max(1, nodes // 5),))
+    return complex(np.sum(weights * f.sample(x + 1j * y) * (dx + 1j * dy)))
 
 
 def winding_number(contour: Contour, z0: complex, samples: int = 2048) -> int:
@@ -240,8 +228,7 @@ def cauchy_value(f, z0: complex, contour: Contour, nodes: int = 256) -> complex:
         raise WindingError(
             f"z0 must lie strictly inside the (positively oriented) contour; winding={w}")
     integrand = ComplexFunction.from_z(f / (as_expr("z") - Const(z0)))
-    value = contour_integral(integrand, contour, nodes)
-    return value / (2j * math.pi)
+    return contour_integral(integrand, contour, nodes) / (2j * math.pi)
 
 
 def laurent_coeffs(f, z0: complex, rho: float, n_range, nodes: int = 256) -> dict:
@@ -271,8 +258,7 @@ def antiderivative_eval(f, z0: complex, z1: complex,
         if z0 == z1:
             return 0j
         path = Contour.segment(z0, z1)
-    start = path.points(np.array([path.curve.t_start]))[0]
-    end = path.points(np.array([path.curve.t_end]))[0]
+    start, end = path.points([path.curve.t_start, path.curve.t_end])
     if abs(start - z0) > 1e-10 or abs(end - z1) > 1e-10:
         raise ValueError("path endpoints do not match z0 -> z1")
     return contour_integral(ComplexFunction.from_z(f_expr), path, nodes)

@@ -3,8 +3,10 @@
 Cross-partial residual checks, line integrals by composite Gauss-Legendre
 quadrature, path-independence probes, potential reconstruction along
 axis-parallel polylines, and conservative-force energy bookkeeping.
+`curve_nodes` is the one rule along a parametric curve: F at the curve's
+Gauss nodes times its exact velocity (line integrals, probes, contours).
 A potential has one rule: each axis-parallel leg integrates F's own
-component along its axis (`integrate_rows`), with no curve pulled back.
+component along its axis (`integrate_rows`), with no curve at all.
 `running_integrals` is the one rule for integrals from a base point to
 many abscissas: both polyline orders of `potential_grid`, which
 `cplx.harmonic_conjugate` compares, and U in `odekit.energy_solve`.
@@ -25,8 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _backend
-from .expr import (Expr, NumericError, as_expr, as_real, compile_exprs, diff, eval_columns,
-                   fail_at, real_parts)
+from .expr import (EvalError, Expr, NumericError, as_expr, as_real, compile_exprs, diff,
+                   eval_columns, fail_at, real_parts)
 
 __all__ = [
     "CheckReport", "Region", "VectorField", "ParametricCurve",
@@ -34,7 +36,7 @@ __all__ = [
     "NonConservativeError", "exactness_check", "line_integral",
     "path_independence_probe", "potential_reconstruct", "potential_grid",
     "work_energy", "residual_sweep", "grid_sweep", "gauss_nodes",
-    "running_integrals",
+    "running_integrals", "curve_nodes",
 ]
 
 
@@ -296,6 +298,39 @@ def running_integrals(e: Expr, param: str, ref: float, ends, columns=None) -> np
     return out[:, where[:len(ends)]]
 
 
+def curve_nodes(curves: Sequence[ParametricCurve], panel_counts):
+    """Along each curve in turn, the Gauss-Legendre nodes of each of
+    `panel_counts`: r(t) and r'(t) there as the rows of one real array (one
+    `eval_columns` call per curve), and the weights of each curve and count."""
+    rows, weights = [], []
+    for c in curves:
+        ts, ws = zip(*(gauss_nodes(c.t_start, c.t_end, p) for p in panel_counts))
+        ts = np.concatenate(ts)
+        vals = eval_columns(c.components + c.derivative(), (c.param,), (ts,), ts.shape)
+        rows.append(real_parts(vals, 1e-12, "curve point").reshape(2 * c.n, -1))
+        weights += ws
+    return np.hstack(rows), weights
+
+
+def _line_sums(F: VectorField, curves, panels: int, coarse: bool) -> np.ndarray:
+    """Weighted sums of F_k(r) * r_k' (k in order) at `curve_nodes` for
+    2 * `panels` panels, after those for `panels` if `coarse`: one row per
+    curve.  F's own components are evaluated once, at every node."""
+    if panels < 1:
+        raise ValueError(f"panels must be at least 1, got {panels!r}")
+    if any(c.n != F.n for c in curves):
+        raise ValueError("curve dimension must equal field dimension")
+    nodes, weights = curve_nodes(curves, (panels, 2 * panels) if coarse else (2 * panels,))
+    values = eval_columns(F.components, F.names, nodes[:F.n], nodes.shape[1:])
+    with np.errstate(all="ignore"):
+        integrand = (np.stack(values) * nodes[F.n:]).sum(axis=0)
+        parts = np.split(integrand, np.cumsum([len(w) for w in weights])[:-1])
+        sums = np.array([np.add.reduce(v * w) for v, w in zip(parts, weights)])
+    if not np.isfinite(sums).all():
+        raise EvalError("line integral is not finite")
+    return sums.reshape(len(curves), -1)
+
+
 #: Values within this relative distance of the maximum tie with it.  A
 #: report names the first tied point in grid order, so that a change at
 #: the level of rounding does not move its `worst_point` across the grid.
@@ -392,18 +427,6 @@ def exactness_check(F: VectorField, region: Region, grid=41, tol: float = 1e-9) 
     return CheckReport.from_residual(max_res, tol, worst, samples, details)
 
 
-def _pullback_integrand(F: VectorField, curve: ParametricCurve) -> Expr:
-    if curve.n != F.n:
-        raise ValueError("curve dimension must equal field dimension")
-    sub = dict(zip(F.names, curve.components))
-    derivs = curve.derivative()
-    total = None
-    for comp, dcomp in zip(F.components, derivs):
-        term = comp.subs(sub) * dcomp
-        total = term if total is None else total + term
-    return total
-
-
 def line_integral(F: VectorField, curve: ParametricCurve, panels: int = 64,
                   return_error: bool = False):
     """Line integral of F along the curve by composite Gauss-Legendre.
@@ -411,14 +434,11 @@ def line_integral(F: VectorField, curve: ParametricCurve, panels: int = 64,
     The returned value comes from 2 * `panels` panels; with `return_error`,
     the error estimate is its change from `panels` panels.
     """
-    if panels < 1:
-        raise ValueError(f"panels must be at least 1, got {panels!r}")
-    quad = (_pullback_integrand(F, curve), curve.param, curve.t_start, curve.t_end)
-    coarse = complex(integrate_rows(*quad, panels)[0]) if return_error else None
-    fine = complex(integrate_rows(*quad, 2 * panels)[0])
+    sums = _line_sums(F, [curve], panels, return_error)[0]
+    fine = complex(sums[-1])
     value = as_real(fine, 1e-12, "line integral")
     if return_error:
-        return value, abs(fine - coarse) + 1e-15 * (1.0 + abs(fine))
+        return value, abs(fine - complex(sums[0])) + 1e-15 * (1.0 + abs(fine))
     return value
 
 
@@ -427,13 +447,11 @@ def path_independence_probe(F: VectorField, a, b, paths: Sequence[ParametricCurv
     """Max pairwise difference of line integrals over paths sharing endpoints."""
     if len(paths) < 2:
         raise ValueError("need at least two probe paths")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    ends = np.array([a, b], dtype=float)
     for k, path in enumerate(paths):
-        if (np.max(np.abs(path.point(path.t_start) - a)) > 1e-10
-                or np.max(np.abs(path.point(path.t_end) - b)) > 1e-10):
+        if np.max(np.abs([path.point(path.t_start), path.point(path.t_end)] - ends)) > 1e-10:
             raise EndpointMismatchError(f"path {k} does not run from A to B")
-    integrals = [line_integral(F, p, panels) for p in paths]
+    integrals = real_parts(_line_sums(F, paths, panels, False), 1e-12, "line integral")
     spread = max(abs(u - v) for u in integrals for v in integrals)
     details = {f"I{k}": float(v) for k, v in enumerate(integrals)}
     return CheckReport.from_residual(spread, tol, tuple(b), len(paths), details)
@@ -516,10 +534,6 @@ def work_energy(F: VectorField, curve: ParametricCurve, m: float, v0: float,
     if not report.passed:
         raise NonConservativeError(report)
     work = line_integral(F, curve, panels)
-    a = curve.point(curve.t_start)
-    b = curve.point(curve.t_end)
-    u_b = potential_reconstruct(F, a, b, panels, region)
-    U_A = 0.0
-    U_B = -u_b
-    E_total = 0.5 * m * v0 * v0 + U_A
-    return WorkEnergyReport(work=work, U_A=U_A, U_B=U_B, E_total=E_total)
+    u_b = potential_reconstruct(F, curve.point(curve.t_start), curve.point(curve.t_end),
+                                panels, region)
+    return WorkEnergyReport(work=work, U_A=0.0, U_B=-u_b, E_total=0.5 * m * v0 * v0)

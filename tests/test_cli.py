@@ -575,12 +575,30 @@ class TestBadQuadratureInput:
           "--panels", "0"], "panels must be at least 1, got 0"),
         (["potential", "--P", "y", "--Q", "x", "--base", "0,0", "--target", "1,1",
           "--panels", "-1"], "panels must be at least 1, got -1"),
+        (["path-probe", "--P", "y", "--Q", "x", "--A", "0,0", "--B", "1,1", "--path",
+          "t;t;0;1", "--path", "t;t^2;0;1", "--panels", "-1"], "panels must be at least 1, got -1"),
     ], ids=["exact-check", "conjugate", "line-integral", "energy", "pde-solve",
-            "zero-panels", "negative-panels"])
+            "zero-panels", "negative-panels", "probe-negative-panels"])
     def test_is_a_usage_error(self, argv, value, capsys):
         code, rep = run_json(argv, capsys)
         assert code == 2 and rep["status"] == "error"
         assert rep["diagnostics"]["error"] == value
+
+
+class TestCurveOffTheReals:
+    """A curve whose points are not real is a numeric error naming the
+    curve point, not an integral of its real parts."""
+
+    @pytest.mark.parametrize("argv", [
+        ["contour", "--f", "z", "--curve", "sqrt(t);0", "--interval", "-1,1"],
+        ["cauchy", "--f", "1", "--z0", "0.3,0", "--curve", "cos(t)+sqrt(t-6);sin(t)",
+         "--interval", "0,6.283185307179586"],
+        ["line-integral", "--P", "1", "--Q", "0", "--curve", "sqrt(t);0", "--interval", "-1,1"],
+    ], ids=["contour", "cauchy", "line-integral"])
+    def test_is_a_numeric_error(self, argv, capsys):
+        code, rep = run_json(argv, capsys)
+        assert code == 3 and rep["status"] == "error"
+        assert rep["diagnostics"]["error"].startswith("curve point has non-negligible imaginary")
 
 
 class TestZeroLengthSpan:

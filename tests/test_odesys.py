@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from integrikit.expr import EvalDomainError
 from integrikit.odesys import (
@@ -382,6 +382,7 @@ class TestMatrixExp:
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), complex_=st.booleans(),
        skew=st.booleans(), log_norm=st.floats(-2.0, 12.0))
+@example(seed=591314, n=1, complex_=True, skew=False, log_norm=2.5)  # exp(-ts[0]*A) overflows
 def test_matrix_exps_slices_are_bit_equal_to_one_t_runs(seed, n, complex_, skew, log_norm):
     # A has 1-norm 10^log_norm and |t| <= 5, so slices take 0 to 43
     # squarings; a skew(-Hermitian) A keeps exp(t*A) bounded at any norm
@@ -409,8 +410,16 @@ def test_matrix_exps_slices_are_bit_equal_to_one_t_runs(seed, n, complex_, skew,
         assert E[i].tobytes() == expected[i].tobytes(), (i, t)
         assert matrix_exp(A, t).tobytes() == expected[i].tobytes(), (i, t)
     u0 = rng.standard_normal((n, n))
+    with np.errstate(all="ignore"):
+        back = one_t_matrix_exp(A, -ts[0])
+    if not np.isfinite(back).all():
+        # the flow also needs exp(-ts[0]*A), at a time the slices above skip
+        back_t = float(-ts[0])
+        with pytest.raises(NonFiniteExponentialError, match=re.escape(f"at t = {back_t!r}") + "$"):
+            commutator_flow(A, u0, ts[0])
+        return
     flow = commutator_flow(A, u0, ts[0])
-    assert flow.tobytes() == (one_t_matrix_exp(A, -ts[0]) @ u0 @ expected[0]).tobytes()
+    assert flow.tobytes() == (back @ u0 @ expected[0]).tobytes()
 
 
 class TestLinearSolve:

@@ -1,7 +1,11 @@
+import functools
 import math
+import operator
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from integrikit import _backend, cli, cplx, expr, realfield
 from integrikit.expr import EvalDomainError, eval_many, parse
@@ -12,7 +16,7 @@ from integrikit.realfield import (
     potential_reconstruct, work_energy,
 )
 
-from conftest import bounded_smooth_exprs
+from conftest import bounded_smooth_exprs, random_smooth_expr
 
 SQUARE = Region(("x", "y"), ((-2, 2), (-2, 2)))
 
@@ -153,11 +157,76 @@ class TestLineIntegral:
         v32 = line_integral(F, L, panels=32)
         assert abs(v32 - v16) <= err16 + 1e-15
 
-    def test_singular_sample_cites_t(self):
+    def test_singular_sample_cites_the_curve_point(self):
+        # the coarse nodes come first, so the node that fails is the one
+        # the pulled-back tree failed at ('exp(2000*t)' at t=0.3557...)
         F = VectorField.of(("x", "y"), "exp(2000*x)", "0")
         L = ParametricCurve.segment((0, 0), (1, 0))
-        with pytest.raises(Exception, match="t="):
+        with pytest.raises(EvalDomainError) as info:
+            line_integral(F, L, return_error=True)
+        assert str(info.value) == ("function domain error at (x=0.35576929148520064, y=0.0) "
+                                   "while evaluating 'exp(2000*x)'")
+
+    def test_curve_off_the_reals_is_refused(self):
+        F = VectorField.of(("x", "y"), "1", "0")
+        L = ParametricCurve("t", (parse("sqrt(t)"), parse("0")), -1.0, 1.0)
+        with pytest.raises(expr.EvalError, match="^curve point has non-negligible imaginary"):
             line_integral(F, L)
+
+    def test_overflowing_integrand_is_refused(self):
+        # F and r' are finite at every node, their product is not
+        F = VectorField.of(("x", "y"), "1e200", "0")
+        L = ParametricCurve("t", (parse("1e200*t"), parse("0")), 0.0, 1.0)
+        with pytest.raises(expr.EvalError, match="^line integral is not finite$"):
+            line_integral(F, L)
+
+
+def pullback_oracle(F, curve, panels):
+    """F(r(t)) . r'(t) as one substituted expression, integrated by
+    `integrate_rows` on `panels` panels."""
+    sub = dict(zip(F.names, curve.components))
+    terms = [c.subs(sub) * d for c, d in zip(F.components, curve.derivative())]
+    integrand = functools.reduce(operator.add, terms)
+    return complex(realfield.integrate_rows(integrand, curve.param, curve.t_start, curve.t_end,
+                                            panels)[0])
+
+
+def random_field(seed, n):
+    names = ("x", "y", "z")[:n]
+    rng = random.Random(seed)
+    return VectorField(names, tuple(random_smooth_expr(rng, names) for _ in names))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from((2, 3)),
+       panels=st.integers(1, 40), t0=st.floats(-1.0, 0.5), length=st.floats(0.05, 1.0))
+def test_line_integral_matches_the_pullback_oracle(seed, n, panels, t0, length):
+    F = random_field(seed, n)
+    comps = bounded_smooth_exprs(seed % 1000, n, ("t",), bound=3.0)
+    curve = ParametricCurve("t", comps, t0, t0 + length)
+    value, err = line_integral(F, curve, panels, return_error=True)
+    fine, coarse = pullback_oracle(F, curve, 2 * panels), pullback_oracle(F, curve, panels)
+    scale = 1e-13 * (1 + abs(value))
+    assert abs(value - fine.real) <= scale and abs(fine.imag) <= scale
+    assert abs(err - (abs(fine - coarse) + 1e-15 * (1 + abs(fine)))) <= scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from((2, 3)),
+       count=st.integers(2, 4), panels=st.integers(1, 40))
+def test_probe_integrals_are_the_line_integrals_bit_for_bit(seed, n, count, panels):
+    # paths A + (B - A) t + t (1 - t) g_k(t) on [0, 1] share their endpoints
+    F = random_field(seed, n)
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    bends = bounded_smooth_exprs(seed % 1000, count * n, ("t",), bound=3.0)
+    t = expr.as_expr("t")
+    paths = [ParametricCurve("t", [float(p) + float(q - p) * t + t * (1 - t) * g
+                                   for p, q, g in zip(a, b, bends[k * n:(k + 1) * n])],
+                             0.0, 1.0) for k in range(count)]
+    rep = path_independence_probe(F, a, b, paths, tol=1.0, panels=panels)
+    for k, path in enumerate(paths):
+        assert rep.details[f"I{k}"] == line_integral(F, path, panels)
 
 
 class TestPathIndependence:
