@@ -1,72 +1,43 @@
 """Per-request-kind wall time of two checkouts.
 
-    python scripts/kind_ab.py PARENT CHANGE WORKLOAD [--requests N] [--rounds R]
+    python scripts/kind_ab.py PARENT CHANGE WORKLOAD [--requests N]
 
 Runs the first N requests (default 300) of one benchmark workload at seeds
 7 and 11 through `integrikit.cli.main`, in fresh interpreters that
-alternate between the checkouts: R rounds (default 5) per seed, each round
-one run of each side, PARENT first in even rounds.  Each interpreter
-imports the program from its own checkout's `src/` and the requests from
-PARENT's `perfbench/workloads.py`, without writing bytecode, runs the
-workload's warm-up requests untimed and then times each request with
-`time.perf_counter`.
+alternate between the checkouts: ten rounds per seed, each round one run
+of each side, PARENT first in even rounds.  Each run is the child of
+`report_ab.py`: it imports the program from its own checkout's `src/` and
+the requests from PARENT's `perfbench/workloads.py`, without writing
+bytecode, runs the workload's warm-up requests untimed and then times
+each request with `time.perf_counter`.
 
 For each seed and request kind the script prints the request count, the
 median over runs of each side's mean ms per request, their ratio (change
 over parent) and the parent's quartiles over runs, so that a move inside
 the parent's own spread shows as such.  The last line holds each run's
-per-kind means as JSON.
+per-kind seconds and request counts as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import os
 import statistics
-import subprocess
 import sys
-import time
 
-SEEDS = (7, 11)
+import report_ab
+
+ROUNDS = 10
 
 
-def child(root: str, workloads_dir: str, workload: str, seed: int, count: int) -> None:
-    """Print ``{kind: [seconds, requests]}`` of the first `count` requests."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [os.path.join(root, "src"), workloads_dir]
-    import workloads
-    from integrikit import cli
-
-    wl = workloads.WORKLOADS[workload]
-    requests = [wl.request(seed, k) for k in range(count)]
+def per_kind(rows: list) -> dict:
+    """``{kind: [seconds, requests]}`` of one run's report rows."""
     kinds = {}
-    for warm in (True, False):
-        for req in wl.warmup() if warm else requests:
-            with contextlib.redirect_stdout(io.StringIO()):
-                start = time.perf_counter()
-                try:
-                    cli.main(req.argv)
-                except Exception:   # a raising request is timed like any other
-                    pass
-                elapsed = time.perf_counter() - start
-            if not warm:
-                seconds, n = kinds.get(req.kind, (0.0, 0))
-                kinds[req.kind] = (seconds + elapsed, n + 1)
-    json.dump(kinds, sys.stdout)
-
-
-def run(root: str, workloads_dir: str, workload: str, seed: int, count: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-B", os.path.abspath(__file__), "--child", root, workloads_dir,
-         workload, str(seed), str(count)],
-        cwd=root, check=True, capture_output=True, text=True,
-        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
-    return json.loads(proc.stdout)
+    for *_, kind, seconds in rows:
+        total, n = kinds.get(kind, (0.0, 0))
+        kinds[kind] = (total + seconds, n + 1)
+    return kinds
 
 
 def report(workload: str, seed: int, runs: dict) -> None:
@@ -83,19 +54,14 @@ def report(workload: str, seed: int, runs: dict) -> None:
 
 
 def main(argv=None) -> int:
-    if argv is None and sys.argv[1:2] == ["--child"]:
-        root, workloads_dir, workload, seed, count = sys.argv[2:7]
-        child(root, workloads_dir, workload, int(seed), int(count))
-        return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="checkout whose perfbench/workloads.py gives the requests")
     ap.add_argument("change", help="checkout compared with it")
     ap.add_argument("workload", help="benchmark workload, e.g. quadrature")
     ap.add_argument("--requests", type=int, default=300, help="requests per run (default 300)")
-    ap.add_argument("--rounds", type=int, default=5, help="runs per side and seed (default 5)")
     args = ap.parse_args(argv)
-    if args.requests < 1 or args.rounds < 2:
-        raise SystemExit("need at least 1 request and 2 rounds")
+    if args.requests < 1:
+        raise SystemExit("need at least 1 request")
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     workloads_dir = os.path.join(sides["parent"], "perfbench")
     for root in sides.values():
@@ -103,12 +69,13 @@ def main(argv=None) -> int:
             raise SystemExit(f"{root} has no src/integrikit/cli.py")
 
     results = []
-    for seed in SEEDS:
+    for seed in report_ab.SEEDS:
         runs = {"parent": [], "change": []}
-        for k in range(args.rounds):
+        for k in range(ROUNDS):
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                runs[side].append(run(sides[side], workloads_dir, args.workload, seed,
-                                      args.requests))
+                rows = report_ab.reports(sides[side], workloads_dir, args.workload, seed,
+                                         args.requests, warm=True)
+                runs[side].append(per_kind(rows))
         report(args.workload, seed, runs)
         results.append({"workload": args.workload, "seed": seed, "runs": runs})
     print(json.dumps(results))

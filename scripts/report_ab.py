@@ -31,14 +31,18 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 WORKLOADS = ("grid_checks", "quadrature", "trajectories", "cauchy_fan")
 SEEDS = (7, 11)
 
 
-def child(root: str, workloads_dir: str, workload: str, seed: int, count: int) -> None:
-    """Print ``[command, exit code, stdout, error]`` of each request as one
-    JSON list."""
+def child(root: str, workloads_dir: str, workload: str, seed: int, count: int,
+          warm: bool) -> None:
+    """Print ``[command, exit code, stdout, error, kind, seconds]`` of each
+    request as one JSON list, `seconds` its wall time by
+    `time.perf_counter`; with `warm`, after the workload's warm-up
+    requests, which are not printed."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.dont_write_bytecode = True
@@ -47,24 +51,27 @@ def child(root: str, workloads_dir: str, workload: str, seed: int, count: int) -
     from integrikit import cli
 
     wl = workloads.WORKLOADS[workload]
+    requests = [wl.request(seed, k) for k in range(count or wl.trace_requests)]
     out = []
-    for k in range(count or wl.trace_requests):
-        argv = wl.request(seed, k).argv
+    for req in (wl.warmup() if warm else []) + requests:
         buf = io.StringIO()
+        start = time.perf_counter()
         try:
             with contextlib.redirect_stdout(buf):
-                code = cli.main(argv)
+                code = cli.main(req.argv)
             error = ""
         except Exception as ex:   # a raising request is a result to compare
             code, error = None, f"raised {type(ex).__name__}: {ex}"
-        out.append([argv[0], code, buf.getvalue(), error])
-    json.dump(out, sys.stdout)
+        seconds = time.perf_counter() - start
+        out.append([req.argv[0], code, buf.getvalue(), error, req.kind, seconds])
+    json.dump(out[len(out) - len(requests):], sys.stdout)
 
 
-def reports(root: str, workloads_dir: str, workload: str, seed: int, count: int) -> list:
+def reports(root: str, workloads_dir: str, workload: str, seed: int, count: int,
+            warm: bool = False) -> list:
     proc = subprocess.run(
         [sys.executable, "-B", os.path.abspath(__file__), "--child", root, workloads_dir,
-         workload, str(seed), str(count)],
+         workload, str(seed), str(count), str(int(warm))],
         cwd=root, check=True, capture_output=True, text=True,
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     return json.loads(proc.stdout)
@@ -108,7 +115,7 @@ def compare(parent: list, change: list) -> list:
     """One entry per request whose report differs: (index, command, the
     (difference, path) of each place it differs)."""
     moved = []
-    for k, ((cmd, pc, po, pe), (_, cc, co, ce)) in enumerate(zip(parent, change)):
+    for k, ((cmd, pc, po, pe, *_), (_, cc, co, ce, *_)) in enumerate(zip(parent, change)):
         if (pc, po, pe) == (cc, co, ce):
             continue
         if (pc, pe) != (cc, ce):
@@ -135,15 +142,15 @@ def by_path(moved: list) -> dict:
 
 def digest(results: list) -> str:
     h = hashlib.sha256()
-    for _, _, out, _ in results:
+    for _, _, out, *_ in results:
         h.update(out.encode())
     return h.hexdigest()
 
 
 def main(argv=None) -> int:
     if argv is None and sys.argv[1:2] == ["--child"]:
-        root, workloads_dir, workload, seed, count = sys.argv[2:7]
-        child(root, workloads_dir, workload, int(seed), int(count))
+        root, workloads_dir, workload, seed, count, warm = sys.argv[2:8]
+        child(root, workloads_dir, workload, int(seed), int(count), warm == "1")
         return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="checkout whose perfbench/workloads.py gives the requests")

@@ -228,7 +228,8 @@ def cauchy_value(f, z0: complex, contour: Contour, nodes: int = 256) -> complex:
         raise WindingError(
             f"z0 must lie strictly inside the (positively oriented) contour; winding={w}")
     integrand = ComplexFunction.from_z(f / (as_expr("z") - Const(z0)))
-    return contour_integral(integrand, contour, nodes) / (2j * math.pi)
+    value = contour_integral(integrand, contour, nodes)
+    return value / (2j * math.pi)
 
 
 def laurent_coeffs(f, z0: complex, rho: float, n_range, nodes: int = 256) -> dict:

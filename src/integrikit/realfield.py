@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -315,15 +316,30 @@ def curve_nodes(curves: Sequence[ParametricCurve], panel_counts):
 def _line_sums(F: VectorField, curves, panels: int, coarse: bool) -> np.ndarray:
     """Weighted sums of F_k(r) * r_k' (k in order) at `curve_nodes` for
     2 * `panels` panels, after those for `panels` if `coarse`: one row per
-    curve.  F's own components are evaluated once, at every node."""
+    curve.  F's own components are evaluated once, at every node of each
+    run of curves that move in the same variables, save that F_k is not
+    evaluated along a curve whose r_k' is 0 at all of its nodes (an
+    axis-parallel segment): the term adds exactly 0 there, so F_k need not
+    be defined on that curve."""
     if panels < 1:
         raise ValueError(f"panels must be at least 1, got {panels!r}")
     if any(c.n != F.n for c in curves):
         raise ValueError("curve dimension must equal field dimension")
     nodes, weights = curve_nodes(curves, (panels, 2 * panels) if coarse else (2 * panels,))
-    values = eval_columns(F.components, F.names, nodes[:F.n], nodes.shape[1:])
+    per = nodes.shape[1] // len(curves)
+    moves = nodes[F.n:].reshape(F.n, len(curves), per).any(axis=2).T.tolist()
+    integrand = np.zeros(nodes.shape[1], dtype=complex)
+    end = 0
+    for move, run in groupby(moves):
+        at = slice(end, end + per * len(list(run)))
+        end = at.stop
+        ks = [k for k in range(F.n) if move[k]]
+        if ks:
+            values = eval_columns([F.components[k] for k in ks], F.names, nodes[:F.n, at],
+                                  integrand[at].shape)
+            with np.errstate(all="ignore"):
+                integrand[at] = (np.stack(values) * nodes[F.n:][ks, at]).sum(axis=0)
     with np.errstate(all="ignore"):
-        integrand = (np.stack(values) * nodes[F.n:]).sum(axis=0)
         parts = np.split(integrand, np.cumsum([len(w) for w in weights])[:-1])
         sums = np.array([np.add.reduce(v * w) for v, w in zip(parts, weights)])
     if not np.isfinite(sums).all():
@@ -447,9 +463,11 @@ def path_independence_probe(F: VectorField, a, b, paths: Sequence[ParametricCurv
     """Max pairwise difference of line integrals over paths sharing endpoints."""
     if len(paths) < 2:
         raise ValueError("need at least two probe paths")
-    ends = np.array([a, b], dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     for k, path in enumerate(paths):
-        if np.max(np.abs([path.point(path.t_start), path.point(path.t_end)] - ends)) > 1e-10:
+        if (np.max(np.abs(path.point(path.t_start) - a)) > 1e-10
+                or np.max(np.abs(path.point(path.t_end) - b)) > 1e-10):
             raise EndpointMismatchError(f"path {k} does not run from A to B")
     integrals = real_parts(_line_sums(F, paths, panels, False), 1e-12, "line integral")
     spread = max(abs(u - v) for u in integrals for v in integrals)
@@ -534,6 +552,10 @@ def work_energy(F: VectorField, curve: ParametricCurve, m: float, v0: float,
     if not report.passed:
         raise NonConservativeError(report)
     work = line_integral(F, curve, panels)
-    u_b = potential_reconstruct(F, curve.point(curve.t_start), curve.point(curve.t_end),
-                                panels, region)
-    return WorkEnergyReport(work=work, U_A=0.0, U_B=-u_b, E_total=0.5 * m * v0 * v0)
+    a = curve.point(curve.t_start)
+    b = curve.point(curve.t_end)
+    u_b = potential_reconstruct(F, a, b, panels, region)
+    U_A = 0.0
+    U_B = -u_b
+    E_total = 0.5 * m * v0 * v0 + U_A
+    return WorkEnergyReport(work=work, U_A=U_A, U_B=U_B, E_total=E_total)

@@ -601,6 +601,23 @@ class TestCurveOffTheReals:
         assert rep["diagnostics"]["error"].startswith("curve point has non-negligible imaginary")
 
 
+class TestAxisParallelCurve:
+    """Along a curve that does not move in y, Q is not evaluated: Q = 1/y is
+    undefined on the x-axis, yet F . dr = P dx is (as at the potential's
+    x-leg)."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["line-integral", "--P", "1", "--Q", "1/y", "--curve", "t;0", "--interval", "0,1"],
+         "integral"),
+        (["path-probe", "--P", "1", "--Q", "1/y", "--A", "0,0", "--B", "1,0",
+          "--path", "t;0;0;1", "--path", "t;t-t^2;0;1"], "I0"),
+    ], ids=["line-integral", "path-probe"])
+    def test_passes(self, argv, key, capsys):
+        code, rep = run_json(argv, capsys)
+        assert code == 0 and rep["status"] == "pass"
+        assert abs(rep["values"][key] - 1.0) <= 1e-14
+
+
 class TestZeroLengthSpan:
     """A zero-length pde-char span takes no step but checks its inputs."""
     PDE = ["pde-char", "--P", "1", "--Q", "1", "--R", "0"]

@@ -181,6 +181,29 @@ class TestLineIntegral:
             line_integral(F, L)
 
 
+class TestAxisParallelCurve:
+    """F_k is not evaluated along a curve whose r_k' is 0 at all of its
+    nodes, as the term F_k(r) * r_k' adds exactly 0 there: Q = 1/y on the
+    x-axis."""
+    F = VectorField.of(("x", "y"), "1", "1/y")
+    AXIS = ParametricCurve.segment((0, 0), (1, 0))
+
+    def test_line_integral(self):
+        value, err = line_integral(self.F, self.AXIS, return_error=True)
+        assert abs(value - 1.0) <= 1e-14 and err <= 1e-14
+
+    def test_probe_skips_q_on_the_axis_path_alone(self):
+        # the bent path moves in y, so Q is evaluated on it (y > 0 there)
+        bent = ParametricCurve("t", (parse("t"), parse("t-t^2")), 0.0, 1.0)
+        rep = path_independence_probe(self.F, (0, 0), (1, 0), [self.AXIS, bent], tol=1e-8)
+        assert rep.details["I0"] == line_integral(self.F, self.AXIS)
+        assert rep.details["I1"] == line_integral(self.F, bent)
+
+    def test_work_energy_agrees_with_its_potential_leg(self):
+        res = work_energy(self.F, self.AXIS, m=1.0, v0=0.0)
+        assert abs(res.work - 1.0) <= 1e-14 and res.U_B == -res.work
+
+
 def pullback_oracle(F, curve, panels):
     """F(r(t)) . r'(t) as one substituted expression, integrated by
     `integrate_rows` on `panels` panels."""
