@@ -13,12 +13,12 @@ import numpy as np
 
 from .expr import (EvalError, Expr, NonDifferentiableError, NumericError, Var, as_expr, as_real,
                    diff, eval_columns, evaluate, real_parts)
-from .odesys import AutonomousSystem, RK4Traces, Trajectory
+from .odesys import AutonomousSystem, RK4Traces
 from .realfield import CheckReport, Region, VectorField, exactness_check, residual_sweep
 
 __all__ = [
     "QuasilinearPDE", "InitialCurve", "CauchySolution", "TransversalityError",
-    "NotPotentialError", "characteristic_trace", "solve_cauchy",
+    "NotPotentialError", "solve_cauchy",
     "pde_residual", "homogeneous_solution_check", "normal_surface_check",
 ]
 
@@ -105,15 +105,6 @@ def _real_values(exprs, names, columns, contexts) -> list:
     return [real_parts(eval_columns((e,), names, columns, shape)[0] if v is None else v,
                        1e-12, context)
             for e, v, context in zip(exprs, values, contexts)]
-
-
-def characteristic_trace(pde: QuasilinearPDE, start, t_span, h: float) -> Trajectory:
-    """RK4 trace of dx/dt = P, dy/dt = Q, dz/dt = R from a start point.
-
-    Raises IntegrationError with the last good t if the state blows up.
-    A zero-length span takes no step but checks start, span and step alike.
-    """
-    return RK4Traces(pde.characteristic_system).trajectory(start, t_span, h, empty=True)
 
 
 def _query(q) -> np.ndarray:

@@ -678,7 +678,10 @@ def _parse_argv(argv):
         if i + 1 >= len(flags):
             raise UsageError(f"flag {flag!r} needs a value")
         raw = flags[i + 1]
-        inputs[flag[2:]] = raw
+        if kw.get("action") == "append":
+            inputs.setdefault(flag[2:], []).append(raw)
+        else:
+            inputs[flag[2:]] = raw
         typ = kw.get("type", str)
         try:
             val = typ(raw)

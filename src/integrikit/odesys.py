@@ -23,7 +23,7 @@ __all__ = [
     "NonFiniteExponentialError",
     "DependenceReport", "LinearSolveResult", "ModeFit", "RK4Traces",
     "integrate_rk4", "first_integral_drift", "dependent_integral_check",
-    "char_poly", "eigen_solve", "matrix_exp", "matrix_exps", "linear_solve",
+    "eigen_solve", "matrix_exp", "matrix_exps", "linear_solve",
     "commutator_flow", "matrix_identity_check",
 ]
 
@@ -329,7 +329,7 @@ def dependent_integral_check(phis: Sequence, candidate, points: int = 40,
 
 
 # --------------------------------------------------------------------------
-# Linear systems: characteristic polynomial, eigenstructure, exponentials
+# Linear systems: eigenstructure, exponentials
 # --------------------------------------------------------------------------
 
 def _as_matrix(A) -> np.ndarray:
@@ -337,26 +337,6 @@ def _as_matrix(A) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     return A
-
-
-def char_poly(A) -> np.ndarray:
-    """Monic characteristic polynomial coefficients via Faddeev-LeVerrier.
-
-    Returns [1, c1, ..., cn] with det(k*I - A) = k^n + c1 k^{n-1} + ... + cn.
-    """
-    A_in = _as_matrix(A)
-    real_input = not np.iscomplexobj(A_in)
-    A = A_in.astype(np.complex128)
-    n = A.shape[0]
-    coeffs = np.empty(n + 1, dtype=np.complex128)
-    coeffs[0] = 1.0
-    M = np.zeros_like(A)
-    for k in range(1, n + 1):
-        M = A @ M + coeffs[k - 1] * np.eye(n)
-        coeffs[k] = -np.trace(A @ M) / k
-    if real_input:
-        return coeffs.real.copy()
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -598,10 +578,10 @@ def _shown_point(p) -> tuple:
     return tuple(float(v) for v in np.round(np.real(p), 6))
 
 
-def _eval_matrices(mats, names, pts, what: Optional[str] = None) -> list:
+def _eval_matrices(mats, names, pts, what: str) -> list:
     """Each square matrix of expressions in `mats` at the rows of `pts`, as
-    an (npts, n, n) complex array, by one `eval_columns` call.  With
-    `what`, a SingularMatrixSampleError names the first point where the
+    an (npts, n, n) complex array, by one `eval_columns` call.  A
+    SingularMatrixSampleError names `what` and the first point where the
     first matrix has condition number 1e8 or more, before a later matrix's
     domain error."""
     n = len(mats[0])
@@ -609,29 +589,28 @@ def _eval_matrices(mats, names, pts, what: Optional[str] = None) -> list:
     try:
         vals = eval_columns(flat, names, pts.T, (len(pts),))
     except EvalError:
-        if what is not None and len(mats) > 1:
+        if len(mats) > 1:
             _eval_matrices(mats[:1], names, pts, what)
         raise
     out = [np.stack(vals[k:k + n * n], axis=1).reshape(-1, n, n)
            for k in range(0, len(vals), n * n)]
-    if what is not None:
-        conds = np.linalg.cond(out[0])
-        if np.max(conds) >= 1e8:
-            raise SingularMatrixSampleError(
-                f"{what} is near-singular at {_shown_point(pts[int(np.argmax(conds))])}")
+    conds = np.linalg.cond(out[0])
+    if np.max(conds) >= 1e8:
+        raise SingularMatrixSampleError(
+            f"{what} is near-singular at {_shown_point(pts[int(np.argmax(conds))])}")
     return out
 
 
 def matrix_identity_check(entries, region: Region, tol: float = 1e-8,
-                          grid=21, fd_step: float = 1e-5,
-                          curve_samples: int = 33) -> CheckReport:
+                          grid=21) -> CheckReport:
     """Numeric check of the flat-connection identity
 
-        d/dx (A^-1 A_y) - d/dy (A^-1 A_x) + [A^-1 A_x, A^-1 A_y] = 0,
+        d/dx (A^-1 A_y) - d/dy (A^-1 A_x) + [A^-1 A_x, A^-1 A_y] = 0
 
-    of the conjugation identity A (A^-1 A_x)_y A^-1 = (A_y A^-1)_x, and of
-    d/dt A^-1 = -A^-1 (dA/dt) A^-1 along a sampled ellipse in the region.
-    Entrywise derivatives are symbolic; matrix products are numeric.
+    and of the conjugation identity A (A^-1 A_x)_y A^-1 = (A_y A^-1)_x over
+    the region's grid.  `max_residual` is the larger of the two largest
+    residuals and `worst_point` the grid point where it occurs.  Entrywise
+    derivatives are symbolic; matrix products are numeric.
     """
     entries = [[as_expr(e) for e in row] for row in entries]
     n = len(entries)
@@ -661,31 +640,11 @@ def matrix_identity_check(entries, region: Region, tol: float = 1e-8,
     rhs = Ayx @ Ai - Ay @ Ai @ Ax @ Ai
     res_conj = np.linalg.norm(lhs - rhs, axis=(1, 2))
 
-    # inverse-derivative rule along an ellipse, by central differences
-    (xl, xh), (yl, yh) = region.bounds
-    cx, cy = 0.5 * (xl + xh), 0.5 * (yl + yh)
-    rx, ry = 0.35 * (xh - xl), 0.35 * (yh - yl)
-    thetas = np.linspace(0.0, 2 * math.pi, curve_samples)
-    ring = np.array([(cx + rx * math.cos(th + d), cy + ry * math.sin(th + d))
-                     for th in thetas for d in (0.0, fd_step, -fd_step)])
-    A, = _eval_matrices((entries,), names, ring)
-    A0, Ap, Am = A[0::3], A[1::3], A[2::3]
-    Ad_x, Ad_y = _eval_matrices((dx, dy), names, ring[0::3])
-    Ai0 = np.linalg.inv(A0)
-    fd = (np.linalg.inv(Ap) - np.linalg.inv(Am)) / (2 * fd_step)
-    xdot = np.array([-rx * math.sin(th) for th in thetas])[:, None, None]
-    ydot = np.array([ry * math.cos(th) for th in thetas])[:, None, None]
-    Adot = Ad_x * xdot + Ad_y * ydot
-    norms = np.linalg.norm(fd + Ai0 @ Adot @ Ai0, axis=(1, 2))
-    res_curve = float(np.fmax.reduce(norms, initial=0.0))  # NaN samples are skipped
-
     details = {
         "flat_connection": float(res_flat.max()),
         "conjugation": float(res_conj.max()),
-        "inverse_derivative": res_curve,
     }
-    grid_worst = int(np.argmax(np.maximum(res_flat, res_conj)))
-    max_res = max(details.values())
-    return CheckReport.from_residual(max_res, tol,
-                                     tuple(float(v) for v in pts[grid_worst].real),
+    worst = int(np.argmax(np.maximum(res_flat, res_conj)))
+    return CheckReport.from_residual(max(details.values()), tol,
+                                     tuple(float(v) for v in pts[worst].real),
                                      len(pts), details)

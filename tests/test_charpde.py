@@ -7,7 +7,7 @@ import pytest
 from integrikit import _backend
 from integrikit.charpde import (
     CharacteristicFanError, InitialCurve, NotPotentialError, QuasilinearPDE,
-    TransversalityError, characteristic_trace, homogeneous_solution_check,
+    TransversalityError, homogeneous_solution_check,
     normal_surface_check, pde_residual, solve_cauchy,
 )
 from integrikit.expr import EvalError, compile_system, eval_many, parse
@@ -33,7 +33,8 @@ class TestTypes:
 class TestCharacteristicTrace:
     def test_diagonal_line(self):
         pde = QuasilinearPDE("1", "1", "1")
-        traj = characteristic_trace(pde, (0.0, 0.0, 0.0), (0.0, 2.0), 0.01)
+        traj = RK4Traces(pde.characteristic_system).trajectory(
+            (0.0, 0.0, 0.0), (0.0, 2.0), 0.01, empty=True)
         # the invariants x - y and z - x stay constant along it
         diffs1 = traj.states[:, 0] - traj.states[:, 1]
         diffs2 = traj.states[:, 2] - traj.states[:, 0]
@@ -42,14 +43,16 @@ class TestCharacteristicTrace:
 
     def test_circle_at_height(self):
         pde = QuasilinearPDE("-y", "x", "0")
-        traj = characteristic_trace(pde, (1.0, 0.0, 5.0), (0.0, 2.0), 0.005)
+        traj = RK4Traces(pde.characteristic_system).trajectory(
+            (1.0, 0.0, 5.0), (0.0, 2.0), 0.005, empty=True)
         radii = np.hypot(traj.states[:, 0], traj.states[:, 1])
         assert np.max(np.abs(radii - 1.0)) <= 1e-8
         assert np.max(np.abs(traj.states[:, 2] - 5.0)) == 0.0
 
     def test_zero_length_span(self):
         pde = QuasilinearPDE("1", "1", "1")
-        traj = characteristic_trace(pde, (0.5, -1.0, 2.0), (1.0, 1.0), 0.01)
+        traj = RK4Traces(pde.characteristic_system).trajectory(
+            (0.5, -1.0, 2.0), (1.0, 1.0), 0.01, empty=True)
         assert len(traj.ts) == 1
         assert np.array_equal(traj.states[0], [0.5, -1.0, 2.0])
 
@@ -60,7 +63,8 @@ class TestCharacteristicTrace:
             (QuasilinearPDE("x", "y", "z"), ("x/y", "z/x"), (1.0, 2.0, 0.5)),
         ]
         for pde, integrals, start in cases:
-            traj = characteristic_trace(pde, start, (0.0, 2.0), 0.005)
+            traj = RK4Traces(pde.characteristic_system).trajectory(
+                start, (0.0, 2.0), 0.005, empty=True)
             for psi in integrals:
                 vals = eval_many(parse(psi), ("x", "y", "z"), traj.states).real
                 assert np.max(np.abs(vals - vals[0])) <= 1e-8
@@ -346,6 +350,7 @@ class TestNormalSurface:
         # trace from a point of z = x^2 + y^2 stays on the surface
         pde = QuasilinearPDE("-y", "x", "0")
         x0, y0 = 0.6, 0.8
-        traj = characteristic_trace(pde, (x0, y0, x0 ** 2 + y0 ** 2), (0.0, 1.0), 0.005)
+        traj = RK4Traces(pde.characteristic_system).trajectory(
+            (x0, y0, x0 ** 2 + y0 ** 2), (0.0, 1.0), 0.005, empty=True)
         surface = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
         assert np.max(np.abs(surface - traj.states[:, 2])) <= 1e-6

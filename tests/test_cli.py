@@ -618,6 +618,45 @@ class TestAxisParallelCurve:
         assert abs(rep["values"][key] - 1.0) <= 1e-14
 
 
+class TestRepeatedFlags:
+    """Every value of a repeated flag is echoed in `inputs`, in order."""
+
+    def test_query(self, capsys):
+        code, rep = run_json(["pde-solve", "--P", "1", "--Q", "1", "--R", "0",
+                              "--ic", "s;0;sin(s);-3;3", "--query", "1.0,0.3",
+                              "--query", "0.5,0.1"], capsys)
+        assert code == 0 and len(rep["values"]["z"]) == 2
+        assert rep["inputs"]["query"] == ["1.0,0.3", "0.5,0.1"]
+
+    def test_path(self, capsys):
+        code, rep = run_json(["path-probe", "--P", "y", "--Q", "x", "--A", "0,0",
+                              "--B", "1,1", "--path", "t;t;0;1", "--path", "t;t^2;0;1"],
+                             capsys)
+        assert code == 0
+        assert rep["inputs"]["path"] == ["t;t;0;1", "t;t^2;0;1"]
+
+
+class TestInfiniteEndVelocity:
+    """r(t) = (t, sqrt(t)) has r'(0) infinite.  The endpoint test walks the
+    curve's points only, so the path is accepted, and no Gauss node sits
+    at t = 0."""
+    I1 = 1.0000006526824032
+
+    def test_path_probe(self, capsys):
+        code, rep = run_json(["path-probe", "--P", "y", "--Q", "x", "--A", "0,0",
+                              "--B", "1,1", "--path", "t;t;0;1", "--path", "t;sqrt(t);0;1",
+                              "--tol", "1e-6"], capsys)
+        assert code == 0 and rep["status"] == "pass"
+        assert rep["values"]["I0"] == 1.0
+        assert abs(rep["values"]["I1"] - self.I1) <= 1e-15
+
+    def test_line_integral(self, capsys):
+        code, rep = run_json(["line-integral", "--P", "y", "--Q", "x",
+                              "--curve", "t;sqrt(t)", "--interval", "0,1"], capsys)
+        assert code == 0 and rep["status"] == "pass"
+        assert abs(rep["values"]["integral"] - self.I1) <= 1e-15
+
+
 class TestZeroLengthSpan:
     """A zero-length pde-char span takes no step but checks its inputs."""
     PDE = ["pde-char", "--P", "1", "--Q", "1", "--R", "0"]
@@ -803,6 +842,7 @@ class TestTaskFile:
             "path = t;t;0;1\npath = t;t^2;0;1\npath = t;t^5;0;1\n")
         code, rep = run_json(["--task", str(task)], capsys)
         assert code == 0 and rep["status"] == "pass"
+        assert rep["inputs"]["path"] == ["t;t;0;1", "t;t^2;0;1", "t;t^5;0;1"]
 
     def test_missing_kind(self, tmp_path, capsys):
         task = tmp_path / "nokind.task"

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from integrikit.expr import EvalDomainError
 from integrikit.odesys import (
     AutonomousSystem, DegenerateSamplesError, IntegrationError, NonFiniteExponentialError,
-    Trajectory, char_poly, commutator_flow, dependent_integral_check, eigen_solve,
+    Trajectory, commutator_flow, dependent_integral_check, eigen_solve,
     first_integral_drift, integrate_rk4, linear_solve, matrix_exp, matrix_exps,
     matrix_identity_check,
 )
@@ -146,17 +146,6 @@ class TestDependentIntegralCheck:
     def test_degenerate_samples(self):
         with pytest.raises(DegenerateSamplesError):
             dependent_integral_check(["1", "x"], "x")
-
-
-class TestCharPoly:
-    def test_example_one(self):
-        assert np.allclose(char_poly([[1, 2], [4, 3]]), [1, -4, -5], atol=1e-12)
-
-    def test_example_two(self):
-        assert np.allclose(char_poly([[1, -1], [1, 3]]), [1, -4, 4], atol=1e-12)
-
-    def test_zero_matrix(self):
-        assert np.allclose(char_poly(np.zeros((3, 3))), [1, 0, 0, 0], atol=0)
 
 
 #: Jordan structures as (eigenvalue, block size) blocks.
@@ -549,6 +538,16 @@ class TestMatrixIdentityCheck:
         reg = Region(("x", "y"), ((-1, 1), (-1, 1)))
         rep = matrix_identity_check(entries, reg, tol=1e-8)
         assert rep.passed
+
+    @pytest.mark.parametrize("entries", [[["1 + x^2", "y"], ["0", "1"]],
+                                         [["e^(x*y)", "0"], ["x", "1"]]])
+    def test_the_report_is_the_two_grid_identities(self, entries):
+        reg = Region(("x", "y"), ((-1, 1), (-1, 1)))
+        rep = matrix_identity_check(entries, reg, tol=1e-8, grid=21)
+        assert set(rep.details) == {"flat_connection", "conjugation"}
+        assert rep.max_residual == max(rep.details.values())
+        assert rep.max_residual <= 1e-15
+        assert all(v in axis for v, axis in zip(rep.worst_point, reg.axes(21)))
 
     def test_singular_sample_rejected(self):
         from integrikit.odesys import SingularMatrixSampleError
